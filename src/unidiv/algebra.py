@@ -13,6 +13,7 @@ Everything is immutable and pure; an AlgebraSpec can be shared read-only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -495,9 +496,7 @@ def to_zeta9(x: AlgElem) -> tuple[Fraction, ...]:
 
 def zeta9_str(coeffs: Sequence[Fraction]) -> str:
     """Human-readable rendering like (-10+16*z9+z9^2-4*z9^3+14*z9^4+8*z9^5)/19."""
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
+    denom = math.lcm(*(c.denominator for c in coeffs))
     nums = [int(c * denom) for c in coeffs]
     parts = []
     for j, n in enumerate(nums):
@@ -515,12 +514,6 @@ def zeta9_str(coeffs: Sequence[Fraction]) -> str:
     for sign, body in parts[1:]:
         s += sign + body
     return s if denom == 1 else f"({s})/{denom}"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def express_in_power_basis(x: AlgElem, g: AlgElem) -> Optional[tuple[KElem, KElem, KElem]]:

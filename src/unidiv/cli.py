@@ -32,7 +32,6 @@ from .codebook import (
     diversity_product,
     generate_codebook,
     min_det_report,
-    pairwise_determinants,
     subfield,
     subfield_table,
     unitary_matrix_numeric,
@@ -401,6 +400,9 @@ def cmd_diversity(config: CommandConfig) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read codebook: {exc}")
         return 1
+    if not isinstance(data, dict):
+        print("error: malformed codebook: top level is not a JSON object")
+        return 1
     if data.get("gamma") != "zeta3":
         print("error: unsupported gamma (expected \"zeta3\")")
         return 1
@@ -417,11 +419,11 @@ def cmd_diversity(config: CommandConfig) -> int:
         if x * involution(x) != one:
             print(f"error: element {i} is not unitary")
             return 1
-    for i, j, det in pairwise_determinants(elements):
-        if det.is_zero():
-            print(f"error: zero difference at pair ({i}, {j})")
-            return 1
     report = min_det_report(elements)
+    if not report.exact_nonzero:
+        i, j = report.pair
+        print(f"error: zero difference at pair ({i}, {j})")
+        return 1
     if config.fmt == "json":
         print(json.dumps({"command": "diversity", **report_to_dict(report)}, indent=2))
     else:
@@ -447,7 +449,7 @@ def cmd_embed(config: CommandConfig) -> int:
         else:
             data = json.loads(Path(config.in_path).read_text())
             x = parse_element(data)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
         print(f"error: {exc}")
         return 1
     mat = matrix_embed(x)

@@ -10,14 +10,18 @@ nonzero determinant and the family is fully diverse.
 
 The division property itself is only evidenced here: a bounded exhaustive
 search confirms that gamma and gamma^2 are not norms within the searched
-box.  Absence of a witness is reported as evidence, never as proof.
+box.  The search clears the box's denominators and evaluates the norm as an
+integer cubic form over arrays of candidates, so it makes no floating-point
+decision.  Absence of a witness is reported as evidence, never as proof.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -33,7 +37,7 @@ from .algebra import (
     matrix_embed,
     reduced_norm,
 )
-from .fields import KElem, LElem, THETA, ZETA3
+from .fields import KElem, LElem, THETA, ZETA3, l_norm_coords
 from .polynomials import Polynomial, discriminant_cubic, has_rational_root
 from .rationals import as_rat, factor_small_int
 
@@ -246,24 +250,23 @@ def pairwise_determinants(elements: Sequence[AlgElem]) -> Iterator[tuple[int, in
 
 
 def min_det_report(elements: Sequence[AlgElem]) -> DiversityReport:
-    """Exact zero/nonzero decisions with a numeric minimum modulus."""
+    """Exact zero/nonzero decisions with a numeric minimum modulus.
+
+    Stops at the first pair whose determinant is exactly zero: no later
+    pair can change a report whose minimum is already 0.
+    """
     if len(elements) < 2:
         raise ValueError("need at least two elements")
     best: Optional[tuple[float, tuple[int, int]]] = None
-    all_nonzero = True
     for i, j, det in pairwise_determinants(elements):
         if det.is_zero():
-            all_nonzero = False
-            mod = 0.0
-        else:
-            mod = abs(det.to_complex())
+            return DiversityReport(zeta=0.0, pair=(i, j), min_abs_det=0.0, exact_nonzero=False)
+        mod = abs(det.to_complex())
         if best is None or mod < best[0]:
             best = (mod, (i, j))
     assert best is not None
     zeta = 0.5 * best[0] ** (1.0 / 3.0)
-    return DiversityReport(
-        zeta=zeta, pair=best[1], min_abs_det=best[0], exact_nonzero=all_nonzero
-    )
+    return DiversityReport(zeta=zeta, pair=best[1], min_abs_det=best[0], exact_nonzero=True)
 
 
 def diversity_product(cb: Codebook) -> DiversityReport:
@@ -276,60 +279,93 @@ def diversity_product(cb: Codebook) -> DiversityReport:
 # ---------------------------------------------------------------------------
 
 
-def norm_witness_search(
-    target: KElem,
-    box: Box = Box(3, 2),
-    method: str = "auto",
-) -> Optional[LElem]:
+# Tuples per array pass of the witness search; bounds its working memory.
+_WITNESS_CHUNK = 1 << 13
+
+
+class _Magnitude:
+    """An upper bound on |value| carried through +, - and * of a formula.
+
+    `peak` also bounds every intermediate value, so a formula evaluated on
+    _Magnitude(m) inputs bounds every integer that the same formula makes
+    from integer inputs of absolute value at most m.
+    """
+
+    __slots__ = ("size", "peak")
+
+    def __init__(self, size: int, peak: int = 0):
+        self.size = size
+        self.peak = max(size, peak)
+
+    def __add__(self, other):
+        o = other if isinstance(other, _Magnitude) else _Magnitude(abs(other))
+        return _Magnitude(self.size + o.size, max(self.peak, o.peak))
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __mul__(self, other):
+        o = other if isinstance(other, _Magnitude) else _Magnitude(abs(other))
+        return _Magnitude(self.size * o.size, max(self.peak, o.peak))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self
+
+
+@functools.cache
+def norm_coords_bound(m: int) -> int:
+    """Bound on |v| for every integer v that l_norm_coords computes from |a_i| <= m."""
+    norm = l_norm_coords([_Magnitude(m)] * 6)
+    return max(norm[0].peak, norm[1].peak)
+
+
+def norm_witness_search(target: KElem, box: Box = Box(3, 2)) -> Optional[LElem]:
     """Exhaustively search the box for u in L with norm(u) = target.
 
-    Returns the first witness in enumeration order, or None if the whole
-    box is exhausted.  A witness for gamma or gamma^2 would disprove the
-    division property; finding none is evidence only, not proof.
+    Returns the first witness in `iter_box_tuples` order, or None if the
+    whole box is exhausted.  A witness for gamma or gamma^2 would disprove
+    the division property; finding none is evidence only, not proof.
 
-    method: "exact" walks candidates with exact arithmetic; "filtered"
-    vectorizes a complex prefilter (tolerance 1e-6, orders of magnitude
-    above float error, so no true witness can be rejected) and verifies
-    survivors exactly; "auto" picks by box size.
+    The search is exact integer arithmetic throughout.  With Q the lcm of
+    the box's denominators, a candidate u = a/Q has integer coordinates a
+    and N(u) = N(a)/Q^3, so only targets with Q^3*target in Z[zeta3] can
+    be hit.  N(a) is evaluated as an integer cubic form on arrays of
+    candidates, in int64 when a bound on every intermediate value derived
+    from max|a_i| fits, and on Python integers otherwise.  The returned
+    witness is confirmed with `LElem.norm_to_k`.
     """
-    if method == "auto":
-        count = len(box.values()) ** 6
-        method = "filtered" if count > 5_000 else "exact"
-    if method == "exact":
-        return _witness_exact(target, box)
-    if method == "filtered":
-        return _witness_filtered(target, box)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _witness_exact(target: KElem, box: Box) -> Optional[LElem]:
-    for tup in iter_box_tuples(box, 6):
-        u = LElem.from_six_tuple(tup)
-        if u.norm_to_k() == target:
-            return u
-    return None
-
-
-def _witness_filtered(target: KElem, box: Box, chunk: int = 200_000) -> Optional[LElem]:
-    from .fields import THETA_EMBEDDINGS, ZETA3_COMPLEX
-
-    tgt = target.to_complex()
-    stream = iter_box_tuples(box, 6)
-    while True:
-        tuples = list(islice(stream, chunk))
-        if not tuples:
-            return None
-        arr = np.array(tuples, dtype=float)
-        norm = np.ones(len(tuples), dtype=complex)
-        for t in THETA_EMBEDDINGS:
-            re = arr[:, 0] + arr[:, 2] * t + arr[:, 4] * (t * t)
-            im = arr[:, 1] + arr[:, 3] * t + arr[:, 5] * (t * t)
-            norm *= re + ZETA3_COMPLEX * im
-        hits = np.nonzero(np.abs(norm - tgt) < 1e-6)[0]
-        for idx in hits:
-            u = LElem.from_six_tuple(tuples[int(idx)])
-            if u.norm_to_k() == target:
+    values = box.values()
+    q = math.lcm(*(v.denominator for v in values))
+    goal = (target.a0 * q**3, target.a1 * q**3)
+    if any(g.denominator != 1 for g in goal):
+        return None
+    goal = tuple(int(g) for g in goal)
+    scaled = [int(v * q) for v in values]
+    bound = norm_coords_bound(max(abs(s) for s in scaled))
+    if max(abs(g) for g in goal) > bound:
+        return None
+    dtype = np.int64 if bound <= np.iinfo(np.int64).max else object
+    heights = [_height(v) for v in values]
+    for h in sorted(set(heights) - {0}):
+        # The stratum's tuples in iter_box_tuples order: tuple number k holds
+        # allowed[(k // n**i) % n] at coordinate i.
+        allowed = [i for i, hv in enumerate(heights) if hv <= h]
+        coords = np.array([scaled[i] for i in allowed], dtype=dtype)
+        on_top = np.array([heights[i] == h for i in allowed])
+        n = len(allowed)
+        for start in range(0, n**6, _WITNESS_CHUNK):
+            k = np.arange(start, min(start + _WITNESS_CHUNK, n**6))
+            digits = [k // n**i % n for i in range(6)]
+            keep = np.logical_or.reduce([on_top[d] for d in digits])
+            norm = l_norm_coords([coords[d[keep]] for d in digits])
+            hits = np.flatnonzero((norm[0] == goal[0]) & (norm[1] == goal[1]))
+            if len(hits):
+                first = int(k[keep][hits[0]])
+                u = LElem.from_six_tuple([values[allowed[first // n**i % n]] for i in range(6)])
+                assert u.norm_to_k() == target, "integer norm disagrees with norm_to_k"
                 return u
+    return None
 
 
 # ---------------------------------------------------------------------------

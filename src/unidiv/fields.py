@@ -396,6 +396,52 @@ def solve_k_linear(
     return sol
 
 
+# ---------------------------------------------------------------------------
+# Closed forms on six coordinates
+# ---------------------------------------------------------------------------
+# An element of L as six rational coordinates in `LElem.six_tuple` order.
+# The functions below use only +, - and *, so the coordinates may be ints,
+# Fractions or numpy arrays (evaluated elementwise); on integer inputs every
+# value stays an integer.
+
+
+def _k_mul_coords(x0, x1, y0, y1):
+    """(x0 + x1*zeta3)(y0 + y1*zeta3) with zeta3^2 = -1 - zeta3."""
+    square = x1 * y1
+    return x0 * y0 - square, x0 * y1 + x1 * y0 - square
+
+
+def l_mul_coords(a: Sequence, b: Sequence) -> tuple:
+    """Product in L, reduced by theta^3 = 1+2*theta-theta^2 and theta^4 = -1-theta+3*theta^2."""
+    prods = [
+        [_k_mul_coords(a[2 * i], a[2 * i + 1], b[2 * j], b[2 * j + 1]) for j in range(3)]
+        for i in range(3)
+    ]
+    out = []
+    for part in (0, 1):
+        # t[d]: the theta^d coefficient of the unreduced product
+        t = [
+            sum(prods[i][d - i][part] for i in range(max(0, d - 2), min(d, 2) + 1))
+            for d in range(5)
+        ]
+        out.append((t[0] + t[3] - t[4], t[1] + 2 * t[3] - t[4], t[2] - t[3] + 3 * t[4]))
+    (x0, x1, x2), (y0, y1, y2) = out
+    return x0, y0, x1, y1, x2, y2
+
+
+def l_sigma_coords(a: Sequence) -> tuple:
+    """The Galois generator: (c0, c1, c2) -> (c0 - 2*c1 + 3*c2, -c2, c1 - c2)."""
+    x0, y0, x1, y1, x2, y2 = a
+    return x0 - 2 * x1 + 3 * x2, y0 - 2 * y1 + 3 * y2, -x2, -y2, x1 - x2, y1 - y2
+
+
+def l_norm_coords(a: Sequence) -> tuple:
+    """N_{L/K}(a) = a * sigma(a) * sigma^2(a) as its two K coordinates."""
+    s = l_sigma_coords(a)
+    n = l_mul_coords(l_mul_coords(a, s), l_sigma_coords(s))
+    return n[0], n[1]
+
+
 def minimal_polynomial_coeffs() -> tuple[Fraction, ...]:
     """Coefficients (lowest first) of the pinned minimal polynomial of theta."""
     return (Fraction(-1), Fraction(-2), Fraction(1), Fraction(1))

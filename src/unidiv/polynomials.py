@@ -8,6 +8,7 @@ coefficient tuple.  All operations are pure; instances are immutable.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -152,9 +153,7 @@ def has_rational_root(p: Polynomial) -> Optional[Rat]:
     irreducible over the rationals iff this returns None.
     """
     c0, c1, c2, c3 = _require_rational_cubic(p)
-    lcm = 1
-    for c in (c0, c1, c2, c3):
-        lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
+    lcm = math.lcm(c0.denominator, c1.denominator, c2.denominator, c3.denominator)
     a0, a3 = int(c0 * lcm), int(c3 * lcm)
     if a0 == 0:
         return Fraction(0)
@@ -167,12 +166,6 @@ def has_rational_root(p: Polynomial) -> Optional[Rat]:
         if c3 * r**3 + c2 * r**2 + c1 * r + c0 == 0:
             return r
     return None
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int) -> list[int]:

@@ -14,11 +14,17 @@ Rat = Fraction
 
 
 def as_rat(value: int | str | Fraction) -> Fraction:
-    """Coerce ints, "p/q" strings and Fractions to a canonical rational."""
+    """Coerce ints, "p/q" strings and Fractions to a canonical rational.
+
+    Raises ValueError for a malformed string or a zero denominator.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 

@@ -196,6 +196,49 @@ def test_diversity_scalar_pair(capsys, tmp_path):
     assert "zeta: 1" in out
 
 
+ONE_RECORD = {
+    "x0": ["1", "0", "0", "0", "0", "0"],
+    "x1": ["0", "0", "0", "0", "0", "0"],
+    "x2": ["0", "0", "0", "0", "0", "0"],
+}
+ZERO_DENOMINATOR_RECORD = {**ONE_RECORD, "x1": ["1/0", "0", "0", "0", "0", "0"]}
+
+
+def assert_one_line_error(code, out):
+    assert code == 1
+    assert out.startswith("error: ") and out.count("\n") == 1
+
+
+def test_diversity_non_object_json(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([ONE_RECORD, ONE_RECORD]))
+    assert_one_line_error(*run(capsys, "diversity", str(path)))
+
+
+def test_diversity_zero_denominator_element(capsys, tmp_path):
+    path = tmp_path / "zero_den.json"
+    path.write_text(
+        json.dumps({"gamma": "zeta3", "elements": [ONE_RECORD, ZERO_DENOMINATOR_RECORD]})
+    )
+    assert_one_line_error(*run(capsys, "diversity", str(path)))
+
+
+def test_embed_zeta9_zero_denominator(capsys):
+    assert_one_line_error(*run(capsys, "embed", "--zeta9", "1/0,0,0,0,0,0"))
+
+
+def test_embed_element_zero_denominator(capsys, tmp_path):
+    path = tmp_path / "zero_den.json"
+    path.write_text(json.dumps(ZERO_DENOMINATOR_RECORD))
+    assert_one_line_error(*run(capsys, "embed", "--element", str(path)))
+
+
+def test_embed_element_non_object(capsys, tmp_path):
+    path = tmp_path / "number.json"
+    path.write_text("5")
+    assert_one_line_error(*run(capsys, "embed", "--element", str(path)))
+
+
 def test_embed_zeta9(capsys):
     code, out = run(capsys, "embed", "--zeta9", "1,1,0,1,0,1", "--ascii")
     assert code == 0

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from unidiv.codebook import (
     hilbert90_unit,
     iter_box_tuples,
     min_det_report,
+    norm_coords_bound,
     norm_witness_search,
     nu_generator,
     pairwise_determinants,
@@ -31,7 +33,7 @@ from unidiv.codebook import (
     subfield_table_row,
     unitary_matrix_numeric,
 )
-from unidiv.fields import KElem, LElem, ZETA3
+from unidiv.fields import KElem, LElem, ZETA3, l_norm_coords
 from unidiv.polynomials import (
     Polynomial,
     discriminant_cubic,
@@ -259,26 +261,73 @@ def test_linear_family_form_of_diversity():
     assert abs(best - rep.min_abs_det) < 1e-12
 
 
+@functools.cache
+def oracle_first_witnesses(box: Box) -> dict:
+    """The exact walk over the box: the first u of every norm value N(u).
+
+    This is the search the vectorised one replaced (iter_box_tuples ->
+    LElem.from_six_tuple -> norm_to_k); its first witness for a target t is
+    oracle_first_witnesses(box).get(t).
+    """
+    first: dict = {}
+    for tup in iter_box_tuples(box, 6):
+        u = LElem.from_six_tuple(tup)
+        first.setdefault(u.norm_to_k(), u)
+    return first
+
+
 def test_norm_witness_positive_controls():
-    assert norm_witness_search(KElem(1), Box(1, 1), method="exact") == LElem(1)
-    assert norm_witness_search(KElem(8), Box(2, 1), method="exact") == LElem(2)
+    assert norm_witness_search(KElem(1), Box(1, 1)) == LElem(1)
+    assert norm_witness_search(KElem(8), Box(2, 1)) == LElem(2)
     k = KElem(Fraction(1, 8))
-    found = norm_witness_search(k, Box(1, 2), method="exact")
+    found = norm_witness_search(k, Box(1, 2))
     assert found is not None and found.norm_to_k() == k
 
 
 def test_norm_witness_negative_small_box():
-    assert norm_witness_search(ZETA3, Box(1, 1), method="exact") is None
+    assert norm_witness_search(ZETA3, Box(1, 1)) is None
 
 
 def test_norm_witness_methods_agree():
     box = Box(1, 1)
     for target in (KElem(1), ZETA3, KElem(8)):
-        exact = norm_witness_search(target, box, method="exact")
-        filtered = norm_witness_search(target, box, method="filtered")
-        assert exact == filtered
-    with pytest.raises(ValueError):
-        norm_witness_search(KElem(1), box, method="bogus")
+        assert norm_witness_search(target, box) == oracle_first_witnesses(box).get(target)
+
+
+@pytest.mark.parametrize(
+    "box", [Box(1, 1), Box(2, 1), Box(1, 2)], ids=lambda b: f"B{b.numerator_bound}D{b.denominator_bound}"
+)
+def test_norm_witness_matches_exact_walk(box):
+    first = oracle_first_witnesses(box)
+    rng = random.Random(box.numerator_bound * 10 + box.denominator_bound)
+    norms = rng.sample(list(first), 12)
+    for n in norms:
+        for target in (n, ZETA3 * n, ZETA3 * ZETA3 * n):
+            assert norm_witness_search(target, box) == first.get(target)
+        # n is a norm from the box; its zeta3 and zeta3^2 multiples are misses
+        assert first.get(ZETA3 * n) is None and first.get(ZETA3 * ZETA3 * n) is None
+
+
+def test_norm_witness_target_outside_scaled_ring():
+    # Box(1, 1) has Q = 1, so only targets in Z[zeta3] can be norms
+    target = KElem(Fraction(1, 3))
+    assert norm_witness_search(target, Box(1, 1)) is None
+    assert oracle_first_witnesses(Box(1, 1)).get(target) is None
+
+
+def test_norm_witness_object_dtype_path():
+    # Q = lcm(1..13) = 360360 puts the norm bound beyond int64
+    assert norm_coords_bound(360360) > 2**63 - 1
+    assert norm_witness_search(KElem(1), Box(1, 13)) == LElem(1)
+
+
+def test_norm_coords_bound_holds():
+    rng = random.Random(5)
+    for m in (1, 2, 7, 360360):
+        bound = norm_coords_bound(m)
+        for _ in range(50):
+            a = [rng.choice((-m, m, rng.randint(-m, m))) for _ in range(6)]
+            assert all(abs(v) <= bound for v in l_norm_coords(a))
 
 
 def test_reduce_generator_poly_requires_integral_input():

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,9 @@ from unidiv.fields import (
     THETA_EMBEDDINGS,
     THETA_SQ,
     ZETA3,
+    l_mul_coords,
+    l_norm_coords,
+    l_sigma_coords,
     minimal_polynomial_coeffs,
     solve_k_linear,
 )
@@ -131,6 +135,26 @@ def test_norm_examples():
 @settings(max_examples=50)
 def test_norm_multiplicative(a, b):
     assert (a * b).norm_to_k() == a.norm_to_k() * b.norm_to_k()
+
+
+@given(l_elems, l_elems)
+@settings(max_examples=50)
+def test_coordinate_closed_forms_match_lelem(a, b):
+    x, y = a.six_tuple(), b.six_tuple()
+    assert l_mul_coords(x, y) == (a * b).six_tuple()
+    assert l_sigma_coords(x) == a.sigma().six_tuple()
+    n = a.norm_to_k()
+    assert l_norm_coords(x) == (n.a0, n.a1)
+
+
+def test_coordinate_closed_forms_on_integer_arrays():
+    rng = random.Random(3)
+    rows = [[rng.randint(-50, 50) for _ in range(6)] for _ in range(40)]
+    columns = [np.array(col, dtype=np.int64) for col in zip(*rows)]
+    norms = l_norm_coords(columns)
+    for i, row in enumerate(rows):
+        n = LElem.from_six_tuple(row).norm_to_k()
+        assert (int(norms[0][i]), int(norms[1][i])) == (n.a0, n.a1)
 
 
 def test_complex_embedding_values():

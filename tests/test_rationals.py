@@ -35,6 +35,11 @@ def test_as_rat():
         as_rat(1.5)
 
 
+def test_as_rat_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator"):
+        as_rat("1/0")
+
+
 def test_rat_str_round_trip():
     assert rat_str(Fraction(-10, 19)) == "-10/19"
     assert as_rat(rat_str(Fraction(7, 2))) == Fraction(7, 2)
