@@ -4,8 +4,9 @@ The package builds the cubic cyclic algebra over Q(zeta3) whose degree-3
 layer is Q(zeta7 + 1/zeta7, zeta3), equips it with the involution that
 shadows the conjugate transpose under the matrix embedding, and produces
 unitary matrices as quotients u/involution(u) drawn from commutative
-subfields.  Because the algebra is division (evidenced, not proven, by a
-bounded non-norm search), any family obtained this way is fully diverse.
+subfields.  Because the algebra is division (certified by the tame
+norm-residue criterion at the prime 2 - zeta3, with a bounded non-norm
+search as a cross-check), any family obtained this way is fully diverse.
 """
 
 from .rationals import Rat, as_rat, factor_small_int

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -195,6 +196,46 @@ def _decimal_tolerance(text: str) -> float:
     return 10.0 ** (-places)
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
+
+
+def _is_grid(value, shape: tuple[int, ...], leaf) -> bool:
+    """True if value is nested lists of the given shape whose leaves satisfy leaf."""
+    if not shape:
+        return leaf(value)
+    return (
+        isinstance(value, list)
+        and len(value) == shape[0]
+        and all(_is_grid(v, shape[1:], leaf) for v in value)
+    )
+
+
+def _golden_problem(loaded) -> Optional[str]:
+    """Why a --golden override is malformed, or None if every known key has its shape."""
+    if not isinstance(loaded, dict):
+        return "top level is not a JSON object"
+    text = lambda v: isinstance(v, str)
+    decimal = lambda v: isinstance(v, str) and _DECIMAL.fullmatch(v) is not None
+    shapes = {
+        "matrix": ("a 3x3 grid of strings", lambda v: _is_grid(v, (3, 3), text)),
+        "involution": (
+            "an object holding x0, x1 and x2 as six strings each",
+            lambda v: isinstance(v, dict)
+            and sorted(v) == ["x0", "x1", "x2"]
+            and all(_is_grid(part, (6,), text) for part in v.values()),
+        ),
+        "unit_zeta9": ("a list of six strings", lambda v: _is_grid(v, (6,), text)),
+        "numeric_transposed": (
+            "a 3x3 grid of [re, im] decimal strings",
+            lambda v: _is_grid(v, (3, 3, 2), decimal),
+        ),
+    }
+    for key, (shape, ok) in shapes.items():
+        if key in loaded and not ok(loaded[key]):
+            return f"{key!r} must be {shape}"
+    return None
+
+
 def builtin_golden() -> dict:
     w = worked_example()
     return {
@@ -214,8 +255,12 @@ def cmd_verify(config: CommandConfig) -> int:
     if config.golden_path:
         try:
             loaded = json.loads(Path(config.golden_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             print(f"error: cannot read golden file: {exc}")
+            return 1
+        problem = _golden_problem(loaded)
+        if problem is not None:
+            print(f"error: malformed golden file: {problem}")
             return 1
         golden.update(loaded)
 
@@ -397,7 +442,7 @@ def cmd_generate(config: CommandConfig) -> int:
 def cmd_diversity(config: CommandConfig) -> int:
     try:
         data = json.loads(Path(config.in_path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: cannot read codebook: {exc}")
         return 1
     if not isinstance(data, dict):

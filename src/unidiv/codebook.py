@@ -8,11 +8,12 @@ box and deduplicating yields reproducible codebooks of certified unitary
 3x3 matrices; since the algebra is division, pairwise differences have
 nonzero determinant and the family is fully diverse.
 
-The division property itself is only evidenced here: a bounded exhaustive
-search confirms that gamma and gamma^2 are not norms within the searched
-box.  The search clears the box's denominators and evaluates the norm as an
-integer cubic form over arrays of candidates, so it makes no floating-point
-decision.  Absence of a witness is reported as evidence, never as proof.
+The division property is certified by `division_certificate`: gamma is a
+unit of Z[zeta3] that is not a local norm at the prime 2 - zeta3 above 7,
+where L/K is totally and tamely ramified, so it is not a norm from L.  The
+bounded exhaustive search `norm_witness_search` stays as a cross-check: it
+clears the box's denominators and evaluates the norm as an integer cubic
+form over arrays of candidates, so it makes no floating-point decision.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .algebra import (
     matrix_embed,
     reduced_norm,
 )
-from .fields import KElem, LElem, THETA, ZETA3, l_norm_coords
+from .fields import KElem, LElem, THETA, ZETA3, l_norm_coords, minimal_polynomial_coeffs
 from .polynomials import Polynomial, discriminant_cubic, has_rational_root
 from .rationals import as_rat, factor_small_int
 
@@ -242,6 +243,67 @@ class DiversityReport:
     exact_nonzero: bool
 
 
+@dataclass(frozen=True)
+class DivisionCertificate:
+    """Why the cyclic algebra (L/K, sigma, gamma) is a division algebra.
+
+    pi is a prime of K with residue field F_p, over which L/K is totally and
+    tamely ramified.  gamma is a unit whose residue mod pi is not a cube in
+    F_p^*, so by the tame norm-residue criterion gamma is not a local norm
+    at pi, hence not a norm from L; as [L:K] = 3 is prime, that makes the
+    algebra division.
+    """
+
+    gamma: KElem
+    prime: KElem
+    p: int
+    gamma_residue: int
+    cubes: frozenset[int]
+
+
+# The prime of K above 7, the only prime that ramifies in L/K.
+_PI = KElem(2, -1)
+
+
+@functools.cache
+def division_certificate(gamma: KElem) -> Optional[DivisionCertificate]:
+    """A certificate that (L/K, sigma, gamma) is division, or None if inconclusive.
+
+    Every fact is computed here rather than assumed:
+      - p = N(pi) = N(2 - zeta3) is a prime with p = 1 mod 3, so pi has
+        residue field F_p and the ramification index 3 is prime to p (tame);
+      - zeta3 has one residue z mod pi, a root of X^2 + X + 1 with pi(z) = 0;
+      - theta's minimal polynomial f is (X - t)^3 mod p, and (f - (X-t)^3)/p
+        does not vanish at t mod p, so by Dedekind's criterion p is totally
+        ramified in Q(theta); as K_pi = Q_p, L/K is totally ramified at pi;
+      - gamma is a unit of Z[zeta3] and its residue a0 + a1*z mod p is not
+        a cube in F_p^*.
+    None means only that this criterion does not apply (gamma = 1, -1, 2,
+    ...), not that the algebra is split.
+    """
+    p = int(_PI.norm_q())
+    if factor_small_int(p) != [(p, 1)] or p % 3 != 1:
+        return None
+    a0, a1 = int(_PI.a0), int(_PI.a1)
+    zs = [z for z in range(p) if (z * z + z + 1) % p == 0 and (a0 + a1 * z) % p == 0]
+    f = Polynomial(minimal_polynomial_coeffs())
+    ts = [t for t in range(p) if f(t) % p == 0]
+    if len(zs) != 1 or len(ts) != 1:
+        return None
+    z, t = zs[0], ts[0]
+    linear = Polynomial([-t, 1])
+    rest = f - linear * linear * linear
+    if any(c % p for c in rest.coeffs) or (rest(t) / p) % p == 0:
+        return None
+    if gamma.a0.denominator != 1 or gamma.a1.denominator != 1 or gamma.norm_q() != 1:
+        return None
+    residue = int(gamma.a0 + gamma.a1 * z) % p
+    cubes = frozenset(pow(c, 3, p) for c in range(1, p))
+    if residue in cubes:
+        return None
+    return DivisionCertificate(gamma, _PI, p, residue, cubes)
+
+
 def pairwise_determinants(elements: Sequence[AlgElem]) -> Iterator[tuple[int, int, KElem]]:
     """Exact determinants of embedded pairwise differences (elements of K)."""
     for i in range(len(elements)):
@@ -249,19 +311,113 @@ def pairwise_determinants(elements: Sequence[AlgElem]) -> Iterator[tuple[int, in
             yield i, j, reduced_norm(elements[i] - elements[j])
 
 
-def min_det_report(elements: Sequence[AlgElem]) -> DiversityReport:
-    """Exact zero/nonzero decisions with a numeric minimum modulus.
+# Complex values of the six basis elements zeta3^s * theta^m (row 2m + s) at
+# the three embeddings of theta (columns), in LElem.six_tuple order.
+_BASIS_VALUES = np.array(
+    [[LElem.from_six_tuple([int(i == r) for i in range(6)]).to_complex(k) for k in range(3)]
+     for r in range(6)]
+)
+# Entry (r, c) of matrix_embed(x) is sigma^c(x_t) with t = (r - c) mod 3,
+# times gamma above the diagonal; sigma^c(x_t) at embedding 0 is x_t at
+# embedding c.
+_ROWS, _COLS = np.indices((3, 3))
+_PART = (_ROWS - _COLS) % 3
+# Pairs per array pass of the numeric minimum; bounds its working memory.
+_PAIR_CHUNK = 1 << 14
+# Per-pair rounding bound factor, in units of per(T); see min_det_report.
+_DET_ERROR = 512 * 2.0**-53
 
-    Stops at the first pair whose determinant is exactly zero: no later
-    pair can change a report whose minimum is already 0.
+
+def _expand3(m: np.ndarray, sign: int) -> np.ndarray:
+    """Determinant (sign = -1) or permanent (sign = +1) of stacked 3x3 matrices."""
+    return (
+        m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] + sign * m[..., 1, 2] * m[..., 2, 1])
+        + sign * m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] + sign * m[..., 1, 2] * m[..., 2, 0])
+        + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] + sign * m[..., 1, 1] * m[..., 2, 0])
+    )
+
+
+def _numeric_embeddings(elements: Sequence[AlgElem]) -> tuple[np.ndarray, np.ndarray]:
+    """Float matrices of matrix_embed(x) at embedding 0, and their absolute evaluations."""
+    coords = np.array([[[float(c) for c in part.six_tuple()] for part in x.coords()] for x in elements])
+    # Broadcast sums rather than matmul, which would page in BLAS for a 6-term sum.
+    values = (coords[..., None] * _BASIS_VALUES).sum(axis=-2)
+    sizes = (np.abs(coords)[..., None] * np.abs(_BASIS_VALUES)).sum(axis=-2)
+    twist = np.where(_ROWS < _COLS, elements[0].spec.gamma.to_complex(), 1.0)
+    return values[:, _PART, _COLS] * twist, sizes[:, _PART, _COLS] * np.abs(twist)
+
+
+def _numeric_pair_dets(elements: Sequence[AlgElem]) -> tuple[np.ndarray, ...]:
+    """Pairs (i, j), i < j, in order, with numeric |det(x_i - x_j)| and its error bound."""
+    mats, sizes = _numeric_embeddings(elements)
+    left, right = np.triu_indices(len(elements), 1)
+    numeric = np.empty(len(left))
+    bound = np.empty(len(left))
+    for start in range(0, len(left), _PAIR_CHUNK):
+        i, j = left[start:start + _PAIR_CHUNK], right[start:start + _PAIR_CHUNK]
+        numeric[start:start + len(i)] = np.abs(_expand3(mats[i] - mats[j], -1))
+        bound[start:start + len(i)] = _DET_ERROR * _expand3(sizes[i] + sizes[j], 1)
+    return left, right, numeric, bound
+
+
+def min_det_report(elements: Sequence[AlgElem]) -> DiversityReport:
+    """Exact zero/nonzero decision, then the minimum |det| over all pairs.
+
+    Step 1 decides exactly whether some pair has det(x_i - x_j) = 0.  With a
+    `division_certificate` for gamma, a difference is zero-determinant
+    exactly when it is zero, so hashing the elements finds the first
+    duplicate pair (least i, then least j) in O(M).  Without one, every pair
+    is evaluated exactly and the first zero pair is reported.
+
+    Step 2 finds the minimum of |det| screened numerically.  Each element's
+    3x3 embedding is built in floats from its coordinates (x_t at the three
+    embeddings of theta), and every pair's det(F_i - F_j) is expanded as one
+    array computation.  Writing u = 2^-53, W for the entrywise absolute
+    evaluation of an embedding (sum of |coordinate| * |basis value|, times
+    |gamma| above the diagonal) and T = W_i + W_j, the numeric |det| n of
+    a pair is within b = 512u * per(T) (per: the permanent) of its exact
+    |det| e, and of the float `abs(det.to_complex())` that the report uses:
+      - coordinate conversion (u), basis values (8u, pinned by a test) and
+        the six-term dot product (9u) put each embedded entry within 18u of
+        its exact value relative to W, gamma's value and product add 11u,
+        and the subtraction F_i - F_j 2u, so every entry of the difference
+        is within 32u * T of the exact one, whose modulus is at most
+        (1 + 10u) T;
+      - det is multilinear with nonnegative expansion in moduli, so that
+        moves it by at most per((1 + 42u) T) - per((1 + 10u) T) < 97u * per(T);
+      - the cofactor expansion rounds by at most 11u * per(T), the modulus
+        by 2u * per(T), and the float of the exact det differs from e by at
+        most 15u * per(T);
+    in all under 128u * per(T), so 512u leaves a factor 4 for the rounding
+    of T and per(T) themselves.  A pair can hold the minimum only if
+    n - b <= min(n' + b') over all pairs, i.e. n lies within the two bounds
+    of the numeric minimum; exactly those pairs are recomputed with
+    `reduced_norm`.  `min_abs_det`, `pair` (the first minimum in pair
+    order) and `zeta` come from these exact values alone, so the report
+    equals an exact all-pairs pass.
     """
     if len(elements) < 2:
         raise ValueError("need at least two elements")
+    spec = elements[0].spec
+    if any(x.spec != spec for x in elements):
+        raise ValueError("elements live in algebras with different gamma")
+    if division_certificate(spec.gamma) is not None:
+        first: dict[AlgElem, int] = {}
+        for j, x in enumerate(elements):
+            first.setdefault(x, j)
+        duplicates = [(first[x], j) for j, x in enumerate(elements) if first[x] != j]
+        if duplicates:
+            return DiversityReport(zeta=0.0, pair=min(duplicates), min_abs_det=0.0, exact_nonzero=False)
+    else:
+        for i, j, det in pairwise_determinants(elements):
+            if det.is_zero():
+                return DiversityReport(zeta=0.0, pair=(i, j), min_abs_det=0.0, exact_nonzero=False)
+
+    left, right, numeric, bound = _numeric_pair_dets(elements)
     best: Optional[tuple[float, tuple[int, int]]] = None
-    for i, j, det in pairwise_determinants(elements):
-        if det.is_zero():
-            return DiversityReport(zeta=0.0, pair=(i, j), min_abs_det=0.0, exact_nonzero=False)
-        mod = abs(det.to_complex())
+    for k in np.flatnonzero(numeric - bound <= np.min(numeric + bound)):
+        i, j = int(left[k]), int(right[k])
+        mod = abs(reduced_norm(elements[i] - elements[j]).to_complex())
         if best is None or mod < best[0]:
             best = (mod, (i, j))
     assert best is not None
@@ -275,7 +431,7 @@ def diversity_product(cb: Codebook) -> DiversityReport:
 
 
 # ---------------------------------------------------------------------------
-# Bounded non-norm evidence
+# Bounded non-norm search, a cross-check of the certificate
 # ---------------------------------------------------------------------------
 
 
@@ -324,8 +480,8 @@ def norm_witness_search(target: KElem, box: Box = Box(3, 2)) -> Optional[LElem]:
     """Exhaustively search the box for u in L with norm(u) = target.
 
     Returns the first witness in `iter_box_tuples` order, or None if the
-    whole box is exhausted.  A witness for gamma or gamma^2 would disprove
-    the division property; finding none is evidence only, not proof.
+    whole box is exhausted.  A witness for gamma or gamma^2 would
+    contradict `division_certificate`, so the search cross-checks it.
 
     The search is exact integer arithmetic throughout.  With Q the lcm of
     the box's denominators, a candidate u = a/Q has integer coordinates a

@@ -154,14 +154,6 @@ ZETA3 = KElem(0, 1)
 _THETA3 = (Fraction(1), Fraction(2), Fraction(-1))
 _THETA4 = (Fraction(-1), Fraction(-1), Fraction(3))
 
-# Galois generator on basis vectors: sigma(1), sigma(theta), sigma(theta^2)
-#   sigma(theta) = theta^2 - 2,  sigma(theta^2) = 3 - theta - theta^2
-_SIGMA_IMAGES = (
-    (Fraction(1), Fraction(0), Fraction(0)),
-    (Fraction(-2), Fraction(0), Fraction(1)),
-    (Fraction(3), Fraction(-1), Fraction(-1)),
-)
-
 
 def _as_k(value) -> KElem:
     k = KElem._coerce(value)
@@ -269,18 +261,23 @@ class LElem:
         return all(c.is_rational() for c in self.coeffs())
 
     def sigma(self, power: int = 1) -> "LElem":
-        """Apply the Galois generator (theta -> theta^2 - 2) power mod 3 times."""
-        out = self
-        for _ in range(power % 3):
-            c = out.coeffs()
-            images = []
-            for col in range(3):
-                acc = K_ZERO
-                for row in range(3):
-                    acc = acc + c[row] * _SIGMA_IMAGES[row][col]
-                images.append(acc)
-            out = LElem(*images)
-        return out
+        """Apply the Galois generator (theta -> theta^2 - 2) power mod 3 times.
+
+        With sigma(theta) = theta^2 - 2 and sigma(theta^2) = 3 - theta - theta^2:
+        sigma(c0, c1, c2) = (c0 - 2*c1 + 3*c2, -c2, c1 - c2) and
+        sigma^2(c0, c1, c2) = (c0 + c1 + 2*c2, c2 - c1, -c1).
+        """
+        c0, c1, c2 = self.c0, self.c1, self.c2
+        power %= 3
+        if power == 1:
+            return LElem(
+                KElem(c0.a0 - 2 * c1.a0 + 3 * c2.a0, c0.a1 - 2 * c1.a1 + 3 * c2.a1),
+                -c2,
+                c1 - c2,
+            )
+        if power == 2:
+            return LElem(KElem(c0.a0 + c1.a0 + 2 * c2.a0, c0.a1 + c1.a1 + 2 * c2.a1), c2 - c1, -c1)
+        return self
 
     def conj(self) -> "LElem":
         """Complex conjugation: zeta3 -> zeta3^2 on every coefficient, theta fixed."""

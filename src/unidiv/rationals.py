@@ -16,10 +16,13 @@ Rat = Fraction
 def as_rat(value: int | str | Fraction) -> Fraction:
     """Coerce ints, "p/q" strings and Fractions to a canonical rational.
 
-    Raises ValueError for a malformed string or a zero denominator.
+    Raises ValueError for a malformed string or a zero denominator, and
+    TypeError for anything else, including bool (JSON true is not 1).
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise TypeError(f"cannot interpret {value!r} as a rational")
     if isinstance(value, (int, str)):
         try:
             return Fraction(value)

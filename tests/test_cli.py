@@ -223,6 +223,32 @@ def test_diversity_zero_denominator_element(capsys, tmp_path):
     assert_one_line_error(*run(capsys, "diversity", str(path)))
 
 
+@pytest.mark.parametrize(
+    "golden",
+    [[1, 2], "str", {"numeric_transposed": 5}, {"numeric_transposed": [[["x", "y"]]]}],
+    ids=["list", "string", "numeric-not-grid", "numeric-not-decimal"],
+)
+def test_verify_malformed_golden(capsys, tmp_path, golden):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(golden))
+    assert_one_line_error(*run(capsys, "verify", "--golden", str(path)))
+
+
+@pytest.mark.parametrize("argv", [["diversity"], ["verify", "--golden"]], ids=["diversity", "golden"])
+def test_non_utf8_file(capsys, tmp_path, argv):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    assert_one_line_error(*run(capsys, *argv, str(path)))
+
+
+def test_diversity_boolean_coordinate(capsys, tmp_path):
+    # JSON true must not be read as the rational 1
+    path = tmp_path / "bool.json"
+    record = {**ONE_RECORD, "x0": [True, "0", "0", "0", "0", "0"]}
+    path.write_text(json.dumps({"gamma": "zeta3", "elements": [ONE_RECORD, record]}))
+    assert_one_line_error(*run(capsys, "diversity", str(path)))
+
+
 def test_embed_zeta9_zero_denominator(capsys):
     assert_one_line_error(*run(capsys, "embed", "--zeta9", "1/0,0,0,0,0,0"))
 

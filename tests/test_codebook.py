@@ -1,5 +1,6 @@
 import functools
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import rand_k
 from unidiv.algebra import (
+    AlgebraSpec,
     STANDARD_ALGEBRA,
     inverse,
     involution,
@@ -16,8 +18,12 @@ from unidiv.algebra import (
     worked_example,
 )
 from unidiv.codebook import (
+    _BASIS_VALUES,
+    _numeric_pair_dets,
     Box,
+    DiversityReport,
     diversity_product,
+    division_certificate,
     enumerate_subfield,
     generate_codebook,
     hilbert90_unit,
@@ -33,7 +39,7 @@ from unidiv.codebook import (
     subfield_table_row,
     unitary_matrix_numeric,
 )
-from unidiv.fields import KElem, LElem, ZETA3, l_norm_coords
+from unidiv.fields import THETA_EMBEDDINGS, KElem, LElem, ZETA3, l_norm_coords
 from unidiv.polynomials import (
     Polynomial,
     discriminant_cubic,
@@ -259,6 +265,116 @@ def test_linear_family_form_of_diversity():
     ]
     best = min(abs(reduced_norm(d).to_complex()) for d in diffs if not d.is_zero())
     assert abs(best - rep.min_abs_det) < 1e-12
+
+
+def oracle_min_det_report(elements) -> DiversityReport:
+    """Every pair evaluated exactly: the report min_det_report must reproduce."""
+    best = None
+    for i, j, det in pairwise_determinants(elements):
+        if det.is_zero():
+            return DiversityReport(zeta=0.0, pair=(i, j), min_abs_det=0.0, exact_nonzero=False)
+        mod = abs(det.to_complex())
+        if best is None or mod < best[0]:
+            best = (mod, (i, j))
+    return DiversityReport(
+        zeta=0.5 * best[0] ** (1.0 / 3.0), pair=best[1], min_abs_det=best[0], exact_nonzero=True
+    )
+
+
+@functools.cache
+def codebook_elements(kind: str, k, size: int) -> tuple:
+    return tuple(generate_codebook(subfield(kind, k), Box(1, 1), size).elements)
+
+
+@pytest.mark.parametrize(
+    "kind, k, size", [("zeta9", None, 40), ("nu", 1, 12), ("nu", 3, 10), ("L", None, 12)]
+)
+def test_min_det_report_matches_exact_oracle_on_codebooks(kind, k, size):
+    elements = list(codebook_elements(kind, k, size))
+    assert min_det_report(elements) == oracle_min_det_report(elements)
+    # the reversed order moves the first minimum among tied pairs
+    elements.reverse()
+    assert min_det_report(elements) == oracle_min_det_report(elements)
+
+
+def test_min_det_report_matches_exact_oracle_on_tie_heavy_families():
+    # the six units of K and their products with E: |det| ties everywhere
+    units = [ONE.scale(s * z) for s in (1, -1) for z in (KElem(1), ZETA3, ZETA3 * ZETA3)]
+    pool = units + [u * A.gen() for u in units]
+    rng = random.Random(3)
+    for _ in range(60):
+        size = rng.randint(2, 10)
+        if rng.random() < 0.5:
+            family = rng.sample(pool, size)
+        else:
+            # planted duplicates, wherever the draw puts them
+            family = [rng.choice(pool) for _ in range(size)]
+        assert min_det_report(family) == oracle_min_det_report(family)
+
+
+def test_min_det_report_split_algebra_zero_pair():
+    # gamma = 1 is a norm, so A is split: 1 - E != 0 but det(1 - E) = 1 - gamma = 0
+    split = AlgebraSpec(KElem(1))
+    assert division_certificate(split.gamma) is None
+    family = [split.one(), split.gen(), split.one().scale(-1)]
+    rep = min_det_report(family)
+    assert rep == DiversityReport(zeta=0.0, pair=(0, 1), min_abs_det=0.0, exact_nonzero=False)
+    assert rep == oracle_min_det_report(family)
+
+
+def test_min_det_report_inconclusive_gamma_without_zero_pair():
+    # gamma = 2 takes the all-pairs exact decision, then the screened minimum
+    spec = AlgebraSpec(KElem(2))
+    family = [spec.one(), spec.one().scale(-1), spec.one().scale(ZETA3), spec.gen()]
+    rep = min_det_report(family)
+    assert rep.exact_nonzero
+    assert rep == oracle_min_det_report(family)
+
+
+@pytest.mark.parametrize("gamma", [ZETA3, ZETA3 * ZETA3], ids=["zeta3", "zeta3^2"])
+def test_division_certificate_certifies(gamma):
+    cert = division_certificate(gamma)
+    assert cert is not None
+    assert cert.prime == KElem(2, -1) and cert.p == 7
+    assert cert.cubes == {1, 6}
+    # zeta3 = 2 mod pi, so gamma's residue is 2 or 4
+    assert cert.gamma_residue == (2 if gamma == ZETA3 else 4)
+
+
+@pytest.mark.parametrize("gamma", [KElem(1), KElem(-1), KElem(2)], ids=["1", "-1", "2"])
+def test_division_certificate_inconclusive(gamma):
+    assert division_certificate(gamma) is None
+
+
+def test_basis_values_within_eight_ulps():
+    # min_det_report's rounding bound assumes |computed - exact| <= 8u|value|
+    # for the float values of zeta3^s * theta^m at the three embeddings
+    u = 2.0**-53
+    with localcontext() as ctx:
+        ctx.prec = 50
+        half_sqrt3 = Decimal(3).sqrt() / 2
+        for k, approx in enumerate(THETA_EMBEDDINGS):
+            t = Decimal(approx)
+            for _ in range(6):  # Newton on theta^3 + theta^2 - 2*theta - 1
+                t -= (t**3 + t**2 - 2 * t - 1) / (3 * t**2 + 2 * t - 2)
+            for m in range(3):
+                for s in range(2):
+                    re = t**m * (Decimal(-1) / 2 if s else 1)
+                    im = t**m * (half_sqrt3 if s else 0)
+                    got = _BASIS_VALUES[2 * m + s, k]
+                    err = complex(float(Decimal(got.real) - re), float(Decimal(got.imag) - im))
+                    assert abs(err) <= 8 * u * abs(got)
+
+
+@pytest.mark.parametrize("kind, k, size", [("zeta9", None, 40), ("nu", 1, 12)])
+def test_numeric_determinants_within_bound(kind, k, size):
+    elements = codebook_elements(kind, k, size)
+    left, right, numeric, bound = _numeric_pair_dets(elements)
+    assert len(left) == size * (size - 1) // 2
+    for i, j, n, b in zip(left, right, numeric, bound):
+        exact = reduced_norm(elements[i] - elements[j])
+        assert abs(n - abs(exact.to_complex())) <= b
+        assert 0 < b < 1e-9
 
 
 @functools.cache

@@ -94,6 +94,34 @@ def test_sigma_examples():
     assert k.sigma(1) == k  # Galois action fixes K
 
 
+# Galois generator on basis vectors: sigma(1), sigma(theta), sigma(theta^2)
+#   sigma(theta) = theta^2 - 2,  sigma(theta^2) = 3 - theta - theta^2
+SIGMA_IMAGES = ((1, 0, 0), (-2, 0, 1), (3, -1, -1))
+
+
+def sigma_by_matrix(a: LElem, power: int) -> LElem:
+    """The generic K-linear loop that LElem.sigma's closed forms replaced."""
+    out = a
+    for _ in range(power % 3):
+        c = out.coeffs()
+        images = []
+        for col in range(3):
+            acc = K_ZERO
+            for row in range(3):
+                acc = acc + c[row] * SIGMA_IMAGES[row][col]
+            images.append(acc)
+        out = LElem(*images)
+    return out
+
+
+def test_sigma_closed_forms_match_matrix_loop():
+    rng = random.Random(17)
+    for _ in range(40):
+        a = rand_l(rng)
+        for power in range(-3, 5):
+            assert a.sigma(power) == sigma_by_matrix(a, power)
+
+
 @given(l_elems)
 def test_sigma_has_order_three(a):
     assert a.sigma(3) == a

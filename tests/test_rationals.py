@@ -33,6 +33,8 @@ def test_as_rat():
     assert as_rat(Fraction(1, 3)) == Fraction(1, 3)
     with pytest.raises(TypeError):
         as_rat(1.5)
+    with pytest.raises(TypeError):
+        as_rat(True)
 
 
 def test_as_rat_zero_denominator():
