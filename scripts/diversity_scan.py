@@ -8,7 +8,7 @@ and the minimizing pair.  Everything is exact except the final cube root.
 
 import time
 
-from unidiv.codebook import Box, diversity_product, generate_codebook, subfield
+from unidiv.codebook import Box, generate_codebook, min_det_report, subfield
 
 SIZES = (8, 16, 32, 64)
 SUBFIELDS = (("zeta9", None), ("nu", 1), ("nu", 3), ("L", None))
@@ -24,7 +24,7 @@ def main() -> None:
             cb = generate_codebook(sub, box, size)
             if len(cb.elements) < 2:
                 continue
-            rep = diversity_product(cb)
+            rep = min_det_report(cb.elements)
             elapsed = time.perf_counter() - t0
             label = sub.label + ("" if cb.complete else "*")
             print(

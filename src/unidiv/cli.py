@@ -10,7 +10,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -18,7 +17,6 @@ from .algebra import (
     AlgElem,
     STANDARD_ALGEBRA,
     from_zeta9,
-    inverse,
     involution,
     matrix_embed,
     reduced_char_poly,
@@ -30,36 +28,32 @@ from .codebook import (
     Box,
     Codebook,
     DiversityReport,
-    diversity_product,
     generate_codebook,
+    hilbert90_unit,
     min_det_report,
     subfield,
     subfield_table,
     unitary_matrix_numeric,
 )
 from .fields import LElem
-from .rationals import as_rat
 
 
-@dataclass(frozen=True)
-class CommandConfig:
-    """Validated flags shared by the subcommands."""
+class InputError(Exception):
+    """Unusable input or output data; `main` prints "error: <message>" and exits 1."""
 
-    subcommand: str
-    fmt: str = "text"
-    ascii_symbols: bool = False
-    box: int = 1
-    denom: int = 1
-    size: int = 16
-    subfield_spec: str = "zeta9"
-    out_path: Optional[str] = None
-    in_path: Optional[str] = None
-    golden_path: Optional[str] = None
-    zeta9_coeffs: Optional[str] = None
 
-    def __post_init__(self):
-        if self.box < 1 or self.denom < 1 or self.size < 1:
-            raise ValueError("numeric flags must be positive")
+def read_json(path: str, what: str):
+    """The JSON value stored at path, or InputError naming `what`.
+
+    Every way a file can fail to be read or decoded ends here: a missing or
+    unreadable file, bytes that are not UTF-8, malformed JSON, an integer
+    literal past the interpreter's digit limit, and nesting deep enough to
+    exhaust the decoder's recursion limit.
+    """
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputError(f"cannot read {what}: {exc}")
 
 
 def _positive_int(text: str) -> int:
@@ -135,12 +129,20 @@ def serialize_element(x: AlgElem) -> dict:
     }
 
 
-def parse_element(data: dict) -> AlgElem:
+def parse_element(data) -> AlgElem:
+    """The element of an object record holding x0, x1, x2 as lists of six coordinates.
+
+    Raises ValueError or TypeError if the record has any other shape.
+    """
+    if not isinstance(data, dict):
+        raise TypeError("element record is not a JSON object")
     parts = []
     for key in ("x0", "x1", "x2"):
         if key not in data:
             raise ValueError(f"element record is missing {key!r}")
-        parts.append(LElem.from_six_tuple([as_rat(v) for v in data[key]]))
+        if not isinstance(data[key], list):
+            raise TypeError(f"{key!r} is not a list of coordinates")
+        parts.append(LElem.from_six_tuple(data[key]))
     return AlgElem(STANDARD_ALGEBRA, *parts)
 
 
@@ -250,25 +252,19 @@ def builtin_golden() -> dict:
     }
 
 
-def cmd_verify(config: CommandConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     golden = builtin_golden()
-    if config.golden_path:
-        try:
-            loaded = json.loads(Path(config.golden_path).read_text())
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read golden file: {exc}")
-            return 1
+    if args.golden:
+        loaded = read_json(args.golden, "golden file")
         problem = _golden_problem(loaded)
         if problem is not None:
-            print(f"error: malformed golden file: {problem}")
-            return 1
+            raise InputError(f"malformed golden file: {problem}")
         golden.update(loaded)
 
-    w = worked_example()
-    x = w.x
+    x = worked_example().x
     mat = matrix_embed(x)
     ax = involution(x)
-    unit = x * inverse(ax)
+    unit = hilbert90_unit(x)
     numeric = unitary_matrix_numeric(unit)
 
     checks: list[tuple[str, bool, str, str]] = []
@@ -312,7 +308,7 @@ def cmd_verify(config: CommandConfig) -> int:
     )
 
     ok = all(c[1] for c in checks)
-    if config.fmt == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 {
@@ -329,7 +325,7 @@ def cmd_verify(config: CommandConfig) -> int:
         )
         return 0 if ok else 1
 
-    s = lambda t: symbolize(t, config.ascii_symbols)
+    s = lambda t: symbolize(t, args.ascii)
     print(s(f"x = {x}"))
     print("matrix embedding:")
     for row in actual_grid:
@@ -358,9 +354,9 @@ def _factored(factors, ascii_symbols: bool) -> str:
     return dot.join(f"{p}^{e}" if e > 1 else str(p) for p, e in factors)
 
 
-def cmd_table1(config: CommandConfig) -> int:
+def cmd_table1(args: argparse.Namespace) -> int:
     rows = subfield_table()
-    if config.fmt == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 {
@@ -381,8 +377,8 @@ def cmd_table1(config: CommandConfig) -> int:
         )
         return 0
     for r in rows:
-        gen = symbolize(r.generator, config.ascii_symbols)
-        print(f"{gen} | {r.poly} | {_factored(r.factors, config.ascii_symbols)}")
+        gen = symbolize(r.generator, args.ascii)
+        print(f"{gen} | {r.poly} | {_factored(r.factors, args.ascii)}")
     return 0
 
 
@@ -405,22 +401,20 @@ def _parse_subfield(text: str):
     raise ValueError(f"unknown subfield {text!r} (expected zeta9, nu:<k> or L)")
 
 
-def cmd_generate(config: CommandConfig) -> int:
+def cmd_generate(args: argparse.Namespace) -> int:
     try:
-        sub = _parse_subfield(config.subfield_spec)
+        sub = _parse_subfield(args.subfield)
     except ValueError as exc:
         print(f"error: {exc}")
         return 2
-    box = Box(config.box, config.denom)
-    cb = generate_codebook(sub, box, config.size)
-    report = diversity_product(cb) if len(cb) >= 2 else None
+    cb = generate_codebook(sub, Box(args.box, args.denom), args.size)
+    report = min_det_report(cb.elements) if len(cb) >= 2 else None
     payload = codebook_to_dict(cb, report)
     try:
-        Path(config.out_path).write_text(json.dumps(payload, indent=2) + "\n")
+        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     except OSError as exc:
-        print(f"error: cannot write {config.out_path}: {exc}")
-        return 1
-    print(f"wrote {config.out_path}")
+        raise InputError(f"cannot write {args.out}: {exc}")
+    print(f"wrote {args.out}")
     print(f"subfield: {cb.subfield_spec.label}  size: {len(cb)}/{cb.requested}")
     print(f"precondition failures: {cb.precondition_failures}")
     if report is not None:
@@ -439,37 +433,27 @@ def cmd_generate(config: CommandConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_diversity(config: CommandConfig) -> int:
-    try:
-        data = json.loads(Path(config.in_path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read codebook: {exc}")
-        return 1
+def cmd_diversity(args: argparse.Namespace) -> int:
+    data = read_json(args.path, "codebook")
     if not isinstance(data, dict):
-        print("error: malformed codebook: top level is not a JSON object")
-        return 1
+        raise InputError("malformed codebook: top level is not a JSON object")
     if data.get("gamma") != "zeta3":
-        print("error: unsupported gamma (expected \"zeta3\")")
-        return 1
+        raise InputError("unsupported gamma (expected \"zeta3\")")
     try:
         elements = [parse_element(rec) for rec in data["elements"]]
     except (KeyError, ValueError, TypeError) as exc:
-        print(f"error: malformed codebook: {exc}")
-        return 1
+        raise InputError(f"malformed codebook: {exc}")
     if len(elements) < 2:
-        print("error: need at least two elements")
-        return 1
+        raise InputError("need at least two elements")
     one = STANDARD_ALGEBRA.one()
     for i, x in enumerate(elements):
         if x * involution(x) != one:
-            print(f"error: element {i} is not unitary")
-            return 1
+            raise InputError(f"element {i} is not unitary")
     report = min_det_report(elements)
     if not report.exact_nonzero:
         i, j = report.pair
-        print(f"error: zero difference at pair ({i}, {j})")
-        return 1
-    if config.fmt == "json":
+        raise InputError(f"zero difference at pair ({i}, {j})")
+    if args.format == "json":
         print(json.dumps({"command": "diversity", **report_to_dict(report)}, indent=2))
     else:
         print(f"elements: {len(elements)}")
@@ -484,23 +468,22 @@ def cmd_diversity(config: CommandConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_embed(config: CommandConfig) -> int:
-    try:
-        if config.zeta9_coeffs is not None:
-            coeffs = [as_rat(part.strip()) for part in config.zeta9_coeffs.split(",")]
-            if len(coeffs) != 6:
-                raise ValueError("expected six comma-separated coefficients")
-            x = from_zeta9(coeffs)
-        else:
-            data = json.loads(Path(config.in_path).read_text())
+def cmd_embed(args: argparse.Namespace) -> int:
+    if args.zeta9 is not None:
+        try:
+            x = from_zeta9(args.zeta9.split(","))
+        except ValueError as exc:
+            raise InputError(f"bad --zeta9 coefficients: {exc}")
+    else:
+        data = read_json(args.element, "element file")
+        try:
             x = parse_element(data)
-    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
-        print(f"error: {exc}")
-        return 1
+        except (ValueError, TypeError) as exc:
+            raise InputError(f"malformed element: {exc}")
     mat = matrix_embed(x)
     chi = reduced_char_poly(x)
     numeric = mat.to_complex(0)
-    if config.fmt == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 {
@@ -514,7 +497,7 @@ def cmd_embed(config: CommandConfig) -> int:
             )
         )
         return 0
-    s = lambda t: symbolize(t, config.ascii_symbols)
+    s = lambda t: symbolize(t, args.ascii)
     print(s(f"x = {x}"))
     print("matrix embedding:")
     for row in mat.render():
@@ -532,21 +515,7 @@ def cmd_embed(config: CommandConfig) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = CommandConfig(
-        subcommand=args.command,
-        fmt=args.format,
-        ascii_symbols=args.ascii,
-        box=getattr(args, "box", 1),
-        denom=getattr(args, "denom", 1),
-        size=getattr(args, "size", 16),
-        subfield_spec=getattr(args, "subfield", "zeta9"),
-        out_path=getattr(args, "out", None),
-        in_path=getattr(args, "path", None) or getattr(args, "element", None),
-        golden_path=getattr(args, "golden", None),
-        zeta9_coeffs=getattr(args, "zeta9", None),
-    )
+    args = build_parser().parse_args(argv)
     handlers = {
         "verify": cmd_verify,
         "table1": cmd_table1,
@@ -554,7 +523,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         "diversity": cmd_diversity,
         "embed": cmd_embed,
     }
-    return handlers[config.subcommand](config)
+    try:
+        return handlers[args.command](args)
+    except InputError as exc:
+        print(f"error: {exc}")
+        return 1
 
 
 def entry() -> None:

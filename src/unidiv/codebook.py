@@ -3,10 +3,11 @@
 A commutative subfield M = K[g] of the algebra that is stable under the
 involution turns every nonzero u in M into a unitary element
 x = u * involution(u)^(-1) (the quotient construction behind norm-1
-elements of cyclic extensions).  Enumerating u over a rational coordinate
-box and deduplicating yields reproducible codebooks of certified unitary
-3x3 matrices; since the algebra is division, pairwise differences have
-nonzero determinant and the family is fully diverse.
+elements of cyclic extensions), built in one place, `hilbert90_unit`.
+Enumerating u over a rational coordinate box and deduplicating yields
+reproducible codebooks of certified unitary 3x3 matrices; since the
+algebra is division, pairwise differences have nonzero determinant and
+the family is fully diverse.
 
 The division property is certified by `division_certificate`: gamma is a
 unit of Z[zeta3] that is not a local norm at the prime 2 - zeta3 above 7,
@@ -28,7 +29,6 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .algebra import (
-    AlgebraSpec,
     AlgElem,
     STANDARD_ALGEBRA,
     char_poly_rational,
@@ -38,7 +38,7 @@ from .algebra import (
     matrix_embed,
     reduced_norm,
 )
-from .fields import KElem, LElem, THETA, ZETA3, l_norm_coords, minimal_polynomial_coeffs
+from .fields import KElem, LElem, THETA, l_norm_coords, minimal_polynomial_coeffs
 from .polynomials import Polynomial, discriminant_cubic, has_rational_root
 from .rationals import as_rat, factor_small_int
 
@@ -47,8 +47,8 @@ from .rationals import as_rat, factor_small_int
 class Box:
     """Coordinate box: canonical numerators in [-B, B], denominators in [1, D]."""
 
-    numerator_bound: int = 3
-    denominator_bound: int = 2
+    numerator_bound: int
+    denominator_bound: int
 
     def __post_init__(self):
         if self.numerator_bound < 1 or self.denominator_bound < 1:
@@ -69,8 +69,8 @@ def _height(f: Fraction) -> int:
     return max(abs(f.numerator), f.denominator)
 
 
-def iter_box_tuples(box: Box, n: int = 6) -> Iterator[tuple[Fraction, ...]]:
-    """All nonzero n-tuples over the box, stratified by height.
+def iter_box_tuples(box: Box) -> Iterator[tuple[Fraction, ...]]:
+    """All nonzero six-tuples over the box, stratified by height.
 
     Tuples of height H come out before any of height H+1; within a stratum
     the order is lexicographic with the first coordinate varying fastest.
@@ -81,7 +81,7 @@ def iter_box_tuples(box: Box, n: int = 6) -> Iterator[tuple[Fraction, ...]]:
         if h == 0:
             continue
         allowed = [v for v in values if _height(v) <= h]
-        for rev in product(allowed, repeat=n):
+        for rev in product(allowed, repeat=6):
             tup = rev[::-1]
             if max(_height(v) for v in tup) == h:
                 yield tup
@@ -123,43 +123,47 @@ class SubfieldSpec:
         return acc
 
 
-def nu_generator(k: int, spec: AlgebraSpec = STANDARD_ALGEBRA) -> AlgElem:
+def nu_generator(k: int) -> AlgElem:
     """The involution-fixed generator k*theta + (1+zeta3)*E - E^2."""
-    return spec.element(LElem(0, k, 0), LElem(KElem(1, 1)), LElem(KElem(-1)))
+    return STANDARD_ALGEBRA.element(LElem(0, k, 0), LElem(KElem(1, 1)), LElem(KElem(-1)))
 
 
-def subfield(kind: str, k: Optional[int] = None, spec: AlgebraSpec = STANDARD_ALGEBRA) -> SubfieldSpec:
-    """Build one of the named subfields: "zeta9", "nu" (with k), or "L"."""
+def subfield(kind: str, k: Optional[int] = None) -> SubfieldSpec:
+    """Build one of the named subfields of the standard algebra: "zeta9", "nu" (with k), or "L"."""
     if kind == "zeta9":
-        if spec.gamma != ZETA3:
-            raise ValueError("the zeta9 subfield requires gamma = zeta3")
-        return SubfieldSpec("zeta9", None, spec.gen(), "Q(zeta9)")
+        return SubfieldSpec("zeta9", None, STANDARD_ALGEBRA.gen(), "Q(zeta9)")
     if kind == "nu":
         if k is None or k < 1:
             raise ValueError("the nu subfield needs a positive integer k")
-        return SubfieldSpec("nu", k, nu_generator(k, spec), f"K(nu_{k})")
+        return SubfieldSpec("nu", k, nu_generator(k), f"K(nu_{k})")
     if kind == "L":
-        return SubfieldSpec("L", None, spec.from_l(THETA), "L")
+        return SubfieldSpec("L", None, STANDARD_ALGEBRA.from_l(THETA), "L")
     raise ValueError(f"unknown subfield kind {kind!r}")
 
 
 def enumerate_subfield(sub: SubfieldSpec, box: Box) -> Iterator[AlgElem]:
     """All nonzero subfield elements with coordinates inside the box."""
-    for tup in iter_box_tuples(box, 6):
+    for tup in iter_box_tuples(box):
         yield sub.element(tup)
 
 
-def hilbert90_unit(u: AlgElem) -> AlgElem:
-    """The unitary element u * involution(u)^(-1).
+class PreconditionError(ValueError):
+    """u does not commute with involution(u), so u * involution(u)^(-1) need not be unitary."""
 
-    Requires u nonzero and u commuting with involution(u); the exact
-    postcondition x * involution(x) = 1 is asserted.
+
+def hilbert90_unit(u: AlgElem) -> AlgElem:
+    """The unitary element u * involution(u)^(-1), the one unit construction.
+
+    Requires u nonzero and u commuting with involution(u); a failed commute
+    check raises PreconditionError (a ValueError), while the algebra's
+    InvolutionUnavailable passes through.  The exact postcondition
+    x * involution(x) = 1 is asserted.
     """
     if u.is_zero():
         raise ValueError("u must be nonzero")
     au = involution(u)
     if u * au != au * u:
-        raise ValueError("precondition failed: u does not commute with involution(u)")
+        raise PreconditionError("precondition failed: u does not commute with involution(u)")
     x = u * inverse(au)
     assert x * involution(x) == x.spec.one(), "unit postcondition failed"
     return x
@@ -197,11 +201,12 @@ class Codebook:
 
 
 def generate_codebook(sub: SubfieldSpec, box: Box, size: int) -> Codebook:
-    """Map the enumeration through the unit construction, dedupe, truncate.
+    """Map the enumeration through `hilbert90_unit`, dedupe, truncate.
 
-    Candidates failing the commuting precondition are skipped and counted.
-    If the box runs out before `size` distinct units are found, the partial
-    codebook is returned with complete=False.
+    Candidates whose commute check fails (PreconditionError) are skipped and
+    counted in `precondition_failures`.  If the box runs out before `size`
+    distinct units are found, the partial codebook is returned with
+    complete=False.
     """
     if size < 1:
         raise ValueError("size must be at least 1")
@@ -210,12 +215,11 @@ def generate_codebook(sub: SubfieldSpec, box: Box, size: int) -> Codebook:
     scanned = 0
     for u in enumerate_subfield(sub, box):
         scanned += 1
-        au = involution(u)
-        if u * au != au * u:
+        try:
+            x = hilbert90_unit(u)
+        except PreconditionError:
             failures += 1
             continue
-        x = u * inverse(au)
-        assert x * involution(x) == x.spec.one()
         if x not in seen:
             seen[x] = None
             if len(seen) == size:
@@ -425,11 +429,6 @@ def min_det_report(elements: Sequence[AlgElem]) -> DiversityReport:
     return DiversityReport(zeta=zeta, pair=best[1], min_abs_det=best[0], exact_nonzero=True)
 
 
-def diversity_product(cb: Codebook) -> DiversityReport:
-    """Half the cube root of the minimal pairwise |det|, decided exactly."""
-    return min_det_report(cb.elements)
-
-
 # ---------------------------------------------------------------------------
 # Bounded non-norm search, a cross-check of the certificate
 # ---------------------------------------------------------------------------
@@ -476,7 +475,7 @@ def norm_coords_bound(m: int) -> int:
     return max(norm[0].peak, norm[1].peak)
 
 
-def norm_witness_search(target: KElem, box: Box = Box(3, 2)) -> Optional[LElem]:
+def norm_witness_search(target: KElem, box: Box) -> Optional[LElem]:
     """Exhaustively search the box for u in L with norm(u) = target.
 
     Returns the first witness in `iter_box_tuples` order, or None if the
@@ -538,12 +537,12 @@ class TableRow:
     factors: tuple[tuple[int, int], ...]
 
 
-def reduce_generator_poly(
-    chi: Polynomial,
-    coeff_bound: int = 45,
-    quad_bound: int = 6,
-    denom_bound: int = 9,
-) -> Polynomial:
+_COEFF_BOUND = 45
+_QUAD_BOUND = 6
+_DENOM_BOUND = 9
+
+
+def reduce_generator_poly(chi: Polynomial) -> Polynomial:
     """Canonical small generator polynomial for the cubic field of chi.
 
     Searches algebraic integers mu = (a + b*nu + c*nu^2)/d over an integer
@@ -565,20 +564,20 @@ def reduce_generator_poly(
     C = ((0, 0, -r0), (1, 0, -q0), (0, 1, -p0))
     C2 = _matmul3(C, C)
     best = None
-    for b in range(-quad_bound, quad_bound + 1):
-        for c in range(-quad_bound, quad_bound + 1):
+    for b in range(-_QUAD_BOUND, _QUAD_BOUND + 1):
+        for c in range(-_QUAD_BOUND, _QUAD_BOUND + 1):
             if b == 0 and c == 0:
                 continue
             N = tuple(
                 tuple(b * C[i][j] + c * C2[i][j] for j in range(3)) for i in range(3)
             )
             pN, qN, rN = _charpoly3(N)
-            for a in range(-coeff_bound, coeff_bound + 1):
+            for a in range(-_COEFF_BOUND, _COEFF_BOUND + 1):
                 # char poly of N + a*I is chi_N(X - a)
                 p = pN - 3 * a
                 q = qN - 2 * a * pN + 3 * a * a
                 r = rN - a * qN + a * a * pN - a**3
-                for d in range(1, denom_bound + 1):
+                for d in range(1, _DENOM_BOUND + 1):
                     if p % d or q % (d * d) or r % (d**3):
                         continue
                     pp, qq, rr = p // d, q // (d * d), r // d**3
@@ -622,11 +621,11 @@ def _charpoly3(m) -> tuple[int, int, int]:
     return (-tr, s, -det)
 
 
-def subfield_table_row(k: int, spec: AlgebraSpec = STANDARD_ALGEBRA) -> TableRow:
+def subfield_table_row(k: int) -> TableRow:
     """Reduced minimal polynomial and factored discriminant for K(nu_k)."""
     if not 1 <= k <= 5:
         raise ValueError("k must be between 1 and 5")
-    chi = char_poly_rational(nu_generator(k, spec))
+    chi = char_poly_rational(nu_generator(k))
     poly = reduce_generator_poly(chi)
     assert has_rational_root(poly) is None, "reduced polynomial must be irreducible"
     disc = discriminant_cubic(poly)
@@ -641,5 +640,5 @@ def subfield_table_row(k: int, spec: AlgebraSpec = STANDARD_ALGEBRA) -> TableRow
     )
 
 
-def subfield_table(spec: AlgebraSpec = STANDARD_ALGEBRA) -> list[TableRow]:
-    return [subfield_table_row(k, spec) for k in range(1, 6)]
+def subfield_table() -> list[TableRow]:
+    return [subfield_table_row(k) for k in range(1, 6)]

@@ -9,6 +9,12 @@ The degree-3 Galois action of L over K is generated by theta -> theta^2 - 2
 and fixes K pointwise.  Complex conjugation acts on the K coefficients
 (zeta3 -> zeta3^2) and fixes theta; it commutes with the Galois action.
 
+The product in K, and the product, Galois action and norm in L, exist once:
+as the closed forms on rational coordinates at the end of this module.
+KElem and LElem apply them to their own coordinates, and the witness
+search applies them to integer arrays.  The inverse in L is
+sigma(a)*sigma^2(a)/N(a).
+
 All values are immutable and all operations pure, so everything can be
 shared freely across threads.
 """
@@ -21,7 +27,6 @@ from typing import Optional, Sequence, Union
 
 from .rationals import as_rat
 
-KCoercible = Union["KElem", Fraction, int]
 LCoercible = Union["LElem", "KElem", Fraction, int]
 
 # Complex values of the generators: zeta3 = exp(2i*pi/3) and the three real
@@ -75,10 +80,7 @@ class KElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # (a0 + a1 z)(b0 + b1 z) with z^2 = -1 - z
-        cross = self.a0 * o.a1 + self.a1 * o.a0
-        square = self.a1 * o.a1
-        return KElem(self.a0 * o.a0 - square, cross - square)
+        return KElem(*_k_mul_coords(self.a0, self.a1, o.a0, o.a1))
 
     __rmul__ = __mul__
 
@@ -114,8 +116,8 @@ class KElem:
         return KElem(self.a0 - self.a1, -self.a1)
 
     def norm_q(self) -> Fraction:
-        """Norm down to the rationals: a0^2 - a0*a1 + a1^2."""
-        return self.a0 * self.a0 - self.a0 * self.a1 + self.a1 * self.a1
+        """Norm down to the rationals: self * conj(self), a0^2 - a0*a1 + a1^2."""
+        return (self * self.conj()).a0
 
     def inv(self) -> "KElem":
         n = self.norm_q()
@@ -148,12 +150,6 @@ class KElem:
 K_ZERO = KElem(0)
 K_ONE = KElem(1)
 ZETA3 = KElem(0, 1)
-
-# Reduction data for the power basis {1, theta, theta^2}:
-#   theta^3 = 1 + 2*theta - theta^2,  theta^4 = -1 - theta + 3*theta^2
-_THETA3 = (Fraction(1), Fraction(2), Fraction(-1))
-_THETA4 = (Fraction(-1), Fraction(-1), Fraction(3))
-
 
 def _as_k(value) -> KElem:
     k = KElem._coerce(value)
@@ -210,18 +206,7 @@ class LElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a0, a1, a2 = self.c0, self.c1, self.c2
-        b0, b1, b2 = o.c0, o.c1, o.c2
-        t0 = a0 * b0
-        t1 = a0 * b1 + a1 * b0
-        t2 = a0 * b2 + a1 * b1 + a2 * b0
-        t3 = a1 * b2 + a2 * b1
-        t4 = a2 * b2
-        return LElem(
-            t0 + t3 * _THETA3[0] + t4 * _THETA4[0],
-            t1 + t3 * _THETA3[1] + t4 * _THETA4[1],
-            t2 + t3 * _THETA3[2] + t4 * _THETA4[2],
-        )
+        return LElem.from_six_tuple(l_mul_coords(self.six_tuple(), o.six_tuple()))
 
     __rmul__ = __mul__
 
@@ -261,23 +246,11 @@ class LElem:
         return all(c.is_rational() for c in self.coeffs())
 
     def sigma(self, power: int = 1) -> "LElem":
-        """Apply the Galois generator (theta -> theta^2 - 2) power mod 3 times.
-
-        With sigma(theta) = theta^2 - 2 and sigma(theta^2) = 3 - theta - theta^2:
-        sigma(c0, c1, c2) = (c0 - 2*c1 + 3*c2, -c2, c1 - c2) and
-        sigma^2(c0, c1, c2) = (c0 + c1 + 2*c2, c2 - c1, -c1).
-        """
-        c0, c1, c2 = self.c0, self.c1, self.c2
-        power %= 3
-        if power == 1:
-            return LElem(
-                KElem(c0.a0 - 2 * c1.a0 + 3 * c2.a0, c0.a1 - 2 * c1.a1 + 3 * c2.a1),
-                -c2,
-                c1 - c2,
-            )
-        if power == 2:
-            return LElem(KElem(c0.a0 + c1.a0 + 2 * c2.a0, c0.a1 + c1.a1 + 2 * c2.a1), c2 - c1, -c1)
-        return self
+        """Apply the Galois generator (theta -> theta^2 - 2) power mod 3 times."""
+        coords = self.six_tuple()
+        for _ in range(power % 3):
+            coords = l_sigma_coords(coords)
+        return LElem.from_six_tuple(coords)
 
     def conj(self) -> "LElem":
         """Complex conjugation: zeta3 -> zeta3^2 on every coefficient, theta fixed."""
@@ -285,21 +258,15 @@ class LElem:
 
     def norm_to_k(self) -> KElem:
         """Product of the three Galois conjugates; always lands in K."""
-        n = self * self.sigma(1) * self.sigma(2)
-        assert n.is_in_k(), f"norm fell outside K: {n}"
-        return n.c0
-
-    def _mul_matrix(self) -> list[list[KElem]]:
-        """Columns are the basis images self*1, self*theta, self*theta^2."""
-        cols = [self, self * THETA, self * THETA_SQ]
-        return [[cols[j].coeffs()[i] for j in range(3)] for i in range(3)]
+        return KElem(*l_norm_coords(self.six_tuple()))
 
     def inv(self) -> "LElem":
-        if self.is_zero():
+        """sigma(a) * sigma^2(a) / N(a), since a * sigma(a) * sigma^2(a) = N(a) lies in K."""
+        n = self.norm_to_k()
+        if n.is_zero():
             raise ZeroDivisionError("division by zero in K(theta)")
-        sol = solve_k_linear(self._mul_matrix(), [K_ONE, K_ZERO, K_ZERO])
-        assert sol is not None, "multiplication matrix is singular for a nonzero element"
-        return LElem(*sol)
+        s = self.sigma(1)
+        return s * s.sigma(1) * n.inv()
 
     def to_complex(self, conj_index: int = 0) -> complex:
         """Complex value with zeta3 -> exp(2i*pi/3) and theta -> its conj_index-th conjugate."""
@@ -397,9 +364,10 @@ def solve_k_linear(
 # Closed forms on six coordinates
 # ---------------------------------------------------------------------------
 # An element of L as six rational coordinates in `LElem.six_tuple` order.
-# The functions below use only +, - and *, so the coordinates may be ints,
-# Fractions or numpy arrays (evaluated elementwise); on integer inputs every
-# value stays an integer.
+# These are the only implementation of the products, the Galois action and
+# the norm: KElem and LElem call them on Fractions, the witness search on
+# integer arrays and norm_coords_bound on magnitudes.  So they must use only
+# +, - and *; on integer inputs every value stays an integer.
 
 
 def _k_mul_coords(x0, x1, y0, y1):

@@ -32,9 +32,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -86,12 +83,6 @@ class Polynomial:
         for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c
         return acc
-
-    def coefficient(self, k: int):
-        """k-th coefficient, or rational 0 past the degree."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
 
     def __str__(self) -> str:
         if self.is_zero():

@@ -31,11 +31,6 @@ def as_rat(value: int | str | Fraction) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
-def rat_str(q: Fraction) -> str:
-    """Render as "p" or "p/q" with positive denominator."""
-    return str(q)
-
-
 def factor_small_int(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 by trial division, increasing primes.
 

@@ -28,8 +28,8 @@ from unidiv.algebra import (
 from unidiv.cli import _GOLDEN_NUMERIC, _decimal_tolerance, serialize_element
 from unidiv.codebook import (
     Box,
-    diversity_product,
     generate_codebook,
+    min_det_report,
     norm_witness_search,
     pairwise_determinants,
     subfield,
@@ -166,7 +166,7 @@ def test_criterion_6_full_diversity():
     assert len(set(cb.elements)) == 60
     for _, _, det in pairwise_determinants(cb.elements):
         assert not det.is_zero()
-    report = diversity_product(cb)
+    report = min_det_report(cb.elements)
     assert report.exact_nonzero and report.zeta > 0
     mats = [np.array(m) for m in cb.matrices]
     numeric_min = min(

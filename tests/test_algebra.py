@@ -247,6 +247,12 @@ def test_inverse_examples():
         inverse(A.zero())
 
 
+def test_negative_power_is_power_of_inverse():
+    x = A.element(LElem(1), LElem(0, 1, 0), LElem(KElem(0, 1)))
+    assert x ** -2 == inverse(x) * inverse(x)
+    assert x ** -1 * x == ONE
+
+
 def test_inverse_random_contract():
     rng = random.Random(10)
     for _ in range(10):

@@ -301,3 +301,36 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# Inputs that every JSON-reading command must turn into one error line:
+# nesting past the decoder's recursion limit, and coordinates given as one
+# string instead of a list.
+DEEP_JSON = "[" * 200000 + "]" * 200000
+STRING_COORDS = {"x0": "100000", "x1": "000000", "x2": "000000"}
+JSON_COMMANDS = {
+    "diversity": (["diversity"], lambda record: {"gamma": "zeta3", "elements": [record, record]}),
+    "embed": (["embed", "--element"], lambda record: record),
+    "golden": (["verify", "--golden"], lambda record: {"involution": record}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(JSON_COMMANDS))
+def test_deeply_nested_json(capsys, tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    argv, _ = JSON_COMMANDS[command]
+    code, out = run(capsys, *argv, str(path))
+    assert_one_line_error(code, out)
+    assert "cannot read" in out
+
+
+@pytest.mark.parametrize("command", sorted(JSON_COMMANDS))
+def test_string_coordinates(capsys, tmp_path, command):
+    # six characters are not six coordinates
+    path = tmp_path / "strings.json"
+    argv, wrap = JSON_COMMANDS[command]
+    path.write_text(json.dumps(wrap(STRING_COORDS)))
+    code, out = run(capsys, *argv, str(path))
+    assert_one_line_error(code, out)
+    assert "malformed" in out

@@ -2,13 +2,16 @@ import functools
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from conftest import rand_k
+import unidiv.codebook
 from unidiv.algebra import (
     AlgebraSpec,
+    InvolutionUnavailable,
     STANDARD_ALGEBRA,
     inverse,
     involution,
@@ -22,7 +25,7 @@ from unidiv.codebook import (
     _numeric_pair_dets,
     Box,
     DiversityReport,
-    diversity_product,
+    PreconditionError,
     division_certificate,
     enumerate_subfield,
     generate_codebook,
@@ -68,13 +71,13 @@ def test_box_validation():
 
 
 def test_iter_box_tuples_counts_and_order():
-    tuples = list(iter_box_tuples(Box(1, 1), 6))
+    tuples = list(iter_box_tuples(Box(1, 1)))
     assert len(tuples) == 3**6 - 1
     assert len(set(tuples)) == len(tuples)
     # first coordinate varies fastest; the first candidate is the constant 1
     assert tuples[0] == (Fraction(1), 0, 0, 0, 0, 0)
     # height stratification: all height-1 tuples precede any height-2 tuple
-    big = list(iter_box_tuples(Box(2, 1), 6))
+    big = list(iter_box_tuples(Box(2, 1)))
     hts = [max(abs(f.numerator) for f in t) for t in big]
     assert hts == sorted(hts)
 
@@ -135,8 +138,27 @@ def test_hilbert90_rejects_noncommuting():
     u = A.element(LElem(0, 1, 0), LElem(1), LElem(0))
     au = involution(u)
     assert u * au != au * u
-    with pytest.raises(ValueError, match="commute"):
+    with pytest.raises(PreconditionError, match="commute"):
         hilbert90_unit(u)
+
+
+def test_hilbert90_passes_involution_unavailable_through():
+    # gamma = 2 has z = 4, so there is no involution; that is not a failed commute check
+    u = AlgebraSpec(KElem(2)).gen()
+    with pytest.raises(InvolutionUnavailable):
+        hilbert90_unit(u)
+    assert not issubclass(InvolutionUnavailable, PreconditionError)
+
+
+def test_generate_codebook_counts_precondition_failures(monkeypatch):
+    sub = subfield("zeta9")
+    bad = A.element(LElem(0, 1, 0), LElem(1), LElem(0))
+    stream = [bad, *islice(enumerate_subfield(sub, Box(1, 1)), 20), bad]
+    monkeypatch.setattr(unidiv.codebook, "enumerate_subfield", lambda sub, box: iter(stream))
+    cb = generate_codebook(sub, Box(1, 1), 100)
+    assert cb.precondition_failures == 2
+    assert cb.candidates_scanned == len(stream)
+    assert cb.elements == generate_codebook(sub, Box(1, 1), len(cb.elements)).elements
 
 
 def test_hilbert90_scaling_invariance():
@@ -214,7 +236,7 @@ def test_diversity_pair_scalars():
     cb = generate_codebook(subfield("zeta9"), Box(1, 1), 2)
     cb.elements = [ONE, ONE.scale(-1)]
     cb.matrices = [unitary_matrix_numeric(x) for x in cb.elements]
-    rep = diversity_product(cb)
+    rep = min_det_report(cb.elements)
     assert rep.exact_nonzero
     assert abs(rep.zeta - 1.0) < 1e-12
     assert abs(rep.min_abs_det - 8.0) < 1e-12
@@ -227,7 +249,7 @@ def test_diversity_requires_two_elements():
 
 def test_diversity_matches_numeric_oracle():
     cb = generate_codebook(subfield("zeta9"), Box(1, 1), 20)
-    rep = diversity_product(cb)
+    rep = min_det_report(cb.elements)
     assert rep.exact_nonzero and rep.zeta > 0
     mats = [np.array(m) for m in cb.matrices]
     best = min(
@@ -386,7 +408,7 @@ def oracle_first_witnesses(box: Box) -> dict:
     oracle_first_witnesses(box).get(t).
     """
     first: dict = {}
-    for tup in iter_box_tuples(box, 6):
+    for tup in iter_box_tuples(box):
         u = LElem.from_six_tuple(tup)
         first.setdefault(u.norm_to_k(), u)
     return first

@@ -78,6 +78,75 @@ def test_l_ring_laws(a, b, c):
     assert a * b == b * a
 
 
+# ---------------------------------------------------------------------------
+# Oracles for the closed forms that KElem and LElem call.  The products are
+# hand-expanded on Fraction coordinates in six_tuple order and share no code
+# with unidiv.fields; the norm and inverse oracles build on them and on
+# sigma_by_matrix below.
+# ---------------------------------------------------------------------------
+
+# Reduction data for the power basis {1, theta, theta^2}:
+#   theta^3 = 1 + 2*theta - theta^2,  theta^4 = -1 - theta + 3*theta^2
+THETA3 = (1, 2, -1)
+THETA4 = (-1, -1, 3)
+
+
+def k_mul_oracle(a, b):
+    """(a0 + a1 z)(b0 + b1 z) with z^2 = -1 - z."""
+    cross = a[0] * b[1] + a[1] * b[0]
+    square = a[1] * b[1]
+    return (a[0] * b[0] - square, cross - square)
+
+
+def l_mul_oracle(x, y):
+    """Schoolbook product of c0 + c1*theta + c2*theta^2, folded by THETA3 and THETA4."""
+    a = [(x[0], x[1]), (x[2], x[3]), (x[4], x[5])]
+    b = [(y[0], y[1]), (y[2], y[3]), (y[4], y[5])]
+    t = [[Fraction(0), Fraction(0)] for _ in range(5)]
+    for i in range(3):
+        for j in range(3):
+            p = k_mul_oracle(a[i], b[j])
+            t[i + j][0] += p[0]
+            t[i + j][1] += p[1]
+    return tuple(
+        t[d][part] + t[3][part] * THETA3[d] + t[4][part] * THETA4[d]
+        for d in range(3)
+        for part in (0, 1)
+    )
+
+
+def norm_oracle(x):
+    """x * sigma(x) * sigma^2(x), asserted to lie in K; its two K coordinates."""
+    a = LElem.from_six_tuple(x)
+    s1, s2 = sigma_by_matrix(a, 1).six_tuple(), sigma_by_matrix(a, 2).six_tuple()
+    n = l_mul_oracle(l_mul_oracle(x, s1), s2)
+    assert not any(n[2:]), "norm fell outside K"
+    return n[0], n[1]
+
+
+def inverse_oracle(a: LElem) -> LElem:
+    """Solve a * y = 1 with the multiplication matrix of a over K."""
+    x = a.six_tuple()
+    cols = [l_mul_oracle(x, LElem(*basis).six_tuple()) for basis in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    rows = [[KElem(cols[j][2 * i], cols[j][2 * i + 1]) for j in range(3)] for i in range(3)]
+    sol = solve_k_linear(rows, [K_ONE, K_ZERO, K_ZERO])
+    assert sol is not None
+    return LElem(*sol)
+
+
+@given(k_elems, k_elems)
+def test_k_product_matches_oracle(a, b):
+    assert (a * b) == KElem(*k_mul_oracle((a.a0, a.a1), (b.a0, b.a1)))
+    assert a.norm_q() == a.a0 * a.a0 - a.a0 * a.a1 + a.a1 * a.a1
+
+
+def test_l_inverse_matches_oracle():
+    rng = random.Random(13)
+    for _ in range(25):
+        a = rand_nonzero_l(rng)
+        assert a.inv() == inverse_oracle(a)
+
+
 def test_l_inverse_contract():
     rng = random.Random(11)
     for _ in range(25):
@@ -168,11 +237,13 @@ def test_norm_multiplicative(a, b):
 @given(l_elems, l_elems)
 @settings(max_examples=50)
 def test_coordinate_closed_forms_match_lelem(a, b):
+    # LElem calls the closed forms, so both are held to the oracles above
     x, y = a.six_tuple(), b.six_tuple()
-    assert l_mul_coords(x, y) == (a * b).six_tuple()
-    assert l_sigma_coords(x) == a.sigma().six_tuple()
+    assert l_mul_coords(x, y) == l_mul_oracle(x, y) == (a * b).six_tuple()
+    assert l_sigma_coords(x) == sigma_by_matrix(a, 1).six_tuple() == a.sigma().six_tuple()
+    assert a.sigma(2) == sigma_by_matrix(a, 2)
     n = a.norm_to_k()
-    assert l_norm_coords(x) == (n.a0, n.a1)
+    assert l_norm_coords(x) == norm_oracle(x) == (n.a0, n.a1)
 
 
 def test_coordinate_closed_forms_on_integer_arrays():
