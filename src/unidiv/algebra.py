@@ -4,9 +4,10 @@ Elements are x = x0 + E*x1 + E^2*x2 with L coefficients, where the
 generator E satisfies E^3 = gamma and lambda*E = E*sigma(lambda) for
 lambda in L.  The module provides the 3x3 matrix embedding over L, the
 involution whose matrix shadow is the conjugate transpose (available
-exactly when z = gamma*conj(gamma) = 1), reduced characteristic
-polynomials, inversion through them, and the fixed-point test for the
-involution together with its coefficientwise conditions.
+exactly when z = gamma*conj(gamma) = 1), reduced norms and characteristic
+polynomials as closed forms in the L coordinates, inversion through them,
+and the fixed-point test for the involution together with its
+coefficientwise conditions.
 
 Everything is immutable and pure; an AlgebraSpec can be shared read-only.
 """
@@ -26,6 +27,10 @@ from .fields import (
     LElem,
     ZETA3,
     _as_k,
+    l_mul_coords,
+    l_norm_coords,
+    l_sigma_coords,
+    l_trace_coords,
     solve_k_linear,
 )
 from .polynomials import Polynomial
@@ -264,13 +269,6 @@ class MatL:
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
         )
 
-    def __sub__(self, other):
-        if not isinstance(other, MatL):
-            return NotImplemented
-        return MatL(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
     def __mul__(self, other):
         if not isinstance(other, MatL):
             return NotImplemented
@@ -288,17 +286,6 @@ class MatL:
     def conj_transpose(self) -> "MatL":
         """Transpose with complex conjugation applied entrywise."""
         return MatL([[self.rows[j][i].conj() for j in range(3)] for i in range(3)])
-
-    def trace(self) -> LElem:
-        return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
-
-    def second_symmetric(self) -> LElem:
-        """Sum of the principal 2x2 minors."""
-        r = self.rows
-        acc = L_ZERO
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            acc = acc + (r[i][i] * r[j][j] - r[i][j] * r[j][i])
-        return acc
 
     def det(self) -> LElem:
         r = self.rows
@@ -338,9 +325,9 @@ def matrix_embed(x: AlgElem) -> MatL:
 def involution(x: AlgElem) -> AlgElem:
     """The involution x0 + E*x1 + E^2*x2 -> conj(x0) + E*g1*sigma(conj(x2)) + E^2*g2*sigma^2(conj(x1)).
 
-    Here g1 = z^2/gamma and g2 = z/gamma; the form comes from rewriting
-    E^(-1) = E^2/gamma.  Requires z = 1, the only case in which the matrix
-    embedding turns this map into the conjugate transpose.
+    Here g1 = g2 = 1/gamma; the form comes from rewriting E^(-1) = E^2/gamma
+    and conj(gamma) = 1/gamma.  Requires z = 1, the only case in which the
+    matrix embedding turns this map into the conjugate transpose.
     """
     spec = x.spec
     if not spec.supports_involution:
@@ -348,29 +335,28 @@ def involution(x: AlgElem) -> AlgElem:
             f"involution requires gamma*conj(gamma) = 1, got {spec.z}"
         )
     g_inv = spec.gamma.inv()
-    z = spec.z
     y0 = x.x0.conj()
-    y1 = x.x2.conj().sigma(1) * (g_inv * z * z)
-    y2 = x.x1.conj().sigma(2) * (g_inv * z)
+    y1 = x.x2.conj().sigma(1) * g_inv
+    y2 = x.x1.conj().sigma(2) * g_inv
     return AlgElem(spec, y0, y1, y2)
 
 
 def reduced_char_poly(x: AlgElem) -> Polynomial:
     """Monic characteristic polynomial of the embedded matrix, over KElem.
 
-    det(M - X*I) is computed exactly over L and negated to be monic; every
-    coefficient provably lies in K and this is asserted.
+    With N and Tr the norm and trace of L/K it is
+
+        X^3 - t*X^2 + s*X - Nrd(x),
+        t = Tr(x0),  s = Tr(x0*sigma(x0)) - gamma*Tr(x1*sigma(x2)),
+
+    t being the matrix trace and s the sum of its principal 2x2 minors.
+    Every coefficient lies in K by construction.
     """
-    m = matrix_embed(x)
-    tr = m.trace()
-    s = m.second_symmetric()
-    d = m.det()
-    coeffs = []
-    for val in (-d, s, -tr):
-        assert val.is_in_k(), f"characteristic coefficient fell outside K: {val}"
-        coeffs.append(val.as_k())
-    coeffs.append(K_ONE)
-    return Polynomial(coeffs)
+    a, b, c = (part.six_tuple() for part in x.coords())
+    t = KElem(*l_trace_coords(a))
+    s0 = KElem(*l_trace_coords(l_mul_coords(a, l_sigma_coords(a))))
+    s1 = KElem(*l_trace_coords(l_mul_coords(b, l_sigma_coords(c))))
+    return Polynomial([-reduced_norm(x), s0 - x.spec.gamma * s1, -t, K_ONE])
 
 
 def char_poly_rational(x: AlgElem) -> Polynomial:
@@ -387,25 +373,24 @@ def char_poly_rational(x: AlgElem) -> Polynomial:
 def reduced_norm(x: AlgElem) -> KElem:
     """Determinant of the embedded matrix, an element of K.
 
-    Two exact shortcuts cover the common shapes: for x in L the matrix is
-    diagonal and the determinant is the field norm; for coordinates in K
-    the matrix is a gamma-twisted circulant with determinant
-    a^3 + gamma*b^3 + gamma^2*c^3 - 3*gamma*a*b*c.
+    With N and Tr the norm and trace of L/K (Sethuraman, Rajan and
+    Shashidhar, IEEE Trans. IT 49(10), 2003) it is
+
+        Nrd(x) = N(x0) + gamma*N(x1) + gamma^2*N(x2)
+                 - gamma*Tr(x0*sigma(x1)*sigma^2(x2)).
     """
-    x0, x1, x2 = x.coords()
-    if x1.is_zero() and x2.is_zero():
-        return x0.norm_to_k()
-    if x0.is_in_k() and x1.is_in_k() and x2.is_in_k():
-        a, b, c = x0.as_k(), x1.as_k(), x2.as_k()
-        g = x.spec.gamma
-        return a * a * a + g * (b * b * b) + g * g * (c * c * c) - a * b * c * g * 3
-    d = matrix_embed(x).det()
-    assert d.is_in_k(), f"determinant fell outside K: {d}"
-    return d.as_k()
+    a, b, c = (part.six_tuple() for part in x.coords())
+    cross = l_mul_coords(l_mul_coords(a, l_sigma_coords(b)), l_sigma_coords(l_sigma_coords(c)))
+    n0, n1, n2 = (KElem(*l_norm_coords(v)) for v in (a, b, c))
+    g = x.spec.gamma
+    return n0 + g * (n1 + g * n2 - KElem(*l_trace_coords(cross)))
 
 
 def inverse(x: AlgElem) -> AlgElem:
     """Inverse via the characteristic polynomial: -(x^2 + a*x + b)/c.
+
+    Here X^3 + a*X^2 + b*X + c is `reduced_char_poly(x)`, so c = -Nrd(x) and
+    Cayley-Hamilton gives x*(x^2 + a*x + b) = -c.
 
     The exact postcondition x*y = 1 is asserted.  It is one-sided on
     purpose: in a finite-dimensional algebra a right inverse is also a left
@@ -502,16 +487,9 @@ def zeta9_str(coeffs: Sequence[Fraction]) -> str:
 
 def express_in_power_basis(x: AlgElem, g: AlgElem) -> Optional[tuple[KElem, KElem, KElem]]:
     """Solve x = c0 + c1*g + c2*g^2 with c_i in K; None if x is outside the span."""
-    basis = [g.spec.one(), g, g * g]
-    rows = []
-    rhs = x.k_coords()
-    cols = [b.k_coords() for b in basis]
-    for i in range(9):
-        rows.append([cols[j][i] for j in range(3)])
-    sol = solve_k_linear(rows, rhs)
-    if sol is None:
-        return None
-    return (sol[0], sol[1], sol[2])
+    columns = [b.k_coords() for b in (g.spec.one(), g, g * g)]
+    sol = solve_k_linear(list(zip(*columns)), x.k_coords())
+    return None if sol is None else tuple(sol)
 
 
 @dataclass(frozen=True)

@@ -28,12 +28,12 @@ from .codebook import (
     Box,
     Codebook,
     DiversityReport,
+    _unitary_render,
     generate_codebook,
     hilbert90_unit,
     min_det_report,
     subfield,
     subfield_table,
-    unitary_matrix_numeric,
 )
 from .fields import LElem
 
@@ -265,7 +265,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     mat = matrix_embed(x)
     ax = involution(x)
     unit = hilbert90_unit(x)
-    numeric = unitary_matrix_numeric(unit)
+    numeric = _unitary_render(unit)
 
     checks: list[tuple[str, bool, str, str]] = []
 
@@ -480,17 +480,24 @@ def cmd_embed(args: argparse.Namespace) -> int:
             x = parse_element(data)
         except (ValueError, TypeError) as exc:
             raise InputError(f"malformed element: {exc}")
-    mat = matrix_embed(x)
-    chi = reduced_char_poly(x)
-    numeric = mat.to_complex(0)
+    # OverflowError: a value past float range; ValueError: past str()'s digit limit
+    try:
+        mat = matrix_embed(x)
+        grid = mat.render()
+        chi = str(reduced_char_poly(x))
+        numeric = mat.to_complex(0)
+        element = serialize_element(x)
+        text = str(x)
+    except (OverflowError, ValueError) as exc:
+        raise InputError(f"cannot render element: {exc}")
     if args.format == "json":
         print(
             json.dumps(
                 {
                     "command": "embed",
-                    "element": serialize_element(x),
-                    "matrix": mat.render(),
-                    "char_poly": str(chi),
+                    "element": element,
+                    "matrix": grid,
+                    "char_poly": chi,
                     "numeric": [[_complex_pair(v) for v in row] for row in numeric],
                 },
                 indent=2,
@@ -498,9 +505,9 @@ def cmd_embed(args: argparse.Namespace) -> int:
         )
         return 0
     s = lambda t: symbolize(t, args.ascii)
-    print(s(f"x = {x}"))
+    print(s(f"x = {text}"))
     print("matrix embedding:")
-    for row in mat.render():
+    for row in grid:
         print(s("  [" + ", ".join(row) + "]"))
     print(s(f"characteristic polynomial: {chi}"))
     print("numeric (embedding 0):")

@@ -170,13 +170,18 @@ def hilbert90_unit(u: AlgElem) -> AlgElem:
 
 
 def unitary_matrix_numeric(x: AlgElem) -> list[list[complex]]:
-    """Complex 3x3 rendering of a certified unitary element (embedding 0).
-
-    The exact unitarity of x is checked, and the numeric matrix must
-    satisfy max|M M^dagger - I| <= 1e-10 (anything else is an embedding bug).
-    """
+    """`_unitary_render` of x after checking x * involution(x) = 1 exactly."""
     if x * involution(x) != x.spec.one():
         raise ValueError("element is not unitary")
+    return _unitary_render(x)
+
+
+def _unitary_render(x: AlgElem) -> list[list[complex]]:
+    """Complex 3x3 rendering (embedding 0) of a unit, e.g. from `hilbert90_unit`.
+
+    The numeric matrix must satisfy max|M M^dagger - I| <= 1e-10 (anything
+    else is an embedding bug).
+    """
     m = np.array(matrix_embed(x).to_complex(0), dtype=complex)
     defect = np.max(np.abs(m @ m.conj().T - np.eye(3)))
     assert defect <= 1e-10, f"numeric unitarity defect {defect}"
@@ -230,7 +235,7 @@ def generate_codebook(sub: SubfieldSpec, box: Box, size: int) -> Codebook:
         box=box,
         requested=size,
         elements=elements,
-        matrices=[unitary_matrix_numeric(x) for x in elements],
+        matrices=[_unitary_render(x) for x in elements],
         complete=len(elements) == size,
         precondition_failures=failures,
         candidates_scanned=scanned,

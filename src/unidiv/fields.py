@@ -9,10 +9,11 @@ The degree-3 Galois action of L over K is generated by theta -> theta^2 - 2
 and fixes K pointwise.  Complex conjugation acts on the K coefficients
 (zeta3 -> zeta3^2) and fixes theta; it commutes with the Galois action.
 
-The product in K, and the product, Galois action and norm in L, exist once:
-as the closed forms on rational coordinates at the end of this module.
-KElem and LElem apply them to their own coordinates, and the witness
-search applies them to integer arrays.  The inverse in L is
+The product in K, and the product, Galois action, norm and trace in L,
+exist once: as the closed forms on rational coordinates at the end of this
+module.  KElem and LElem apply them to their own coordinates, the algebra
+applies them to reduced norms and characteristic polynomials, and the
+witness search applies them to integer arrays.  The inverse in L is
 sigma(a)*sigma^2(a)/N(a).
 
 All values are immutable and all operations pure, so everything can be
@@ -237,14 +238,6 @@ class LElem:
     def is_in_k(self) -> bool:
         return self.c1.is_zero() and self.c2.is_zero()
 
-    def as_k(self) -> KElem:
-        if not self.is_in_k():
-            raise ValueError(f"{self} has nonzero theta components")
-        return self.c0
-
-    def is_rational(self) -> bool:
-        return all(c.is_rational() for c in self.coeffs())
-
     def sigma(self, power: int = 1) -> "LElem":
         """Apply the Galois generator (theta -> theta^2 - 2) power mod 3 times."""
         coords = self.six_tuple()
@@ -364,10 +357,12 @@ def solve_k_linear(
 # Closed forms on six coordinates
 # ---------------------------------------------------------------------------
 # An element of L as six rational coordinates in `LElem.six_tuple` order.
-# These are the only implementation of the products, the Galois action and
-# the norm: KElem and LElem call them on Fractions, the witness search on
-# integer arrays and norm_coords_bound on magnitudes.  So they must use only
-# +, - and *; on integer inputs every value stays an integer.
+# These are the only implementation of the products, the Galois action, the
+# norm and the trace: KElem and LElem call them on Fractions, the reduced
+# norm and characteristic polynomial of the algebra on Fractions, the
+# witness search on integer arrays and norm_coords_bound on magnitudes.  So
+# they must use only +, - and *; on integer inputs every value stays an
+# integer.
 
 
 def _k_mul_coords(x0, x1, y0, y1):
@@ -405,6 +400,12 @@ def l_norm_coords(a: Sequence) -> tuple:
     s = l_sigma_coords(a)
     n = l_mul_coords(l_mul_coords(a, s), l_sigma_coords(s))
     return n[0], n[1]
+
+
+def l_trace_coords(a: Sequence) -> tuple:
+    """Tr_{L/K}(a) = 3*c0 - c1 + 5*c2 as its two K coordinates (Tr theta = -1, Tr theta^2 = 5)."""
+    x0, y0, x1, y1, x2, y2 = a
+    return 3 * x0 - x1 + 5 * x2, 3 * y0 - y1 + 5 * y2
 
 
 def minimal_polynomial_coeffs() -> tuple[Fraction, ...]:

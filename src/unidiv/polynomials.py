@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Optional
 
 from .rationals import Rat
@@ -44,24 +45,14 @@ class Polynomial:
         return Polynomial(tuple(-c for c in self.coeffs))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return self._addsub(other, 1)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self._addsub(other, -1)
-
-    def _addsub(self, other: "Polynomial", sign: int) -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for i in range(max(len(a), len(b))):
-            if i < len(a) and i < len(b):
-                out.append(a[i] + b[i] if sign > 0 else a[i] - b[i])
-            elif i < len(a):
-                out.append(a[i])
-            else:
-                out.append(b[i] if sign > 0 else -b[i])
-        return Polynomial(out)
+        return Polynomial(a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0))
+
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self + -other
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):

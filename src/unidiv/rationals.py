@@ -8,21 +8,29 @@ that structural equality of field and algebra elements relies on.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 Rat = Fraction
 
+# What str(Fraction) writes.  Fraction also reads decimals, exponents (so
+# "1e999999999" would build 10**999999999), underscores and whitespace.
+_RAT_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 def as_rat(value: int | str | Fraction) -> Fraction:
-    """Coerce ints, "p/q" strings and Fractions to a canonical rational.
+    """Coerce ints, "p" or "p/q" strings and Fractions to a canonical rational.
 
-    Raises ValueError for a malformed string or a zero denominator, and
-    TypeError for anything else, including bool (JSON true is not 1).
+    A string must match [+-]?digits(/digits)?.  Raises ValueError for any
+    other string or a zero denominator, and TypeError for anything else,
+    including bool (JSON true is not 1).
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError(f"cannot interpret {value!r} as a rational")
+    if isinstance(value, str) and _RAT_STRING.fullmatch(value) is None:
+        raise ValueError(f"not a rational p or p/q: {value!r}")
     if isinstance(value, (int, str)):
         try:
             return Fraction(value)

@@ -191,7 +191,7 @@ def test_char_poly_coefficients_in_k_and_cayley_hamilton():
     rng = random.Random(7)
     for _ in range(15):
         x = rand_alg(rng, num=4, den=2)
-        chi = reduced_char_poly(x)  # asserts coefficients in K internally
+        chi = reduced_char_poly(x)  # a KElem polynomial; see test_char_poly_matches_matrix_oracle
         acc = A.zero()
         for k, c in enumerate(chi.coeffs):
             acc = acc + (x**k).scale(c)
@@ -238,6 +238,51 @@ def test_reduced_norm_shortcuts_agree_with_matrix_determinant():
         # coordinates in L only at position 0: diagonal shortcut
         y = A.from_l(rand_l(rng, 4, 2))
         assert LElem(reduced_norm(y)) == matrix_embed(y).det()
+
+
+def char_poly_oracle(x: AlgElem) -> Polynomial:
+    """det(X*I - M) of the embedded matrix M, computed over L.
+
+    Trace, sum of principal 2x2 minors and determinant of the 3x3 matrix,
+    each asserted to lie in K.
+    """
+    m = matrix_embed(x)
+    r = m.rows
+    trace = r[0][0] + r[1][1] + r[2][2]
+    minors = L_ZERO
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        minors = minors + (r[i][i] * r[j][j] - r[i][j] * r[j][i])
+    coeffs = []
+    for val in (-m.det(), minors, -trace):
+        assert val.is_in_k(), f"characteristic coefficient fell outside K: {val}"
+        coeffs.append(val.c0)
+    return Polynomial(coeffs + [K_ONE])
+
+
+# gamma = zeta3 and zeta3^2 have z = 1; the others have z != 1.
+ORACLE_GAMMAS = [ZETA3, ZETA3 * ZETA3, KElem(1), KElem(2), KElem(1, 1), KElem(Fraction(3, 2), -1)]
+
+
+def oracle_cases(spec: AlgebraSpec, rng: random.Random) -> list[AlgElem]:
+    """Random elements, elements of L, K coordinates, and one or two zero parts."""
+    cases = []
+    for _ in range(6):
+        parts = [rand_l(rng, 6, 4) for _ in range(3)]
+        cases.append(AlgElem(spec, *parts))
+        cases.append(AlgElem(spec, parts[0], L_ZERO, L_ZERO))
+        cases.append(AlgElem(spec, *(LElem(rand_k(rng, 6, 4)) for _ in range(3))))
+        for zeros in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2)):
+            cases.append(AlgElem(spec, *(L_ZERO if i in zeros else p for i, p in enumerate(parts))))
+    return cases
+
+
+@pytest.mark.parametrize("gamma", ORACLE_GAMMAS, ids=str)
+def test_char_poly_matches_matrix_oracle(gamma):
+    spec = AlgebraSpec(gamma)
+    for x in oracle_cases(spec, random.Random(31)):
+        chi = char_poly_oracle(x)
+        assert reduced_char_poly(x) == chi
+        assert reduced_norm(x) == -chi.coeffs[0]
 
 
 def test_inverse_examples():

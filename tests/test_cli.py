@@ -265,6 +265,34 @@ def test_embed_element_non_object(capsys, tmp_path):
     assert_one_line_error(*run(capsys, "embed", "--element", str(path)))
 
 
+def test_embed_zeta9_exponent_syntax(capsys):
+    # as_rat reads only p and p/q; Fraction would read 1e400 as 10**400
+    assert_one_line_error(*run(capsys, "embed", "--zeta9=1e400,0,0,0,0,0"))
+
+
+def _embed_one_coordinate(capsys, tmp_path, coordinate, fmt):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({**ONE_RECORD, "x0": [coordinate, "0", "0", "0", "0", "0"]}))
+    return run(capsys, "embed", "--element", str(path), "--format", fmt)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_embed_coordinate_past_float_range(capsys, tmp_path, fmt):
+    code, out = _embed_one_coordinate(capsys, tmp_path, "1" + "0" * 400, fmt)
+    assert_one_line_error(code, out)
+    assert out.startswith("error: cannot render element")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_embed_char_poly_past_digit_limit(capsys, tmp_path, fmt):
+    # 1500 digits over 1500 digits is a float near 0.3; its cube, the reduced
+    # norm, has about 4500 digits, past str()'s default 4300-digit limit
+    coordinate = "1" + "0" * 1499 + "/" + "3" * 1500
+    code, out = _embed_one_coordinate(capsys, tmp_path, coordinate, fmt)
+    assert_one_line_error(code, out)
+    assert out.startswith("error: cannot render element")
+
+
 def test_embed_zeta9(capsys):
     code, out = run(capsys, "embed", "--zeta9", "1,1,0,1,0,1", "--ascii")
     assert code == 0

@@ -20,6 +20,7 @@ from unidiv.fields import (
     l_mul_coords,
     l_norm_coords,
     l_sigma_coords,
+    l_trace_coords,
     minimal_polynomial_coeffs,
     solve_k_linear,
 )
@@ -244,6 +245,24 @@ def test_coordinate_closed_forms_match_lelem(a, b):
     assert a.sigma(2) == sigma_by_matrix(a, 2)
     n = a.norm_to_k()
     assert l_norm_coords(x) == norm_oracle(x) == (n.a0, n.a1)
+
+
+@given(l_elems)
+def test_trace_closed_form_matches_conjugate_sum(a):
+    t = a + sigma_by_matrix(a, 1) + sigma_by_matrix(a, 2)
+    assert t.is_in_k()
+    assert l_trace_coords(a.six_tuple()) == (t.c0.a0, t.c0.a1)
+
+
+def test_trace_closed_form_on_integer_arrays():
+    rng = random.Random(5)
+    rows = [[rng.randint(-50, 50) for _ in range(6)] for _ in range(40)]
+    columns = [np.array(col, dtype=np.int64) for col in zip(*rows)]
+    traces = l_trace_coords(columns)
+    for i, row in enumerate(rows):
+        a = LElem.from_six_tuple(row)
+        t = (a + a.sigma(1) + a.sigma(2)).c0
+        assert (int(traces[0][i]), int(traces[1][i])) == (t.a0, t.a1)
 
 
 def test_coordinate_closed_forms_on_integer_arrays():

@@ -42,6 +42,19 @@ def test_as_rat_zero_denominator():
         as_rat("1/0")
 
 
+@pytest.mark.parametrize("text", ["1e5", "0.5", "1_0", " 1", "1 ", "١", "1/-2", "+", "1/"])
+def test_as_rat_rejects_other_string_syntax(text):
+    # Fraction reads the first six (the last is an Arabic-Indic one); only
+    # [+-]?digits(/digits)? with ASCII digits is accepted
+    with pytest.raises(ValueError):
+        as_rat(text)
+
+
+def test_as_rat_reads_signed_p_and_p_q():
+    assert as_rat("+3") == 3
+    assert as_rat("-007/14") == Fraction(-1, 2)
+
+
 def test_rat_str_round_trip():
     # str renders "p" or "p/q", which as_rat reads back
     assert str(Fraction(-10, 19)) == "-10/19"
