@@ -11,7 +11,7 @@ search as a cross-check), any family obtained this way is fully diverse.
 
 from .rationals import Rat, as_rat, factor_small_int
 from .polynomials import Polynomial, discriminant_cubic, has_rational_root
-from .fields import KElem, LElem, ZETA3, THETA, solve_k_linear
+from .fields import KElem, LElem, ZETA3, THETA
 from .algebra import (
     AlgElem,
     AlgebraSpec,
@@ -20,7 +20,6 @@ from .algebra import (
     MatL,
     STANDARD_ALGEBRA,
     char_poly_rational,
-    express_in_power_basis,
     fixed_point_conditions,
     from_zeta9,
     inverse,
@@ -46,7 +45,6 @@ __all__ = [
     "LElem",
     "ZETA3",
     "THETA",
-    "solve_k_linear",
     "AlgElem",
     "AlgebraSpec",
     "InversionError",
@@ -54,7 +52,6 @@ __all__ = [
     "MatL",
     "STANDARD_ALGEBRA",
     "char_poly_rational",
-    "express_in_power_basis",
     "fixed_point_conditions",
     "from_zeta9",
     "inverse",

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .fields import (
     K_ONE,
@@ -31,7 +31,6 @@ from .fields import (
     l_norm_coords,
     l_sigma_coords,
     l_trace_coords,
-    solve_k_linear,
 )
 from .polynomials import Polynomial
 from .rationals import as_rat
@@ -201,13 +200,6 @@ class AlgElem:
     def is_in_k(self) -> bool:
         return self.x1.is_zero() and self.x2.is_zero() and self.x0.is_in_k()
 
-    def k_coords(self) -> list[KElem]:
-        """The nine K coordinates, L coefficients flattened in order."""
-        out = []
-        for part in self.coords():
-            out.extend(part.coeffs())
-        return out
-
     def __str__(self):
         parts = []
         for coeff, prefix in ((self.x0, ""), (self.x1, "e*"), (self.x2, "e^2*")):
@@ -235,7 +227,7 @@ STANDARD_ALGEBRA = AlgebraSpec(ZETA3)
 
 
 class MatL:
-    """A 3x3 matrix with LElem entries."""
+    """A 3x3 matrix with LElem entries, for rendering; the tests compare `.rows`."""
 
     __slots__ = ("rows",)
 
@@ -243,49 +235,6 @@ class MatL:
         self.rows = tuple(tuple(_as_l(v) for v in row) for row in rows)
         if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
             raise ValueError("expected a 3x3 grid")
-
-    @classmethod
-    def identity(cls) -> "MatL":
-        return cls(
-            [
-                [L_ONE, L_ZERO, L_ZERO],
-                [L_ZERO, L_ONE, L_ZERO],
-                [L_ZERO, L_ZERO, L_ONE],
-            ]
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, MatL):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __add__(self, other):
-        if not isinstance(other, MatL):
-            return NotImplemented
-        return MatL(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
-    def __mul__(self, other):
-        if not isinstance(other, MatL):
-            return NotImplemented
-        out = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                acc = L_ZERO
-                for k in range(3):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return MatL(out)
-
-    def conj_transpose(self) -> "MatL":
-        """Transpose with complex conjugation applied entrywise."""
-        return MatL([[self.rows[j][i].conj() for j in range(3)] for i in range(3)])
 
     def det(self) -> LElem:
         r = self.rows
@@ -483,13 +432,6 @@ def zeta9_str(coeffs: Sequence[Fraction]) -> str:
     for sign, body in parts[1:]:
         s += sign + body
     return s if denom == 1 else f"({s})/{denom}"
-
-
-def express_in_power_basis(x: AlgElem, g: AlgElem) -> Optional[tuple[KElem, KElem, KElem]]:
-    """Solve x = c0 + c1*g + c2*g^2 with c_i in K; None if x is outside the span."""
-    columns = [b.k_coords() for b in (g.spec.one(), g, g * g)]
-    sol = solve_k_linear(list(zip(*columns)), x.k_coords())
-    return None if sol is None else tuple(sol)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,11 @@ reproducible codebooks of certified unitary 3x3 matrices; since the
 algebra is division, pairwise differences have nonzero determinant and
 the family is fully diverse.
 
+Stability under the involution is one commute check: in a division
+algebra of prime degree 3, any g outside the center K generates a maximal
+subfield K[g], its own centralizer by the double centralizer theorem, so
+involution(g) lies in K[g] exactly when it commutes with g.
+
 The division property is certified by `division_certificate`: gamma is a
 unit of Z[zeta3] that is not a local norm at the prime 2 - zeta3 above 7,
 where L/K is totally and tamely ramified, so it is not a norm from L.  The
@@ -32,7 +37,6 @@ from .algebra import (
     AlgElem,
     STANDARD_ALGEBRA,
     char_poly_rational,
-    express_in_power_basis,
     involution,
     inverse,
     matrix_embed,
@@ -93,6 +97,12 @@ class SubfieldSpec:
 
     Elements are c0 + c1*g + c2*g^2 with K coefficients; enumeration runs
     over the six rational parts of (c0, c1, c2).
+
+    The checks, in order: g lies outside K; gamma has a
+    `division_certificate`, without which K[g] need not be a field (for
+    gamma = 1, (1 - E)(1 + E + E^2) = 0); g commutes with involution(g),
+    which under the certificate (double centralizer) puts involution(g)
+    in K[g], so the involution maps K[g] onto itself.
     """
 
     kind: str
@@ -105,11 +115,12 @@ class SubfieldSpec:
         g = self.generator
         if g.is_in_k():
             raise ValueError("generator must lie outside the center K")
+        if division_certificate(g.spec.gamma) is None:
+            raise ValueError(f"subfield {self.label} needs a division certificate for gamma = {g.spec.gamma}")
+        ag = involution(g)
+        if g * ag != ag * g:
+            raise ValueError(f"subfield {self.label} is not stable under the involution")
         object.__setattr__(self, "basis", (g.spec.one(), g, g * g))
-        if express_in_power_basis(involution(g), g) is None:
-            raise ValueError(
-                f"subfield {self.label} is not stable under the involution"
-            )
 
     def element(self, coords: Sequence[Fraction]) -> AlgElem:
         ks = [

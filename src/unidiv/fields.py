@@ -85,18 +85,6 @@ class KElem:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -211,18 +199,6 @@ class LElem:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -315,42 +291,6 @@ L_ZERO = LElem(0)
 L_ONE = LElem(1)
 THETA = LElem(0, 1, 0)
 THETA_SQ = LElem(0, 0, 1)
-
-
-def solve_k_linear(
-    rows: Sequence[Sequence[KElem]], rhs: Sequence[KElem]
-) -> Optional[list[KElem]]:
-    """Solve an m x n linear system over K by exact Gaussian elimination.
-
-    Returns one solution (free variables set to 0) or None if inconsistent.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if not aug[i][col].is_zero()), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][col].inv()
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(m):
-            if i != r and not aug[i][col].is_zero():
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if not aug[i][n].is_zero():
-            return None
-    sol = [K_ZERO] * n
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][n]
-    return sol
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_k
+from oracles import express_in_power_basis
 import unidiv.codebook
 from unidiv.algebra import (
     AlgebraSpec,
@@ -26,6 +27,7 @@ from unidiv.codebook import (
     Box,
     DiversityReport,
     PreconditionError,
+    SubfieldSpec,
     division_certificate,
     enumerate_subfield,
     generate_codebook,
@@ -42,7 +44,7 @@ from unidiv.codebook import (
     subfield_table_row,
     unitary_matrix_numeric,
 )
-from unidiv.fields import THETA_EMBEDDINGS, KElem, LElem, ZETA3, l_norm_coords
+from unidiv.fields import THETA, THETA_EMBEDDINGS, KElem, LElem, ZETA3, l_norm_coords
 from unidiv.polynomials import (
     Polynomial,
     discriminant_cubic,
@@ -100,6 +102,60 @@ def test_subfield_specs():
         subfield("nu")
     with pytest.raises(ValueError):
         subfield("unknown")
+
+
+def stability_cases():
+    """The seven CLI generators, their a + b*g reparametrisations, and seven more."""
+    cases = []
+    for kind, k in [("zeta9", None), *(("nu", k) for k in range(1, 6)), ("L", None)]:
+        g = subfield(kind, k).generator
+        name = kind if k is None else f"nu{k}"
+        cases.append((name, g))
+        for a in (1, -1, 2):
+            for b in (1, -1, 2):
+                cases.append((f"{name}[{a}+{b}g]", g.scale(b) + ONE.scale(a)))
+    theta, e, z = A.from_l(THETA), A.gen(), A.from_l(LElem(ZETA3))
+    cases += [
+        ("theta+E", theta + e),
+        ("theta*E", theta * e),
+        ("theta+zeta3", theta + z),
+        ("zeta3*theta", z * theta),
+        ("E+E^2", e + e * e),
+        ("zeta3*E", z * e),
+        ("(1+zeta3)*E", (ONE + z) * e),
+    ]
+    return cases
+
+
+STABILITY_CASES = stability_cases()
+
+
+@pytest.mark.parametrize("g", [g for _, g in STABILITY_CASES], ids=[n for n, _ in STABILITY_CASES])
+def test_subfield_stability_matches_power_basis_oracle(g):
+    stable = express_in_power_basis(involution(g), g) is not None
+    if stable:
+        assert SubfieldSpec("test", None, g, "test").generator == g
+    else:
+        with pytest.raises(ValueError, match="not stable under the involution"):
+            SubfieldSpec("test", None, g, "test")
+
+
+def test_stability_cases_unstable_exactly_theta_plus_e_and_theta_e():
+    assert len(STABILITY_CASES) == 77
+    unstable = [n for n, g in STABILITY_CASES if express_in_power_basis(involution(g), g) is None]
+    assert unstable == ["theta+E", "theta*E"]
+
+
+def test_subfield_spec_rejects_uncertified_gamma():
+    # gamma = 1 is split: (1 - E)(1 + E + E^2) = 0, so K[E] is not a field
+    split = AlgebraSpec(KElem(1))
+    with pytest.raises(ValueError, match="division certificate"):
+        SubfieldSpec("split", None, split.gen(), "K[E], gamma = 1")
+
+
+def test_subfield_spec_rejects_unstable_generator():
+    with pytest.raises(ValueError, match="not stable under the involution"):
+        SubfieldSpec("theta+E", None, A.from_l(THETA) + A.gen(), "K[theta+E]")
 
 
 def test_nu_generators_are_involution_fixed():
