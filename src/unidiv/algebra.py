@@ -5,9 +5,10 @@ generator E satisfies E^3 = gamma and lambda*E = E*sigma(lambda) for
 lambda in L.  The module provides the 3x3 matrix embedding over L, the
 involution whose matrix shadow is the conjugate transpose (available
 exactly when z = gamma*conj(gamma) = 1), reduced norms and characteristic
-polynomials as closed forms in the L coordinates, inversion through them,
-and the fixed-point test for the involution together with its
-coefficientwise conditions.
+polynomials, inversion through them, and the fixed-point test for the
+involution together with its coefficientwise conditions.  The product, the
+involution, Nrd and chi exist once, as closed forms on the 18 rational
+coordinates at the end of this module.
 
 Everything is immutable and pure; an AlgebraSpec can be shared read-only.
 """
@@ -27,6 +28,8 @@ from .fields import (
     LElem,
     ZETA3,
     _as_k,
+    _k_mul_coords,
+    l_conj_coords,
     l_mul_coords,
     l_norm_coords,
     l_sigma_coords,
@@ -53,7 +56,7 @@ class InversionError(ArithmeticError):
 class AlgebraSpec:
     """Structure constants of the algebra: gamma and z = gamma*conj(gamma)."""
 
-    __slots__ = ("gamma", "z")
+    __slots__ = ("gamma", "z", "gamma_coords")
 
     def __init__(self, gamma: Scalar = ZETA3):
         g = _as_k(gamma)
@@ -61,11 +64,16 @@ class AlgebraSpec:
             raise ValueError("gamma must be a nonzero element of K")
         self.gamma = g
         self.z = g * g.conj()
+        self.gamma_coords = tuple(int(c) if c.denominator == 1 else c for c in (g.a0, g.a1))
 
     @property
     def supports_involution(self) -> bool:
         """True iff z = 1, the only case where the involution mirrors the conjugate transpose."""
         return self.z == K_ONE
+
+    def require_involution(self) -> None:
+        if not self.supports_involution:
+            raise InvolutionUnavailable(f"involution requires gamma*conj(gamma) = 1, got {self.z}")
 
     def zero(self) -> "AlgElem":
         return AlgElem(self, L_ZERO, L_ZERO, L_ZERO)
@@ -117,6 +125,17 @@ class AlgElem:
     def coords(self) -> tuple[LElem, LElem, LElem]:
         return (self.x0, self.x1, self.x2)
 
+    def integral(self) -> tuple[list[int], int]:
+        """The 18 coordinates as integers over their lcm denominator, for the closed
+        forms (far faster on integers than on Fractions); `from_integral` divides back."""
+        coords = [c for part in self.coords() for c in part.six_tuple()]
+        q = math.lcm(*(c.denominator for c in coords))
+        return [c.numerator * (q // c.denominator) for c in coords], q
+
+    @classmethod
+    def from_integral(cls, spec: AlgebraSpec, coords, q) -> "AlgElem":
+        return cls(spec, *(LElem.from_six_tuple([Fraction(v, q) for v in p]) for p in _parts(coords)))
+
     def _check_spec(self, other: "AlgElem"):
         if self.spec != other.spec:
             raise ValueError("elements live in algebras with different gamma")
@@ -142,22 +161,8 @@ class AlgElem:
         if not isinstance(other, AlgElem):
             return NotImplemented
         self._check_spec(other)
-        # (E^i a)(E^j b) = E^(i+j) sigma^j(a) b, with E^3 folded into gamma
-        gamma_l = LElem(self.spec.gamma)
-        acc = [L_ZERO, L_ZERO, L_ZERO]
-        for i, a in enumerate(self.coords()):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coords()):
-                if b.is_zero():
-                    continue
-                term = a.sigma(j) * b
-                k = i + j
-                if k >= 3:
-                    k -= 3
-                    term = term * gamma_l
-                acc[k] = acc[k] + term
-        return AlgElem(self.spec, *acc)
+        (a, p), (b, q) = self.integral(), other.integral()
+        return AlgElem.from_integral(self.spec, a_mul_coords(a, b, self.spec.gamma_coords), p * q)
 
     def __rmul__(self, other):
         if isinstance(other, (KElem, int, Fraction)):
@@ -167,7 +172,8 @@ class AlgElem:
     def scale(self, k: Scalar) -> "AlgElem":
         """Multiply by a central scalar (an element of K commutes with E)."""
         kk = _as_k(k)
-        return AlgElem(self.spec, self.x0 * kk, self.x1 * kk, self.x2 * kk)
+        a, q = self.integral()
+        return AlgElem.from_integral(self.spec, sum((_l_scale((kk.a0, kk.a1), p) for p in _parts(a)), ()), q)
 
     def __pow__(self, n: int) -> "AlgElem":
         if n < 0:
@@ -257,18 +263,20 @@ class MatL:
 def matrix_embed(x: AlgElem) -> MatL:
     """The 3x3 matrix of left multiplication by x in the basis {1, E, E^2}.
 
-    Columns hold the coordinates of x*1, x*E and x*E^2; the upper triangle
-    picks up a gamma factor from folding E^3.
+    Columns hold the coordinates of x*1, x*E and x*E^2: entry (r, c) is
+    sigma^c(x_t) with t = (r - c) mod 3, and the upper triangle picks up a
+    gamma factor from folding E^3.  It is computed on integer coordinates.
     """
-    g = LElem(x.spec.gamma)
-    x0, x1, x2 = x.coords()
-    return MatL(
-        [
-            [x0, g * x2.sigma(1), g * x1.sigma(2)],
-            [x1, x0.sigma(1), g * x2.sigma(2)],
-            [x2, x1.sigma(1), x0.sigma(2)],
-        ]
-    )
+    a, q = x.integral()
+    sig = [_parts(a)]
+    for _ in range(2):
+        sig.append([l_sigma_coords(v) for v in sig[-1]])
+
+    def entry(r: int, c: int) -> LElem:
+        e = sig[c][(r - c) % 3]
+        return LElem.from_six_tuple([Fraction(v, q) for v in (_l_scale(x.spec.gamma_coords, e) if r < c else e)])
+
+    return MatL([[entry(r, c) for c in range(3)] for r in range(3)])
 
 
 def involution(x: AlgElem) -> AlgElem:
@@ -278,16 +286,9 @@ def involution(x: AlgElem) -> AlgElem:
     and conj(gamma) = 1/gamma.  Requires z = 1, the only case in which the
     matrix embedding turns this map into the conjugate transpose.
     """
-    spec = x.spec
-    if not spec.supports_involution:
-        raise InvolutionUnavailable(
-            f"involution requires gamma*conj(gamma) = 1, got {spec.z}"
-        )
-    g_inv = spec.gamma.inv()
-    y0 = x.x0.conj()
-    y1 = x.x2.conj().sigma(1) * g_inv
-    y2 = x.x1.conj().sigma(2) * g_inv
-    return AlgElem(spec, y0, y1, y2)
+    x.spec.require_involution()
+    a, q = x.integral()
+    return AlgElem.from_integral(x.spec, a_involution_coords(a, x.spec.gamma_coords), q)
 
 
 def reduced_char_poly(x: AlgElem) -> Polynomial:
@@ -301,11 +302,11 @@ def reduced_char_poly(x: AlgElem) -> Polynomial:
     t being the matrix trace and s the sum of its principal 2x2 minors.
     Every coefficient lies in K by construction.
     """
-    a, b, c = (part.six_tuple() for part in x.coords())
-    t = KElem(*l_trace_coords(a))
-    s0 = KElem(*l_trace_coords(l_mul_coords(a, l_sigma_coords(a))))
-    s1 = KElem(*l_trace_coords(l_mul_coords(b, l_sigma_coords(c))))
-    return Polynomial([-reduced_norm(x), s0 - x.spec.gamma * s1, -t, K_ONE])
+    a, q = x.integral()
+    t, s = a_char_coords(a, x.spec.gamma_coords)
+    trace = KElem(Fraction(t[0], q), Fraction(t[1], q))
+    minors = KElem(Fraction(s[0], q * q), Fraction(s[1], q * q))
+    return Polynomial([-reduced_norm(x), minors, -trace, K_ONE])
 
 
 def char_poly_rational(x: AlgElem) -> Polynomial:
@@ -320,19 +321,9 @@ def char_poly_rational(x: AlgElem) -> Polynomial:
 
 
 def reduced_norm(x: AlgElem) -> KElem:
-    """Determinant of the embedded matrix, an element of K.
-
-    With N and Tr the norm and trace of L/K (Sethuraman, Rajan and
-    Shashidhar, IEEE Trans. IT 49(10), 2003) it is
-
-        Nrd(x) = N(x0) + gamma*N(x1) + gamma^2*N(x2)
-                 - gamma*Tr(x0*sigma(x1)*sigma^2(x2)).
-    """
-    a, b, c = (part.six_tuple() for part in x.coords())
-    cross = l_mul_coords(l_mul_coords(a, l_sigma_coords(b)), l_sigma_coords(l_sigma_coords(c)))
-    n0, n1, n2 = (KElem(*l_norm_coords(v)) for v in (a, b, c))
-    g = x.spec.gamma
-    return n0 + g * (n1 + g * n2 - KElem(*l_trace_coords(cross)))
+    """Determinant of the embedded matrix, an element of K (see `a_nrd_coords`)."""
+    a, q = x.integral()
+    return KElem(*(Fraction(v, q**3) for v in a_nrd_coords(a, x.spec.gamma_coords)))
 
 
 def inverse(x: AlgElem) -> AlgElem:
@@ -451,3 +442,74 @@ def worked_example() -> WorkedExample:
         Fraction(n, 19) for n in (-10, 16, 1, -4, 14, 8)
     )
     return WorkedExample(x=x, involution_image=ax, unit_coeffs=unit)
+
+
+# ---------------------------------------------------------------------------
+# Closed forms on eighteen coordinates
+# ---------------------------------------------------------------------------
+# x0 + E*x1 + E^2*x2 as 18 coordinates, the six-tuples of x0, x1 and x2,
+# and gamma as its two K coordinates.  AlgElem and the functions above call
+# these on integers, the codebook on integer arrays and magnitudes, so they
+# use only +, - and *: with gamma integral, every value is an integer.
+
+
+def _parts(flat):
+    return flat[0:6], flat[6:12], flat[12:18]
+
+
+def _l_add(*terms):
+    return tuple(map(sum, zip(*terms)))
+
+
+def _l_scale(k, a):
+    """k*a for k in K (two coordinates) and a in L."""
+    return sum((_k_mul_coords(k[0], k[1], a[i], a[i + 1]) for i in (0, 2, 4)), ())
+
+
+def a_mul_coords(x, y, gamma) -> tuple:
+    """The product: (E^i a)(E^j b) = E^(i+j) sigma^j(a) b, folding E^3 = gamma."""
+    x, y = _parts(x), _parts(y)
+    sig1 = [l_sigma_coords(v) for v in x]
+    sigma = (x, sig1, [l_sigma_coords(v) for v in sig1])
+    out = ()
+    for k in range(3):
+        # the terms with i + j = k, then those with i + j = k + 3 (j > k)
+        terms = [l_mul_coords(sigma[j][(k - j) % 3], y[j]) for j in range(3)]
+        part = _l_add(*terms[:k + 1])
+        if k < 2:
+            part = _l_add(part, _l_scale(gamma, _l_add(*terms[k + 1:])))
+        out += part
+    return out
+
+
+def a_involution_coords(x, gamma) -> tuple:
+    """The involution, with 1/gamma written as conj(gamma) (valid when z = 1)."""
+    g = (gamma[0] - gamma[1], -gamma[1])
+    c0, c1, c2 = (l_conj_coords(v) for v in _parts(x))
+    return c0 + _l_scale(g, l_sigma_coords(c2)) + _l_scale(g, l_sigma_coords(l_sigma_coords(c1)))
+
+
+def a_nrd_coords(x, gamma) -> tuple:
+    """Nrd(x) as its two K coordinates.
+
+    With N and Tr the norm and trace of L/K (Sethuraman, Rajan and
+    Shashidhar, IEEE Trans. IT 49(10), 2003) it is
+
+        Nrd(x) = N(x0) + gamma*N(x1) + gamma^2*N(x2)
+                 - gamma*Tr(x0*sigma(x1)*sigma^2(x2)).
+    """
+    a, b, c = _parts(x)
+    cross = l_mul_coords(l_mul_coords(a, l_sigma_coords(b)), l_sigma_coords(l_sigma_coords(c)))
+    n0, n1, n2 = (l_norm_coords(v) for v in (a, b, c))
+    tr = l_trace_coords(cross)
+    g_n2 = _k_mul_coords(*gamma, *n2)
+    inner = _k_mul_coords(*gamma, n1[0] + g_n2[0] - tr[0], n1[1] + g_n2[1] - tr[1])
+    return n0[0] + inner[0], n0[1] + inner[1]
+
+
+def a_char_coords(x, gamma) -> tuple:
+    """(t, s) of chi(X) = X^3 - t*X^2 + s*X - Nrd(x), each as two K coordinates."""
+    a, b, c = _parts(x)
+    s0 = l_trace_coords(l_mul_coords(a, l_sigma_coords(a)))
+    s1 = _k_mul_coords(*gamma, *l_trace_coords(l_mul_coords(b, l_sigma_coords(c))))
+    return l_trace_coords(a), (s0[0] - s1[0], s0[1] - s1[1])

@@ -3,11 +3,15 @@
 A commutative subfield M = K[g] of the algebra that is stable under the
 involution turns every nonzero u in M into a unitary element
 x = u * involution(u)^(-1) (the quotient construction behind norm-1
-elements of cyclic extensions), built in one place, `hilbert90_unit`.
-Enumerating u over a rational coordinate box and deduplicating yields
-reproducible codebooks of certified unitary 3x3 matrices; since the
-algebra is division, pairwise differences have nonzero determinant and
-the family is fully diverse.
+elements of cyclic extensions).  Enumerating u over a rational coordinate
+box and deduplicating yields reproducible codebooks of certified unitary
+3x3 matrices; since the algebra is division, pairwise differences have
+nonzero determinant and the family is fully diverse.
+
+Units are built in one place, `_hilbert90_batch`, from candidates scaled
+to integer coordinates (x does not change) on int64 or object arrays;
+`generate_codebook` runs it on chunks and `hilbert90_unit` on a batch of
+one.  `first_non_unitary` decides x * involution(x) = 1 in one array pass.
 
 Stability under the involution is one commute check: in a division
 algebra of prime degree 3, any g outside the center K generates a maximal
@@ -28,21 +32,28 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .algebra import (
     AlgElem,
+    AlgebraSpec,
     STANDARD_ALGEBRA,
+    _l_add,
+    _l_scale,
+    _parts,
+    a_char_coords,
+    a_involution_coords,
+    a_mul_coords,
+    a_nrd_coords,
     char_poly_rational,
     involution,
-    inverse,
     matrix_embed,
     reduced_norm,
 )
-from .fields import KElem, LElem, THETA, l_norm_coords, minimal_polynomial_coeffs
+from .fields import K_ONE, KElem, LElem, THETA, ZETA3, l_norm_coords, minimal_polynomial_coeffs
 from .polynomials import Polynomial, discriminant_cubic, has_rational_root
 from .rationals import as_rat, factor_small_int
 
@@ -91,7 +102,7 @@ def iter_box_tuples(box: Box) -> Iterator[tuple[Fraction, ...]]:
                 yield tup
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubfieldSpec:
     """A commutative, involution-stable cubic subfield K[g] of the algebra.
 
@@ -103,13 +114,17 @@ class SubfieldSpec:
     gamma = 1, (1 - E)(1 + E + E^2) = 0); g commutes with involution(g),
     which under the certificate (double centralizer) puts involution(g)
     in K[g], so the involution maps K[g] onto itself.
+
+    The rows of `matrix` are q times 1, zeta3, g, zeta3*g, g^2 and
+    zeta3*g^2, q their least common denominator (so matrix[0][0] = q), and
+    a coordinate row c gives c @ matrix = q * element(c).
     """
 
     kind: str
     k: Optional[int]
     generator: AlgElem
     label: str
-    basis: tuple[AlgElem, AlgElem, AlgElem] = field(init=False)
+    matrix: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         g = self.generator
@@ -120,18 +135,29 @@ class SubfieldSpec:
         ag = involution(g)
         if g * ag != ag * g:
             raise ValueError(f"subfield {self.label} is not stable under the involution")
-        object.__setattr__(self, "basis", (g.spec.one(), g, g * g))
+        g, matrix = _interned_basis(g)
+        object.__setattr__(self, "generator", g)
+        object.__setattr__(self, "matrix", matrix)
 
     def element(self, coords: Sequence[Fraction]) -> AlgElem:
-        ks = [
-            KElem(as_rat(coords[0]), as_rat(coords[1])),
-            KElem(as_rat(coords[2]), as_rat(coords[3])),
-            KElem(as_rat(coords[4]), as_rat(coords[5])),
-        ]
-        acc = self.basis[0].spec.zero()
-        for c, b in zip(ks, self.basis):
-            acc = acc + b.scale(c)
-        return acc
+        c = [as_rat(v) for v in coords]
+        num = [sum(a * b for a, b in zip(c, col)) for col in zip(*self.matrix)]
+        return AlgElem.from_integral(self.generator.spec, num, self.matrix[0][0])
+
+
+# Subfields, their basis matrices, units and renderings are immutable and
+# cached: requests repeat them (every Box(1,1) codebook opens with the same
+# four units of K), and a caller that keeps many codebooks then holds one
+# copy of each.
+_CACHE = 1 << 9
+
+
+@functools.lru_cache(maxsize=_CACHE)
+def _interned_basis(g: AlgElem) -> tuple[AlgElem, tuple[tuple[int, ...], ...]]:
+    """The first generator equal to g, which specs then share, and `SubfieldSpec.matrix` of K[g]."""
+    rows = [b.scale(z).integral() for b in (g.spec.one(), g, g * g) for z in (K_ONE, ZETA3)]
+    q = math.lcm(*(d for _, d in rows))
+    return g, tuple(tuple(v * (q // d) for v in r) for r, d in rows)
 
 
 def nu_generator(k: int) -> AlgElem:
@@ -140,7 +166,12 @@ def nu_generator(k: int) -> AlgElem:
 
 
 def subfield(kind: str, k: Optional[int] = None) -> SubfieldSpec:
-    """Build one of the named subfields of the standard algebra: "zeta9", "nu" (with k), or "L"."""
+    """One of the named subfields of the standard algebra: "zeta9", "nu" (with k), or "L"."""
+    return _named_subfield(kind, k)
+
+
+@functools.lru_cache(maxsize=_CACHE)
+def _named_subfield(kind: str, k: Optional[int]) -> SubfieldSpec:
     if kind == "zeta9":
         return SubfieldSpec("zeta9", None, STANDARD_ALGEBRA.gen(), "Q(zeta9)")
     if kind == "nu":
@@ -152,10 +183,81 @@ def subfield(kind: str, k: Optional[int] = None) -> SubfieldSpec:
     raise ValueError(f"unknown subfield kind {kind!r}")
 
 
-def enumerate_subfield(sub: SubfieldSpec, box: Box) -> Iterator[AlgElem]:
-    """All nonzero subfield elements with coordinates inside the box."""
-    for tup in iter_box_tuples(box):
-        yield sub.element(tup)
+# Candidates per array pass of generate_codebook.
+_UNIT_CHUNK = 32
+
+
+@functools.lru_cache(maxsize=_CACHE)
+def _peak(formula, sizes: tuple[int, ...], gamma) -> int:
+    """Bound on every integer formula(u, gamma) makes from integers |u_j| <= sizes[j]."""
+    return max(v.peak for v in formula([_Magnitude(m) for m in sizes], gamma))
+
+
+def _dtype(formula, sizes: tuple[int, ...], gamma) -> type:
+    """int64 if it holds every such integer and gamma is integral, else object."""
+    fits = _peak(formula, sizes, gamma) < 2**63 and all(isinstance(c, int) for c in gamma)
+    return np.int64 if fits else object
+
+
+def _hilbert90_coords(u, gamma) -> tuple:
+    """u*v, v*u, X (18 coordinates each) and d with u * v^(-1) = X/d, v = involution(u).
+
+    Cayley-Hamilton gives v*(v^2 - t*v + s) = n for chi_v = X^3 - t*X^2 +
+    s*X - n, so with p = u*v, u * v^(-1) = (p*v - t*p + s*u) * conj(n) / N(n).
+    """
+    v = a_involution_coords(u, gamma)
+    p = a_mul_coords(u, v, gamma)
+    (t0, t1), s = a_char_coords(v, gamma)
+    n0, n1 = a_nrd_coords(v, gamma)
+    nbar = (n0 - n1, -n1)
+    x = ()
+    for pv, pp, uu in zip(*map(_parts, (a_mul_coords(p, v, gamma), p, u))):
+        x += _l_scale(nbar, _l_add(pv, _l_scale((-t0, -t1), pp), _l_scale(s, uu)))
+    return (*p, *a_mul_coords(v, u, gamma), *x, n0 * nbar[0] - n1 * nbar[1])
+
+
+def _hilbert90_batch(u: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The commute mask, X (18 x k) and d for the columns u of an 18 x k integer array
+    (any candidate scaled to integers: its rational multiples give the same X/d)."""
+    c = _hilbert90_coords(u, gamma)
+    return np.logical_and.reduce([a == b for a, b in zip(c[:18], c[18:36])]), np.array(c[36:54]), c[54]
+
+
+def _unit_norm_coords(x, gamma) -> list:
+    """x * involution(x), 18 coordinates."""
+    return a_mul_coords(x, a_involution_coords(x, gamma), gamma)
+
+
+def first_non_unitary(elements: Sequence[AlgElem]) -> Optional[int]:
+    """The least index i with x_i * involution(x_i) != 1, or None.
+
+    With x = X/q, X integral, X * involution(X) = q^2 is decided for all
+    elements in one pass on integer arrays (the product's bound covers q^2).
+    """
+    if not elements:
+        return None
+    spec = elements[0].spec
+    if any(x.spec != spec for x in elements):
+        raise ValueError("elements live in algebras with different gamma")
+    spec.require_involution()
+    gamma = spec.gamma_coords
+    nums, dens = zip(*(x.integral() for x in elements))
+    top = max(*dens, *(abs(v) for num in nums for v in num))
+    dtype = _dtype(_unit_norm_coords, (2 ** top.bit_length(),) * 18, gamma)
+    q = np.array(dens, dtype=dtype)
+    prod = _unit_norm_coords(np.array(nums, dtype=dtype).T, gamma)
+    bad = np.flatnonzero(np.logical_or.reduce([prod[0] != q * q, *(c != 0 for c in prod[1:])]))
+    return int(bad[0]) if len(bad) else None
+
+
+_unit = functools.lru_cache(maxsize=_CACHE)(AlgElem.from_integral)
+
+
+def _units(spec: AlgebraSpec, keys) -> list[AlgElem]:
+    """The units X/d for keys (X, d), checked exactly: x * involution(x) = 1."""
+    units = [_unit(spec, tuple(x), d) for x, d in keys]
+    assert first_non_unitary(units) is None, "unit postcondition failed"
+    return units
 
 
 class PreconditionError(ValueError):
@@ -163,7 +265,7 @@ class PreconditionError(ValueError):
 
 
 def hilbert90_unit(u: AlgElem) -> AlgElem:
-    """The unitary element u * involution(u)^(-1), the one unit construction.
+    """The unitary element u * involution(u)^(-1): `_hilbert90_batch` on a batch of one.
 
     Requires u nonzero and u commuting with involution(u); a failed commute
     check raises PreconditionError (a ValueError), while the algebra's
@@ -172,22 +274,22 @@ def hilbert90_unit(u: AlgElem) -> AlgElem:
     """
     if u.is_zero():
         raise ValueError("u must be nonzero")
-    au = involution(u)
-    if u * au != au * u:
+    u.spec.require_involution()
+    commute, x, d = _hilbert90_batch(np.array(u.integral()[0], dtype=object)[:, None], u.spec.gamma_coords)
+    if not commute[0]:
         raise PreconditionError("precondition failed: u does not commute with involution(u)")
-    x = u * inverse(au)
-    assert x * involution(x) == x.spec.one(), "unit postcondition failed"
-    return x
+    return _units(u.spec, [(x[:, 0].tolist(), d[0])])[0]
 
 
-def unitary_matrix_numeric(x: AlgElem) -> list[list[complex]]:
+def unitary_matrix_numeric(x: AlgElem) -> tuple[tuple[complex, ...], ...]:
     """`_unitary_render` of x after checking x * involution(x) = 1 exactly."""
-    if x * involution(x) != x.spec.one():
+    if first_non_unitary([x]) is not None:
         raise ValueError("element is not unitary")
     return _unitary_render(x)
 
 
-def _unitary_render(x: AlgElem) -> list[list[complex]]:
+@functools.lru_cache(maxsize=_CACHE)
+def _unitary_render(x: AlgElem) -> tuple[tuple[complex, ...], ...]:
     """Complex 3x3 rendering (embedding 0) of a unit, e.g. from `hilbert90_unit`.
 
     The numeric matrix must satisfy max|M M^dagger - I| <= 1e-10 (anything
@@ -196,10 +298,10 @@ def _unitary_render(x: AlgElem) -> list[list[complex]]:
     m = np.array(matrix_embed(x).to_complex(0), dtype=complex)
     defect = np.max(np.abs(m @ m.conj().T - np.eye(3)))
     assert defect <= 1e-10, f"numeric unitarity defect {defect}"
-    return [[complex(v) for v in row] for row in m]
+    return tuple(tuple(complex(v) for v in row) for row in m)
 
 
-@dataclass
+@dataclass(slots=True)
 class Codebook:
     """An ordered family of certified unitary elements with numeric renderings."""
 
@@ -207,7 +309,7 @@ class Codebook:
     box: Box
     requested: int
     elements: list[AlgElem]
-    matrices: list[list[list[complex]]]
+    matrices: list[tuple[tuple[complex, ...], ...]]
     complete: bool
     precondition_failures: int
     candidates_scanned: int
@@ -216,31 +318,54 @@ class Codebook:
         return len(self.elements)
 
 
-def generate_codebook(sub: SubfieldSpec, box: Box, size: int) -> Codebook:
-    """Map the enumeration through `hilbert90_unit`, dedupe, truncate.
+def subfield_candidates(sub: SubfieldSpec, box: Box) -> Iterator[np.ndarray]:
+    """The candidates in `iter_box_tuples` order, as 18 x k integer arrays, k <= _UNIT_CHUNK.
 
-    Candidates whose commute check fails (PreconditionError) are skipped and
-    counted in `precondition_failures`.  If the box runs out before `size`
-    distinct units are found, the partial codebook is returned with
-    complete=False.
+    The tuple c becomes the column (Q*c) @ sub.matrix, a positive integer
+    multiple of the element c, Q the lcm of the box's denominators.  The
+    dtype is int64 if `_hilbert90_coords` stays within it, object otherwise.
+    """
+    values = box.values()
+    q = math.lcm(*(v.denominator for v in values))
+    scaled = {v: int(v * q) for v in values}
+    sizes = tuple(box.numerator_bound * q * sum(map(abs, col)) for col in zip(*sub.matrix))
+    basis = np.array(sub.matrix, dtype=_dtype(_hilbert90_coords, sizes, sub.generator.spec.gamma_coords)).T
+    tuples = iter_box_tuples(box)
+    while chunk := list(islice(tuples, _UNIT_CHUNK)):
+        yield basis @ np.array([[scaled[v] for v in t] for t in chunk], dtype=basis.dtype).T
+
+
+def generate_codebook(sub: SubfieldSpec, box: Box, size: int) -> Codebook:
+    """The first `size` distinct units u * involution(u)^(-1) over the box.
+
+    `_hilbert90_batch` runs on the integer chunks of `subfield_candidates`
+    (int64 or object dtype, as their magnitude bound allows).  A walk over
+    each chunk keeps the enumeration order: candidates failing the commute
+    check are counted in `precondition_failures`, units are deduplicated on
+    the gcd-reduced key (X/g, d/g) of X/d, and the walk stops at the
+    candidate completing `size` units.  Only emitted units become AlgElems,
+    checked exactly in one batch (x * involution(x) = 1) and rendered.  If
+    the box runs out first, the codebook is returned with complete=False.
     """
     if size < 1:
         raise ValueError("size must be at least 1")
-    seen: dict[AlgElem, None] = {}
-    failures = 0
-    scanned = 0
-    for u in enumerate_subfield(sub, box):
-        scanned += 1
-        try:
-            x = hilbert90_unit(u)
-        except PreconditionError:
-            failures += 1
-            continue
-        if x not in seen:
-            seen[x] = None
+    spec = sub.generator.spec
+    seen: dict[tuple, None] = {}
+    failures = scanned = 0
+    for u in subfield_candidates(sub, box):
+        commute, x, d = _hilbert90_batch(u, spec.gamma_coords)
+        for ok, num, den in zip(commute.tolist(), x.T.tolist(), d.tolist()):
+            scanned += 1
+            if not ok:
+                failures += 1
+                continue
+            g = math.gcd(den, *num)
+            seen[(tuple(v // g for v in num), den // g)] = None
             if len(seen) == size:
                 break
-    elements = list(seen)
+        if len(seen) == size:
+            break
+    elements = _units(spec, list(seen))
     return Codebook(
         subfield_spec=sub,
         box=box,

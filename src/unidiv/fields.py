@@ -9,12 +9,11 @@ The degree-3 Galois action of L over K is generated by theta -> theta^2 - 2
 and fixes K pointwise.  Complex conjugation acts on the K coefficients
 (zeta3 -> zeta3^2) and fixes theta; it commutes with the Galois action.
 
-The product in K, and the product, Galois action, norm and trace in L,
-exist once: as the closed forms on rational coordinates at the end of this
-module.  KElem and LElem apply them to their own coordinates, the algebra
-applies them to reduced norms and characteristic polynomials, and the
-witness search applies them to integer arrays.  The inverse in L is
-sigma(a)*sigma^2(a)/N(a).
+The product in K, and the product, Galois action, conjugation, norm and
+trace in L, exist once: as the closed forms on rational coordinates at the
+end of this module.  KElem and LElem apply them to their own coordinates,
+the algebra's closed forms build on them, and the witness search applies
+them to integer arrays.  The inverse in L is sigma(a)*sigma^2(a)/N(a).
 
 All values are immutable and all operations pure, so everything can be
 shared freely across threads.
@@ -223,7 +222,7 @@ class LElem:
 
     def conj(self) -> "LElem":
         """Complex conjugation: zeta3 -> zeta3^2 on every coefficient, theta fixed."""
-        return LElem(self.c0.conj(), self.c1.conj(), self.c2.conj())
+        return LElem.from_six_tuple(l_conj_coords(self.six_tuple()))
 
     def norm_to_k(self) -> KElem:
         """Product of the three Galois conjugates; always lands in K."""
@@ -297,12 +296,12 @@ THETA_SQ = LElem(0, 0, 1)
 # Closed forms on six coordinates
 # ---------------------------------------------------------------------------
 # An element of L as six rational coordinates in `LElem.six_tuple` order.
-# These are the only implementation of the products, the Galois action, the
-# norm and the trace: KElem and LElem call them on Fractions, the reduced
-# norm and characteristic polynomial of the algebra on Fractions, the
-# witness search on integer arrays and norm_coords_bound on magnitudes.  So
-# they must use only +, - and *; on integer inputs every value stays an
-# integer.
+# These are the only implementation of the products, the Galois action,
+# the conjugation, the norm and the trace: KElem and LElem call them on
+# Fractions, the algebra's closed forms on integers, integer arrays and
+# magnitudes, the witness search on integer arrays and norm_coords_bound on
+# magnitudes.  So they must use only +, - and *; on integer inputs every
+# value stays an integer.
 
 
 def _k_mul_coords(x0, x1, y0, y1):
@@ -333,6 +332,12 @@ def l_sigma_coords(a: Sequence) -> tuple:
     """The Galois generator: (c0, c1, c2) -> (c0 - 2*c1 + 3*c2, -c2, c1 - c2)."""
     x0, y0, x1, y1, x2, y2 = a
     return x0 - 2 * x1 + 3 * x2, y0 - 2 * y1 + 3 * y2, -x2, -y2, x1 - x2, y1 - y2
+
+
+def l_conj_coords(a: Sequence) -> tuple:
+    """Complex conjugation, a0 + a1*zeta3 -> (a0 - a1) - a1*zeta3 on each K coefficient."""
+    x0, y0, x1, y1, x2, y2 = a
+    return x0 - y0, -y0, x1 - y1, -y1, x2 - y2, -y2
 
 
 def l_norm_coords(a: Sequence) -> tuple:

@@ -1,5 +1,11 @@
 """Slow exact oracles shared by the tests.
 
+`alg_mul_oracle` is the algebra product as the loop over E-powers that the
+18-coordinate closed form replaced, `matrix_embed_oracle` the embedding in
+LElem arithmetic, and `codebook_oracle` over `enumerate_subfield` the
+per-candidate Fraction path that `generate_codebook`'s integer arrays
+replaced.
+
 `solve_k_linear` and `express_in_power_basis` decide membership in a power
 basis by Gaussian elimination over K; `SubfieldSpec` decides involution
 stability by a commute check instead, and the tests compare the two.  The
@@ -9,8 +15,62 @@ tuples of LElem), compared with ==.
 
 from typing import Optional, Sequence
 
-from unidiv.algebra import AlgElem
-from unidiv.fields import K_ZERO, KElem, L_ONE, L_ZERO
+from unidiv.algebra import AlgElem, inverse, involution
+from unidiv.codebook import iter_box_tuples
+from unidiv.fields import K_ZERO, KElem, L_ONE, L_ZERO, LElem
+
+
+def alg_mul_oracle(x: AlgElem, y: AlgElem) -> AlgElem:
+    """x*y from (E^i a)(E^j b) = E^(i+j) sigma^j(a) b, with E^3 folded into gamma."""
+    gamma_l = LElem(x.spec.gamma)
+    acc = [L_ZERO, L_ZERO, L_ZERO]
+    for i, a in enumerate(x.coords()):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(y.coords()):
+            if b.is_zero():
+                continue
+            term = a.sigma(j) * b
+            k = i + j
+            if k >= 3:
+                k -= 3
+                term = term * gamma_l
+            acc[k] = acc[k] + term
+    return AlgElem(x.spec, *acc)
+
+
+def matrix_embed_oracle(x: AlgElem) -> list[list[LElem]]:
+    """The rows of matrix_embed(x): sigma^c(x_t), t = (r - c) mod 3, times gamma above the diagonal."""
+    g = LElem(x.spec.gamma)
+    x0, x1, x2 = x.coords()
+    return [
+        [x0, g * x2.sigma(1), g * x1.sigma(2)],
+        [x1, x0.sigma(1), g * x2.sigma(2)],
+        [x2, x1.sigma(1), x0.sigma(2)],
+    ]
+
+
+def enumerate_subfield(sub, box):
+    """The candidates of generate_codebook as AlgElems: sub.element of every box tuple."""
+    for tup in iter_box_tuples(box):
+        yield sub.element(tup)
+
+
+def codebook_oracle(stream, size: int) -> tuple[list[AlgElem], int, int]:
+    """(elements, candidates scanned, precondition failures) of the first size
+    distinct units u * involution(u)^(-1) over a stream of AlgElem candidates."""
+    seen: dict[AlgElem, None] = {}
+    scanned = failures = 0
+    for u in stream:
+        scanned += 1
+        au = involution(u)
+        if u * au != au * u:
+            failures += 1
+            continue
+        seen.setdefault(u * inverse(au))
+        if len(seen) == size:
+            break
+    return list(seen), scanned, failures
 
 
 def solve_k_linear(

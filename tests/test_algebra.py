@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import rand_alg, rand_k, rand_l, rand_real_l
 from oracles import (
     IDENTITY_ROWS,
+    alg_mul_oracle,
     express_in_power_basis,
     rows_add,
     rows_conj_transpose,
@@ -17,6 +19,10 @@ from unidiv.algebra import (
     InversionError,
     InvolutionUnavailable,
     STANDARD_ALGEBRA,
+    a_char_coords,
+    a_involution_coords,
+    a_mul_coords,
+    a_nrd_coords,
     char_poly_rational,
     fixed_point_conditions,
     from_zeta9,
@@ -405,3 +411,74 @@ def test_scale_is_central():
         k = rand_k(rng, 4, 2)
         assert x.scale(k) == A.from_l(LElem(k)) * x
         assert x.scale(k) == x * A.from_l(LElem(k))
+
+
+# ---------------------------------------------------------------------------
+# Closed forms on 18 coordinates
+# ---------------------------------------------------------------------------
+
+
+def flat(x: AlgElem) -> tuple:
+    return tuple(c for part in x.coords() for c in part.six_tuple())
+
+
+def involution_oracle(x: AlgElem) -> AlgElem:
+    """conj(x0) + E*sigma(conj(x2))/gamma + E^2*sigma^2(conj(x1))/gamma, in LElem arithmetic."""
+    g_inv = LElem(x.spec.gamma.inv())
+    return AlgElem(x.spec, x.x0.conj(), x.x2.conj().sigma(1) * g_inv, x.x1.conj().sigma(2) * g_inv)
+
+
+@pytest.mark.parametrize("gamma", ORACLE_GAMMAS, ids=str)
+def test_product_closed_form_matches_loop_oracle(gamma):
+    spec = AlgebraSpec(gamma)
+    g = (gamma.a0, gamma.a1)
+    cases = oracle_cases(spec, random.Random(41))
+    for x, y in zip(cases, reversed(cases)):
+        want = alg_mul_oracle(x, y)
+        assert a_mul_coords(flat(x), flat(y), g) == flat(want)
+        assert x * y == want
+
+
+@pytest.mark.parametrize("gamma", [ZETA3, ZETA3 * ZETA3], ids=str)
+def test_involution_closed_form_matches_lelem_form(gamma):
+    spec = AlgebraSpec(gamma)
+    for x in oracle_cases(spec, random.Random(43)):
+        want = involution_oracle(x)
+        assert a_involution_coords(flat(x), (gamma.a0, gamma.a1)) == flat(want)
+        assert involution(x) == want
+
+
+def test_closed_forms_on_integer_arrays():
+    # each column of int64 and object arrays gives what the same formula gives on Fractions
+    rng = random.Random(47)
+    g = (0, 1)
+    rows = [[rng.randint(-9, 9) for _ in range(18)] for _ in range(30)]
+    rows2 = rows[1:] + rows[:1]
+    for dtype in (np.int64, object):
+        x, y = np.array(rows, dtype=dtype).T, np.array(rows2, dtype=dtype).T
+        got = {
+            "mul": a_mul_coords(x, y, g),
+            "involution": a_involution_coords(x, g),
+            "nrd": a_nrd_coords(x, g),
+            "char": sum(a_char_coords(x, g), ()),
+        }
+        for i, (r, r2) in enumerate(zip(rows, rows2)):
+            fr, fr2 = [Fraction(v) for v in r], [Fraction(v) for v in r2]
+            want = {
+                "mul": a_mul_coords(fr, fr2, g),
+                "involution": a_involution_coords(fr, g),
+                "nrd": a_nrd_coords(fr, g),
+                "char": sum(a_char_coords(fr, g), ()),
+            }
+            for name, values in got.items():
+                assert [int(v[i]) for v in values] == list(want[name]), name
+
+
+def test_nrd_and_char_closed_forms_match_elements():
+    rng = random.Random(53)
+    for _ in range(20):
+        x = rand_alg(rng, num=6, den=4)
+        t, s = a_char_coords(flat(x), (0, 1))
+        chi = reduced_char_poly(x)
+        assert KElem(*a_nrd_coords(flat(x), (0, 1))) == reduced_norm(x) == -chi.coeffs[0]
+        assert (KElem(*t), KElem(*s)) == (-chi.coeffs[2], chi.coeffs[1])

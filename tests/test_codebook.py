@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -7,8 +8,8 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from conftest import rand_k
-from oracles import express_in_power_basis
+from conftest import rand_alg, rand_k
+from oracles import codebook_oracle, enumerate_subfield, express_in_power_basis, matrix_embed_oracle
 import unidiv.codebook
 from unidiv.algebra import (
     AlgebraSpec,
@@ -23,13 +24,16 @@ from unidiv.algebra import (
 )
 from unidiv.codebook import (
     _BASIS_VALUES,
+    _hilbert90_coords,
     _numeric_pair_dets,
+    _peak,
+    _unit_norm_coords,
     Box,
     DiversityReport,
     PreconditionError,
     SubfieldSpec,
     division_certificate,
-    enumerate_subfield,
+    first_non_unitary,
     generate_codebook,
     hilbert90_unit,
     iter_box_tuples,
@@ -40,6 +44,7 @@ from unidiv.codebook import (
     pairwise_determinants,
     reduce_generator_poly,
     subfield,
+    subfield_candidates,
     subfield_table,
     subfield_table_row,
     unitary_matrix_numeric,
@@ -210,7 +215,10 @@ def test_generate_codebook_counts_precondition_failures(monkeypatch):
     sub = subfield("zeta9")
     bad = A.element(LElem(0, 1, 0), LElem(1), LElem(0))
     stream = [bad, *islice(enumerate_subfield(sub, Box(1, 1)), 20), bad]
-    monkeypatch.setattr(unidiv.codebook, "enumerate_subfield", lambda sub, box: iter(stream))
+    # the chunks generate_codebook reads: candidates as integer columns
+    columns = np.array([u.integral()[0] for u in stream], dtype=object).T
+    chunks = [columns[:, :8], columns[:, 8:]]
+    monkeypatch.setattr(unidiv.codebook, "subfield_candidates", lambda sub, box: iter(chunks))
     cb = generate_codebook(sub, Box(1, 1), 100)
     assert cb.precondition_failures == 2
     assert cb.candidates_scanned == len(stream)
@@ -286,6 +294,113 @@ def test_generate_codebook_nu_subfield():
     assert cb.precondition_failures == 0
     for x in cb.elements:
         assert x * involution(x) == ONE
+
+
+CLI_SUBFIELDS = [("zeta9", None), *(("nu", k) for k in range(1, 6)), ("L", None)]
+CLI_IDS = ["zeta9", *(f"nu{k}" for k in range(1, 6)), "L"]
+
+
+def assert_matches_fraction_oracle(sub: SubfieldSpec, box: Box, size: int):
+    """generate_codebook against the per-candidate Fraction path: units, order, counts, matrices."""
+    cb = generate_codebook(sub, box, size)
+    elements, scanned, failures = codebook_oracle(enumerate_subfield(sub, box), size)
+    assert cb.elements == elements
+    assert (cb.candidates_scanned, cb.precondition_failures) == (scanned, failures)
+    assert cb.complete == (len(elements) == size)
+    # the same floats as the LElem embedding, in the same operation order
+    assert [[list(row) for row in m] for m in cb.matrices] == [
+        [[v.to_complex(0) for v in row] for row in matrix_embed_oracle(x)] for x in elements
+    ]
+    return cb
+
+
+@pytest.mark.parametrize("kind, k", CLI_SUBFIELDS, ids=CLI_IDS)
+def test_generate_codebook_matches_fraction_oracle_to_exhaustion(kind, k):
+    cb = assert_matches_fraction_oracle(subfield(kind, k), Box(1, 1), 10**6)
+    assert not cb.complete and cb.candidates_scanned == 728
+
+
+@pytest.mark.parametrize("box", [Box(2, 1), Box(1, 2)], ids=["B2D1", "B1D2"])
+@pytest.mark.parametrize("kind, k, size", [("zeta9", None, 192), ("nu", 1, 278)], ids=["zeta9", "nu1"])
+def test_generate_codebook_matches_fraction_oracle_on_prefixes(kind, k, size, box):
+    # ten units beyond those of the 728 height-1 candidates, so the prefix
+    # reaches into the height-2 stratum
+    cb = assert_matches_fraction_oracle(subfield(kind, k), box, size)
+    assert cb.complete and cb.candidates_scanned > 728
+
+
+@pytest.mark.parametrize("kind, k", CLI_SUBFIELDS, ids=CLI_IDS)
+def test_generate_codebook_matches_fraction_oracle_on_reparametrised_generators(kind, k):
+    g = subfield(kind, k).generator
+    for a in (1, -1, 2):
+        for b in (1, -1, 2):
+            sub = SubfieldSpec(kind, k, g.scale(b) + ONE.scale(a), f"{a}+{b}g")
+            assert_matches_fraction_oracle(sub, Box(1, 1), 6)
+
+
+def test_generate_codebook_object_dtype_matches_fraction_oracle():
+    # Q = lcm(1..13) = 360360 puts the unit pipeline's bound past int64
+    sub = subfield("zeta9")
+    assert next(subfield_candidates(sub, Box(1, 13))).dtype == object
+    assert_matches_fraction_oracle(sub, Box(1, 13), 20)
+    assert next(subfield_candidates(sub, Box(1, 1))).dtype == np.int64
+    # nu_5 already needs Python integers at Box(1, 1)
+    assert next(subfield_candidates(subfield("nu", 5), Box(1, 1))).dtype == object
+
+
+def candidate_sizes(sub: SubfieldSpec, box: Box) -> tuple:
+    """The bounds on |u_j| that subfield_candidates gives _peak."""
+    q = math.lcm(*(v.denominator for v in box.values()))
+    return tuple(box.numerator_bound * q * sum(abs(r[j]) for r in sub.matrix) for j in range(18))
+
+
+@pytest.mark.parametrize("box", [Box(1, 1), Box(2, 1), Box(1, 2)], ids=["B1D1", "B2D1", "B1D2"])
+@pytest.mark.parametrize("kind, k", CLI_SUBFIELDS, ids=CLI_IDS)
+def test_hilbert90_bound_holds_on_chunks(kind, k, box):
+    sub = subfield(kind, k)
+    sizes = candidate_sizes(sub, box)
+    bound = _peak(_hilbert90_coords, sizes, sub.generator.spec.gamma_coords)
+    for n, u in enumerate(subfield_candidates(sub, box)):
+        if n == 8:
+            break
+        u = u.astype(object)
+        assert all(abs(v) <= m for row, m in zip(u, sizes) for v in row)
+        outputs = _hilbert90_coords(u, sub.generator.spec.gamma_coords)
+        assert max(abs(v) for out in outputs for v in np.atleast_1d(out)) <= bound
+
+
+def test_unitarity_bound_holds_on_units():
+    units = list(generate_codebook(subfield("nu", 5), Box(1, 1), 10**6).elements)
+    units += generate_codebook(subfield("zeta9"), Box(2, 1), 200).elements
+    for x in units:
+        num, q = x.integral()
+        bits = max(q, *map(abs, num)).bit_length()
+        bound = _peak(_unit_norm_coords, (2**bits,) * 18, (0, 1))
+        assert max(map(abs, (q * q, *_unit_norm_coords(num, (0, 1))))) <= bound
+
+
+def test_first_non_unitary_names_the_least_index():
+    units = generate_codebook(subfield("nu", 1), Box(1, 1), 12).elements
+    assert first_non_unitary(units) is None
+    bad = list(units)
+    bad[7] = bad[7].scale(2)
+    bad[3] = bad[3] + ONE
+    assert first_non_unitary(bad) == 3
+    assert first_non_unitary(bad[4:]) == 3
+    assert first_non_unitary([]) is None
+
+
+def test_first_non_unitary_matches_exact_product():
+    # random elements, units, and units with coordinates past int64
+    rng = random.Random(61)
+    sub = subfield("nu", 2)
+    family = [rand_alg(rng) for _ in range(10)]
+    family += generate_codebook(sub, Box(1, 1), 10).elements
+    big = hilbert90_unit(sub.element([10**12, 3, -7, 10**9, 5, 1]))
+    family += [big, big.scale(Fraction(1, 10**15)), big + big]
+    for x in family:
+        assert (first_non_unitary([x]) is None) == (x * involution(x) == ONE)
+    assert max(abs(v) for v in big.integral()[0]) > 2**63
 
 
 def test_diversity_pair_scalars():
