@@ -112,48 +112,76 @@ def _as_l(value) -> LElem:
 
 
 class AlgElem:
-    """x0 + E*x1 + E^2*x2 with LElem coordinates (unique representation)."""
+    """x0 + E*x1 + E^2*x2 with L coordinates x0, x1, x2.
 
-    __slots__ = ("spec", "x0", "x1", "x2")
+    It is stored as 18 integers over one positive denominator in lowest
+    terms (`integral`), the six-tuples of x0, x1 and x2, without trailing
+    zeros (an element of L keeps at most six), so equal elements store
+    equal values; x0, x1 and x2 are built from them when read.
+    """
+
+    __slots__ = ("spec", "_num", "_den")
 
     def __init__(self, spec: AlgebraSpec, x0: LElem, x1: LElem, x2: LElem):
+        coords = [c for part in (x0, x1, x2) for c in part.six_tuple()]
+        q = math.lcm(*(c.denominator for c in coords))
+        self._set(spec, [c.numerator * (q // c.denominator) for c in coords], q)
+
+    def _set(self, spec: AlgebraSpec, coords, q) -> None:
+        if not all(type(v) is int for v in coords):  # Fractions, from a non-integral gamma
+            m = math.lcm(*(Fraction(v).denominator for v in coords))
+            coords, q = [int(v * m) for v in coords], q * m
+        if q == 0:
+            raise ZeroDivisionError("zero denominator")
+        g = math.gcd(q, *coords) * (1 if q > 0 else -1)
         self.spec = spec
-        self.x0 = x0
-        self.x1 = x1
-        self.x2 = x2
+        num = [v // g for v in coords]
+        while num and not num[-1]:
+            num.pop()
+        self._num = tuple(num)
+        self._den = int(q) // g
 
     def coords(self) -> tuple[LElem, LElem, LElem]:
         return (self.x0, self.x1, self.x2)
 
-    def integral(self) -> tuple[list[int], int]:
-        """The 18 coordinates as integers over their lcm denominator, for the closed
-        forms (far faster on integers than on Fractions); `from_integral` divides back."""
-        coords = [c for part in self.coords() for c in part.six_tuple()]
-        q = math.lcm(*(c.denominator for c in coords))
-        return [c.numerator * (q // c.denominator) for c in coords], q
+    def _part(self, i: int) -> LElem:
+        return LElem.from_six_tuple([Fraction(v, self._den) for v in self.integral()[0][6 * i : 6 * i + 6]])
+
+    x0 = property(lambda self: self._part(0))
+    x1 = property(lambda self: self._part(1))
+    x2 = property(lambda self: self._part(2))
+
+    def integral(self) -> tuple[tuple[int, ...], int]:
+        """The 18 coordinates as integers over their least common denominator, for the
+        closed forms (far faster on integers than on Fractions); `from_integral` divides back."""
+        return self._num + (0,) * (18 - len(self._num)), self._den
 
     @classmethod
     def from_integral(cls, spec: AlgebraSpec, coords, q) -> "AlgElem":
-        return cls(spec, *(LElem.from_six_tuple([Fraction(v, q) for v in p]) for p in _parts(coords)))
+        x = cls.__new__(cls)
+        x._set(spec, coords, q)
+        return x
 
     def _check_spec(self, other: "AlgElem"):
         if self.spec != other.spec:
             raise ValueError("elements live in algebras with different gamma")
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
         if not isinstance(other, AlgElem):
             return NotImplemented
         self._check_spec(other)
-        return AlgElem(self.spec, self.x0 + other.x0, self.x1 + other.x1, self.x2 + other.x2)
+        (a, p), (b, q) = self.integral(), other.integral()
+        return AlgElem.from_integral(self.spec, [u * q + sign * v * p for u, v in zip(a, b)], p * q)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, AlgElem):
-            return NotImplemented
-        self._check_spec(other)
-        return AlgElem(self.spec, self.x0 - other.x0, self.x1 - other.x1, self.x2 - other.x2)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return AlgElem(self.spec, -self.x0, -self.x1, -self.x2)
+        a, q = self.integral()
+        return AlgElem.from_integral(self.spec, [-v for v in a], q)
 
     def __mul__(self, other):
         if isinstance(other, (KElem, int, Fraction)):
@@ -190,21 +218,16 @@ class AlgElem:
     def __eq__(self, other):
         if not isinstance(other, AlgElem):
             return NotImplemented
-        return (
-            self.spec == other.spec
-            and self.x0 == other.x0
-            and self.x1 == other.x1
-            and self.x2 == other.x2
-        )
+        return self.spec == other.spec and self._num == other._num and self._den == other._den
 
     def __hash__(self):
-        return hash((self.spec.gamma, self.x0, self.x1, self.x2))
+        return hash((self.spec.gamma, self._num, self._den))
 
     def is_zero(self) -> bool:
-        return self.x0.is_zero() and self.x1.is_zero() and self.x2.is_zero()
+        return not any(self._num)
 
     def is_in_k(self) -> bool:
-        return self.x1.is_zero() and self.x2.is_zero() and self.x0.is_in_k()
+        return len(self._num) <= 2
 
     def __str__(self):
         parts = []

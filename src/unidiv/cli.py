@@ -162,7 +162,7 @@ def codebook_to_dict(cb: Codebook, report: Optional[DiversityReport]) -> dict:
         "gamma": "zeta3",
         "elements": [serialize_element(x) for x in cb.elements],
         "matrices": [
-            [[_complex_pair(v) for v in row] for row in mat] for mat in cb.matrices
+            [[_complex_pair(v) for v in row] for row in mat] for mat in cb.matrices.tolist()
         ],
         "diversity": report_to_dict(report) if report is not None else None,
         "complete": cb.complete,
@@ -266,7 +266,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     mat = matrix_embed(x)
     ax = involution(x)
     unit = hilbert90_unit(x)
-    numeric = _unitary_render(unit)
+    numeric = _unitary_render(unit).tolist()
 
     checks: list[tuple[str, bool, str, str]] = []
 

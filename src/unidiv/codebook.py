@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, product
@@ -40,6 +41,7 @@ import numpy as np
 from .algebra import (
     AlgElem,
     AlgebraSpec,
+    InversionError,
     STANDARD_ALGEBRA,
     _l_add,
     _l_scale,
@@ -58,7 +60,7 @@ from .polynomials import Polynomial, discriminant_cubic, has_rational_root
 from .rationals import as_rat, factor_small_int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box:
     """Coordinate box: canonical numerators in [-B, B], denominators in [1, D]."""
 
@@ -117,14 +119,14 @@ class SubfieldSpec:
 
     The rows of `matrix` are q times 1, zeta3, g, zeta3*g, g^2 and
     zeta3*g^2, q their least common denominator (so matrix[0][0] = q), and
-    a coordinate row c gives c @ matrix = q * element(c).
+    a coordinate row c gives c @ matrix = q * element(c).  It is computed
+    when read (one product), so a spec holds no more than its generator.
     """
 
     kind: str
     k: Optional[int]
     generator: AlgElem
     label: str
-    matrix: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         g = self.generator
@@ -135,29 +137,18 @@ class SubfieldSpec:
         ag = involution(g)
         if g * ag != ag * g:
             raise ValueError(f"subfield {self.label} is not stable under the involution")
-        g, matrix = _interned_basis(g)
-        object.__setattr__(self, "generator", g)
-        object.__setattr__(self, "matrix", matrix)
+
+    @property
+    def matrix(self) -> list[list[int]]:
+        g = self.generator
+        rows = [b.scale(z).integral() for b in (g.spec.one(), g, g * g) for z in (K_ONE, ZETA3)]
+        q = math.lcm(*(d for _, d in rows))
+        return [[v * (q // d) for v in r] for r, d in rows]
 
     def element(self, coords: Sequence[Fraction]) -> AlgElem:
         c = [as_rat(v) for v in coords]
-        num = [sum(a * b for a, b in zip(c, col)) for col in zip(*self.matrix)]
-        return AlgElem.from_integral(self.generator.spec, num, self.matrix[0][0])
-
-
-# Subfields, their basis matrices, units and renderings are immutable and
-# cached: requests repeat them (every Box(1,1) codebook opens with the same
-# four units of K), and a caller that keeps many codebooks then holds one
-# copy of each.
-_CACHE = 1 << 9
-
-
-@functools.lru_cache(maxsize=_CACHE)
-def _interned_basis(g: AlgElem) -> tuple[AlgElem, tuple[tuple[int, ...], ...]]:
-    """The first generator equal to g, which specs then share, and `SubfieldSpec.matrix` of K[g]."""
-    rows = [b.scale(z).integral() for b in (g.spec.one(), g, g * g) for z in (K_ONE, ZETA3)]
-    q = math.lcm(*(d for _, d in rows))
-    return g, tuple(tuple(v * (q // d) for v in r) for r, d in rows)
+        m = self.matrix
+        return AlgElem.from_integral(self.generator.spec, [sum(map(operator.mul, c, col)) for col in zip(*m)], m[0][0])
 
 
 def nu_generator(k: int) -> AlgElem:
@@ -166,12 +157,7 @@ def nu_generator(k: int) -> AlgElem:
 
 
 def subfield(kind: str, k: Optional[int] = None) -> SubfieldSpec:
-    """One of the named subfields of the standard algebra: "zeta9", "nu" (with k), or "L"."""
-    return _named_subfield(kind, k)
-
-
-@functools.lru_cache(maxsize=_CACHE)
-def _named_subfield(kind: str, k: Optional[int]) -> SubfieldSpec:
+    """Build one of the named subfields of the standard algebra: "zeta9", "nu" (with k), or "L"."""
     if kind == "zeta9":
         return SubfieldSpec("zeta9", None, STANDARD_ALGEBRA.gen(), "Q(zeta9)")
     if kind == "nu":
@@ -187,7 +173,7 @@ def _named_subfield(kind: str, k: Optional[int]) -> SubfieldSpec:
 _UNIT_CHUNK = 32
 
 
-@functools.lru_cache(maxsize=_CACHE)
+@functools.lru_cache(maxsize=512)
 def _peak(formula, sizes: tuple[int, ...], gamma) -> int:
     """Bound on every integer formula(u, gamma) makes from integers |u_j| <= sizes[j]."""
     return max(v.peak for v in formula([_Magnitude(m) for m in sizes], gamma))
@@ -250,12 +236,9 @@ def first_non_unitary(elements: Sequence[AlgElem]) -> Optional[int]:
     return int(bad[0]) if len(bad) else None
 
 
-_unit = functools.lru_cache(maxsize=_CACHE)(AlgElem.from_integral)
-
-
 def _units(spec: AlgebraSpec, keys) -> list[AlgElem]:
     """The units X/d for keys (X, d), checked exactly: x * involution(x) = 1."""
-    units = [_unit(spec, tuple(x), d) for x, d in keys]
+    units = [AlgElem.from_integral(spec, x, d) for x, d in keys]
     assert first_non_unitary(units) is None, "unit postcondition failed"
     return units
 
@@ -278,18 +261,19 @@ def hilbert90_unit(u: AlgElem) -> AlgElem:
     commute, x, d = _hilbert90_batch(np.array(u.integral()[0], dtype=object)[:, None], u.spec.gamma_coords)
     if not commute[0]:
         raise PreconditionError("precondition failed: u does not commute with involution(u)")
+    if d[0] == 0:
+        raise InversionError("nonzero element with zero reduced norm; gamma does not give a division algebra")
     return _units(u.spec, [(x[:, 0].tolist(), d[0])])[0]
 
 
-def unitary_matrix_numeric(x: AlgElem) -> tuple[tuple[complex, ...], ...]:
-    """`_unitary_render` of x after checking x * involution(x) = 1 exactly."""
+def unitary_matrix_numeric(x: AlgElem) -> list[list[complex]]:
+    """`_unitary_render` of x, as lists, after checking x * involution(x) = 1 exactly."""
     if first_non_unitary([x]) is not None:
         raise ValueError("element is not unitary")
-    return _unitary_render(x)
+    return _unitary_render(x).tolist()
 
 
-@functools.lru_cache(maxsize=_CACHE)
-def _unitary_render(x: AlgElem) -> tuple[tuple[complex, ...], ...]:
+def _unitary_render(x: AlgElem) -> np.ndarray:
     """Complex 3x3 rendering (embedding 0) of a unit, e.g. from `hilbert90_unit`.
 
     The numeric matrix must satisfy max|M M^dagger - I| <= 1e-10 (anything
@@ -298,18 +282,21 @@ def _unitary_render(x: AlgElem) -> tuple[tuple[complex, ...], ...]:
     m = np.array(matrix_embed(x).to_complex(0), dtype=complex)
     defect = np.max(np.abs(m @ m.conj().T - np.eye(3)))
     assert defect <= 1e-10, f"numeric unitarity defect {defect}"
-    return tuple(tuple(complex(v) for v in row) for row in m)
+    return m
 
 
-@dataclass(slots=True)
+@dataclass(eq=False, slots=True)
 class Codebook:
-    """An ordered family of certified unitary elements with numeric renderings."""
+    """An ordered family of certified unitary elements with numeric renderings.
+
+    `matrices` stacks the renderings as one complex array of shape (n, 3, 3).
+    """
 
     subfield_spec: SubfieldSpec
     box: Box
     requested: int
     elements: list[AlgElem]
-    matrices: list[tuple[tuple[complex, ...], ...]]
+    matrices: np.ndarray
     complete: bool
     precondition_failures: int
     candidates_scanned: int
@@ -328,8 +315,9 @@ def subfield_candidates(sub: SubfieldSpec, box: Box) -> Iterator[np.ndarray]:
     values = box.values()
     q = math.lcm(*(v.denominator for v in values))
     scaled = {v: int(v * q) for v in values}
-    sizes = tuple(box.numerator_bound * q * sum(map(abs, col)) for col in zip(*sub.matrix))
-    basis = np.array(sub.matrix, dtype=_dtype(_hilbert90_coords, sizes, sub.generator.spec.gamma_coords)).T
+    m = sub.matrix
+    sizes = tuple(box.numerator_bound * q * sum(map(abs, col)) for col in zip(*m))
+    basis = np.array(m, dtype=_dtype(_hilbert90_coords, sizes, sub.generator.spec.gamma_coords)).T
     tuples = iter_box_tuples(box)
     while chunk := list(islice(tuples, _UNIT_CHUNK)):
         yield basis @ np.array([[scaled[v] for v in t] for t in chunk], dtype=basis.dtype).T
@@ -371,7 +359,7 @@ def generate_codebook(sub: SubfieldSpec, box: Box, size: int) -> Codebook:
         box=box,
         requested=size,
         elements=elements,
-        matrices=[_unitary_render(x) for x in elements],
+        matrices=np.array([_unitary_render(x) for x in elements] or np.empty((0, 3, 3))),
         complete=len(elements) == size,
         precondition_failures=failures,
         candidates_scanned=scanned,

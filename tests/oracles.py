@@ -51,9 +51,15 @@ def matrix_embed_oracle(x: AlgElem) -> list[list[LElem]]:
 
 
 def enumerate_subfield(sub, box):
-    """The candidates of generate_codebook as AlgElems: sub.element of every box tuple."""
+    """The candidates of generate_codebook as AlgElems: c0 + c1*g + c2*g^2 for every
+    box tuple (the K coefficients c_i from consecutive pairs), in AlgElem arithmetic."""
+    g = sub.generator
+    basis = (g.spec.one(), g, g * g)
     for tup in iter_box_tuples(box):
-        yield sub.element(tup)
+        acc = g.spec.zero()
+        for i, b in enumerate(basis):
+            acc = acc + b.scale(KElem(tup[2 * i], tup[2 * i + 1]))
+        yield acc
 
 
 def codebook_oracle(stream, size: int) -> tuple[list[AlgElem], int, int]:

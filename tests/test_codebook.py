@@ -13,6 +13,7 @@ from oracles import codebook_oracle, enumerate_subfield, express_in_power_basis,
 import unidiv.codebook
 from unidiv.algebra import (
     AlgebraSpec,
+    InversionError,
     InvolutionUnavailable,
     STANDARD_ALGEBRA,
     inverse,
@@ -211,6 +212,15 @@ def test_hilbert90_passes_involution_unavailable_through():
     assert not issubclass(InvolutionUnavailable, PreconditionError)
 
 
+def test_hilbert90_names_zero_divisor():
+    # gamma = 1 is split: 1 - E commutes with its involution image 1 - E^2 but Nrd = 0
+    one = AlgebraSpec(KElem(1)).one()
+    u = one - one.spec.gen()
+    assert u * involution(u) == involution(u) * u
+    with pytest.raises(InversionError, match="zero reduced norm"):
+        hilbert90_unit(u)
+
+
 def test_generate_codebook_counts_precondition_failures(monkeypatch):
     sub = subfield("zeta9")
     bad = A.element(LElem(0, 1, 0), LElem(1), LElem(0))
@@ -308,7 +318,7 @@ def assert_matches_fraction_oracle(sub: SubfieldSpec, box: Box, size: int):
     assert (cb.candidates_scanned, cb.precondition_failures) == (scanned, failures)
     assert cb.complete == (len(elements) == size)
     # the same floats as the LElem embedding, in the same operation order
-    assert [[list(row) for row in m] for m in cb.matrices] == [
+    assert cb.matrices.tolist() == [
         [[v.to_complex(0) for v in row] for row in matrix_embed_oracle(x)] for x in elements
     ]
     return cb
