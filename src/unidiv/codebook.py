@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
 from typing import Iterator, Optional, Sequence
@@ -148,7 +147,8 @@ class SubfieldSpec:
     def element(self, coords: Sequence[Fraction]) -> AlgElem:
         c = [as_rat(v) for v in coords]
         m = self.matrix
-        return AlgElem.from_integral(self.generator.spec, [sum(map(operator.mul, c, col)) for col in zip(*m)], m[0][0])
+        num = [sum(a * b for a, b in zip(c, col)) for col in zip(*m)]
+        return AlgElem.from_integral(self.generator.spec, num, m[0][0])
 
 
 def nu_generator(k: int) -> AlgElem:
