@@ -5,10 +5,10 @@ generator E satisfies E^3 = gamma and lambda*E = E*sigma(lambda) for
 lambda in L.  The module provides the 3x3 matrix embedding over L, the
 involution whose matrix shadow is the conjugate transpose (available
 exactly when z = gamma*conj(gamma) = 1), reduced norms and characteristic
-polynomials, inversion through them, and the fixed-point test for the
-involution together with its coefficientwise conditions.  The product, the
-involution, Nrd and chi exist once, as closed forms on the 18 rational
-coordinates at the end of this module.
+polynomials, inversion through Cayley-Hamilton, and the fixed-point test
+for the involution together with its coefficientwise conditions.  The
+product, the involution, Nrd, chi and the quotient u * v^(-1) exist once,
+as closed forms on the 18 rational coordinates at the end of this module.
 
 Everything is immutable and pure; an AlgebraSpec can be shared read-only.
 """
@@ -128,9 +128,9 @@ class AlgElem:
         self._set(spec, [c.numerator * (q // c.denominator) for c in coords], q)
 
     def _set(self, spec: AlgebraSpec, coords, q) -> None:
-        if not all(type(v) is int for v in coords):  # Fractions, from a non-integral gamma
-            m = math.lcm(*(Fraction(v).denominator for v in coords))
-            coords, q = [int(v * m) for v in coords], q * m
+        if not all(type(v) is int for v in (*coords, q)):  # Fractions, from a non-integral gamma
+            m = math.lcm(*(Fraction(v).denominator for v in (*coords, q)))
+            coords, q = [int(v * m) for v in coords], int(q * m)
         if q == 0:
             raise ZeroDivisionError("zero denominator")
         g = math.gcd(q, *coords) * (1 if q > 0 else -1)
@@ -350,10 +350,8 @@ def reduced_norm(x: AlgElem) -> KElem:
 
 
 def inverse(x: AlgElem) -> AlgElem:
-    """Inverse via the characteristic polynomial: -(x^2 + a*x + b)/c.
-
-    Here X^3 + a*X^2 + b*X + c is `reduced_char_poly(x)`, so c = -Nrd(x) and
-    Cayley-Hamilton gives x*(x^2 + a*x + b) = -c.
+    """x^(-1) = q * X/d for x = a/q, a integral, from `a_quotient_coords` with
+    u = 1 and p = v = a (Cayley-Hamilton in chi_a).
 
     The exact postcondition x*y = 1 is asserted.  It is one-sided on
     purpose: in a finite-dimensional algebra a right inverse is also a left
@@ -362,13 +360,13 @@ def inverse(x: AlgElem) -> AlgElem:
     """
     if x.is_zero():
         raise ZeroDivisionError("zero element of the algebra")
-    chi = reduced_char_poly(x)
-    c, b, a = chi.coeffs[0], chi.coeffs[1], chi.coeffs[2]
-    if c.is_zero():
+    a, q = x.integral()
+    num, d = a_quotient_coords((1,) + (0,) * 17, a, a, x.spec.gamma_coords)
+    if d == 0:
         raise InversionError(
             "nonzero element with zero reduced norm; gamma does not give a division algebra"
         )
-    y = (x * x + x.scale(a) + x.spec.one().scale(b)).scale(-c.inv())
+    y = AlgElem.from_integral(x.spec, [q * v for v in num], d)
     assert x * y == x.spec.one(), "inverse postcondition failed"
     return y
 
@@ -536,3 +534,19 @@ def a_char_coords(x, gamma) -> tuple:
     s0 = l_trace_coords(l_mul_coords(a, l_sigma_coords(a)))
     s1 = _k_mul_coords(*gamma, *l_trace_coords(l_mul_coords(b, l_sigma_coords(c))))
     return l_trace_coords(a), (s0[0] - s1[0], s0[1] - s1[1])
+
+
+def a_quotient_coords(u, v, p, gamma) -> tuple:
+    """X (18 coordinates) and d in K's first coordinate with u * v^(-1) = X/d, given p = u*v.
+
+    Cayley-Hamilton gives v*(v^2 - t*v + s) = n for chi_v = X^3 - t*X^2 +
+    s*X - n, so u * v^(-1) = (p*v - t*p + s*u) * conj(n) / N(n); d = N(n)
+    is 0 exactly when Nrd(v) = 0.
+    """
+    (t0, t1), s = a_char_coords(v, gamma)
+    n0, n1 = a_nrd_coords(v, gamma)
+    nbar = (n0 - n1, -n1)
+    x = ()
+    for pv, pp, uu in zip(*map(_parts, (a_mul_coords(p, v, gamma), p, u))):
+        x += _l_scale(nbar, _l_add(pv, _l_scale((-t0, -t1), pp), _l_scale(s, uu)))
+    return x, n0 * nbar[0] - n1 * nbar[1]

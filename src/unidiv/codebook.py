@@ -20,10 +20,10 @@ involution(g) lies in K[g] exactly when it commutes with g.
 
 The division property is certified by `division_certificate`: gamma is a
 unit of Z[zeta3] that is not a local norm at the prime 2 - zeta3 above 7,
-where L/K is totally and tamely ramified, so it is not a norm from L.  The
-bounded exhaustive search `norm_witness_search` stays as a cross-check: it
-clears the box's denominators and evaluates the norm as an integer cubic
-form over arrays of candidates, so it makes no floating-point decision.
+where L/K is totally and tamely ramified, so it is not a norm from L;
+`min_det_report` requires it.  The bounded exhaustive search
+`norm_witness_search` stays as a cross-check, exact on the integer arrays
+of `box_chunks`, the one box walk (`subfield_candidates` reads it too).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -42,13 +41,9 @@ from .algebra import (
     AlgebraSpec,
     InversionError,
     STANDARD_ALGEBRA,
-    _l_add,
-    _l_scale,
-    _parts,
-    a_char_coords,
     a_involution_coords,
     a_mul_coords,
-    a_nrd_coords,
+    a_quotient_coords,
     char_poly_rational,
     involution,
     matrix_embed,
@@ -78,6 +73,11 @@ class Box:
                 vals.add(Fraction(p, q))
         return sorted(vals, key=lambda f: (_height(f), abs(f), f < 0))
 
+    @property
+    def scale(self) -> int:
+        """Q = lcm(1..D), the least positive integer taking every value to an integer."""
+        return math.lcm(*range(1, self.denominator_bound + 1))
+
 
 def _height(f: Fraction) -> int:
     if f == 0:
@@ -85,22 +85,29 @@ def _height(f: Fraction) -> int:
     return max(abs(f.numerator), f.denominator)
 
 
-def iter_box_tuples(box: Box) -> Iterator[tuple[Fraction, ...]]:
-    """All nonzero six-tuples over the box, stratified by height.
+def box_chunks(box: Box, chunk: int, dtype) -> Iterator[list[np.ndarray]]:
+    """All nonzero six-tuples over the box, times `box.scale`, as six integer arrays per chunk.
 
     Tuples of height H come out before any of height H+1; within a stratum
     the order is lexicographic with the first coordinate varying fastest.
+    A chunk holds the height-H tuples among up to `chunk` consecutive ones
+    of the stratum's product; it is never empty.
     """
     values = box.values()
-    heights = sorted({_height(v) for v in values})
-    for h in heights:
-        if h == 0:
-            continue
-        allowed = [v for v in values if _height(v) <= h]
-        for rev in product(allowed, repeat=6):
-            tup = rev[::-1]
-            if max(_height(v) for v in tup) == h:
-                yield tup
+    scaled = [int(v * box.scale) for v in values]
+    heights = [_height(v) for v in values]
+    for h in sorted(set(heights) - {0}):
+        # tuple number k of the stratum holds allowed[k // n**i % n] at coordinate i
+        allowed = [i for i, hv in enumerate(heights) if hv <= h]
+        coords = np.array([scaled[i] for i in allowed], dtype=dtype)
+        on_top = np.array([heights[i] == h for i in allowed])
+        n = len(allowed)
+        for start in range(0, n**6, chunk):
+            k = np.arange(start, min(start + chunk, n**6))
+            digits = [k // n**i % n for i in range(6)]
+            keep = np.logical_or.reduce([on_top[d] for d in digits])
+            if keep.any():
+                yield [coords[d[keep]] for d in digits]
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,6 +153,8 @@ class SubfieldSpec:
 
     def element(self, coords: Sequence[Fraction]) -> AlgElem:
         c = [as_rat(v) for v in coords]
+        if len(c) != 6:
+            raise ValueError("expected six rational coordinates")
         m = self.matrix
         num = [sum(a * b for a, b in zip(c, col)) for col in zip(*m)]
         return AlgElem.from_integral(self.generator.spec, num, m[0][0])
@@ -186,20 +195,11 @@ def _dtype(formula, sizes: tuple[int, ...], gamma) -> type:
 
 
 def _hilbert90_coords(u, gamma) -> tuple:
-    """u*v, v*u, X (18 coordinates each) and d with u * v^(-1) = X/d, v = involution(u).
-
-    Cayley-Hamilton gives v*(v^2 - t*v + s) = n for chi_v = X^3 - t*X^2 +
-    s*X - n, so with p = u*v, u * v^(-1) = (p*v - t*p + s*u) * conj(n) / N(n).
-    """
+    """u*v, v*u, X (18 coordinates each) and d with u * v^(-1) = X/d, v = involution(u)."""
     v = a_involution_coords(u, gamma)
     p = a_mul_coords(u, v, gamma)
-    (t0, t1), s = a_char_coords(v, gamma)
-    n0, n1 = a_nrd_coords(v, gamma)
-    nbar = (n0 - n1, -n1)
-    x = ()
-    for pv, pp, uu in zip(*map(_parts, (a_mul_coords(p, v, gamma), p, u))):
-        x += _l_scale(nbar, _l_add(pv, _l_scale((-t0, -t1), pp), _l_scale(s, uu)))
-    return (*p, *a_mul_coords(v, u, gamma), *x, n0 * nbar[0] - n1 * nbar[1])
+    x, d = a_quotient_coords(u, v, p, gamma)
+    return (*p, *a_mul_coords(v, u, gamma), *x, d)
 
 
 def _hilbert90_batch(u: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -306,21 +306,17 @@ class Codebook:
 
 
 def subfield_candidates(sub: SubfieldSpec, box: Box) -> Iterator[np.ndarray]:
-    """The candidates in `iter_box_tuples` order, as 18 x k integer arrays, k <= _UNIT_CHUNK.
+    """The candidates in `box_chunks` order, as 18 x k integer arrays, k <= _UNIT_CHUNK.
 
     The tuple c becomes the column (Q*c) @ sub.matrix, a positive integer
-    multiple of the element c, Q the lcm of the box's denominators.  The
-    dtype is int64 if `_hilbert90_coords` stays within it, object otherwise.
+    multiple of the element c, Q = `box.scale`.  The dtype is int64 if
+    `_hilbert90_coords` stays within it, object otherwise.
     """
-    values = box.values()
-    q = math.lcm(*(v.denominator for v in values))
-    scaled = {v: int(v * q) for v in values}
     m = sub.matrix
-    sizes = tuple(box.numerator_bound * q * sum(map(abs, col)) for col in zip(*m))
+    sizes = tuple(box.numerator_bound * box.scale * sum(map(abs, col)) for col in zip(*m))
     basis = np.array(m, dtype=_dtype(_hilbert90_coords, sizes, sub.generator.spec.gamma_coords)).T
-    tuples = iter_box_tuples(box)
-    while chunk := list(islice(tuples, _UNIT_CHUNK)):
-        yield basis @ np.array([[scaled[v] for v in t] for t in chunk], dtype=basis.dtype).T
+    for chunk in box_chunks(box, _UNIT_CHUNK, basis.dtype):
+        yield basis @ np.array(chunk)
 
 
 def generate_codebook(sub: SubfieldSpec, box: Box, size: int) -> Codebook:
@@ -437,13 +433,6 @@ def division_certificate(gamma: KElem) -> Optional[DivisionCertificate]:
     return DivisionCertificate(gamma, _PI, p, residue, cubes)
 
 
-def pairwise_determinants(elements: Sequence[AlgElem]) -> Iterator[tuple[int, int, KElem]]:
-    """Exact determinants of embedded pairwise differences (elements of K)."""
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            yield i, j, reduced_norm(elements[i] - elements[j])
-
-
 # Complex values of the six basis elements zeta3^s * theta^m (row 2m + s) at
 # the three embeddings of theta (columns), in LElem.six_tuple order.
 _BASIS_VALUES = np.array(
@@ -496,11 +485,10 @@ def _numeric_pair_dets(elements: Sequence[AlgElem]) -> tuple[np.ndarray, ...]:
 def min_det_report(elements: Sequence[AlgElem]) -> DiversityReport:
     """Exact zero/nonzero decision, then the minimum |det| over all pairs.
 
-    Step 1 decides exactly whether some pair has det(x_i - x_j) = 0.  With a
-    `division_certificate` for gamma, a difference is zero-determinant
-    exactly when it is zero, so hashing the elements finds the first
-    duplicate pair (least i, then least j) in O(M).  Without one, every pair
-    is evaluated exactly and the first zero pair is reported.
+    gamma must have a `division_certificate` (ValueError otherwise, as in
+    `SubfieldSpec`): in a division algebra det(x_i - x_j) = 0 exactly when
+    x_i = x_j, so step 1 finds the first zero pair (least i, then least j)
+    by hashing the elements, in O(M).
 
     Step 2 finds the minimum of |det| screened numerically.  Each element's
     3x3 embedding is built in floats from its coordinates (x_t at the three
@@ -534,17 +522,14 @@ def min_det_report(elements: Sequence[AlgElem]) -> DiversityReport:
     spec = elements[0].spec
     if any(x.spec != spec for x in elements):
         raise ValueError("elements live in algebras with different gamma")
-    if division_certificate(spec.gamma) is not None:
-        first: dict[AlgElem, int] = {}
-        for j, x in enumerate(elements):
-            first.setdefault(x, j)
-        duplicates = [(first[x], j) for j, x in enumerate(elements) if first[x] != j]
-        if duplicates:
-            return DiversityReport(zeta=0.0, pair=min(duplicates), min_abs_det=0.0, exact_nonzero=False)
-    else:
-        for i, j, det in pairwise_determinants(elements):
-            if det.is_zero():
-                return DiversityReport(zeta=0.0, pair=(i, j), min_abs_det=0.0, exact_nonzero=False)
+    if division_certificate(spec.gamma) is None:
+        raise ValueError(f"min_det_report needs a division certificate for gamma = {spec.gamma}")
+    first: dict[AlgElem, int] = {}
+    for j, x in enumerate(elements):
+        first.setdefault(x, j)
+    duplicates = [(first[x], j) for j, x in enumerate(elements) if first[x] != j]
+    if duplicates:
+        return DiversityReport(zeta=0.0, pair=min(duplicates), min_abs_det=0.0, exact_nonzero=False)
 
     left, right, numeric, bound = _numeric_pair_dets(elements)
     best: Optional[tuple[float, tuple[int, int]]] = None
@@ -597,58 +582,41 @@ class _Magnitude:
         return self
 
 
-@functools.cache
-def norm_coords_bound(m: int) -> int:
-    """Bound on |v| for every integer v that l_norm_coords computes from |a_i| <= m."""
-    norm = l_norm_coords([_Magnitude(m)] * 6)
-    return max(norm[0].peak, norm[1].peak)
+def _norm_coords(a, gamma) -> tuple:
+    """`l_norm_coords` in the (coordinates, gamma) form of `_peak`; gamma is unused."""
+    return l_norm_coords(a)
 
 
 def norm_witness_search(target: KElem, box: Box) -> Optional[LElem]:
     """Exhaustively search the box for u in L with norm(u) = target.
 
-    Returns the first witness in `iter_box_tuples` order, or None if the
-    whole box is exhausted.  A witness for gamma or gamma^2 would
-    contradict `division_certificate`, so the search cross-checks it.
+    Returns the first witness in `box_chunks` order, or None if the whole
+    box is exhausted.  A witness for gamma or gamma^2 would contradict
+    `division_certificate`, so the search cross-checks it.
 
-    The search is exact integer arithmetic throughout.  With Q the lcm of
-    the box's denominators, a candidate u = a/Q has integer coordinates a
-    and N(u) = N(a)/Q^3, so only targets with Q^3*target in Z[zeta3] can
-    be hit.  N(a) is evaluated as an integer cubic form on arrays of
-    candidates, in int64 when a bound on every intermediate value derived
-    from max|a_i| fits, and on Python integers otherwise.  The returned
-    witness is confirmed with `LElem.norm_to_k`.
+    The search is exact integer arithmetic throughout.  With Q =
+    `box.scale`, a candidate u = a/Q has integer coordinates a and
+    N(u) = N(a)/Q^3, so only targets with Q^3*target in Z[zeta3] within
+    `_peak`'s bound can be hit.  N(a) is evaluated as an integer cubic
+    form on the arrays of `box_chunks`, in int64 when that bound fits and
+    on Python integers otherwise.  The returned witness is confirmed with
+    `LElem.norm_to_k`.
     """
-    values = box.values()
-    q = math.lcm(*(v.denominator for v in values))
+    q = box.scale
     goal = (target.a0 * q**3, target.a1 * q**3)
     if any(g.denominator != 1 for g in goal):
         return None
     goal = tuple(int(g) for g in goal)
-    scaled = [int(v * q) for v in values]
-    bound = norm_coords_bound(max(abs(s) for s in scaled))
-    if max(abs(g) for g in goal) > bound:
+    sizes = (box.numerator_bound * q,) * 6
+    if max(abs(g) for g in goal) > _peak(_norm_coords, sizes, ()):
         return None
-    dtype = np.int64 if bound <= np.iinfo(np.int64).max else object
-    heights = [_height(v) for v in values]
-    for h in sorted(set(heights) - {0}):
-        # The stratum's tuples in iter_box_tuples order: tuple number k holds
-        # allowed[(k // n**i) % n] at coordinate i.
-        allowed = [i for i, hv in enumerate(heights) if hv <= h]
-        coords = np.array([scaled[i] for i in allowed], dtype=dtype)
-        on_top = np.array([heights[i] == h for i in allowed])
-        n = len(allowed)
-        for start in range(0, n**6, _WITNESS_CHUNK):
-            k = np.arange(start, min(start + _WITNESS_CHUNK, n**6))
-            digits = [k // n**i % n for i in range(6)]
-            keep = np.logical_or.reduce([on_top[d] for d in digits])
-            norm = l_norm_coords([coords[d[keep]] for d in digits])
-            hits = np.flatnonzero((norm[0] == goal[0]) & (norm[1] == goal[1]))
-            if len(hits):
-                first = int(k[keep][hits[0]])
-                u = LElem.from_six_tuple([values[allowed[first // n**i % n]] for i in range(6)])
-                assert u.norm_to_k() == target, "integer norm disagrees with norm_to_k"
-                return u
+    for a in box_chunks(box, _WITNESS_CHUNK, _dtype(_norm_coords, sizes, ())):
+        norm = l_norm_coords(a)
+        hits = np.flatnonzero((norm[0] == goal[0]) & (norm[1] == goal[1]))
+        if len(hits):
+            u = LElem.from_six_tuple([Fraction(int(c[hits[0]]), q) for c in a])
+            assert u.norm_to_k() == target, "integer norm disagrees with norm_to_k"
+            return u
     return None
 
 

@@ -2,9 +2,13 @@
 
 `alg_mul_oracle` is the algebra product as the loop over E-powers that the
 18-coordinate closed form replaced, `matrix_embed_oracle` the embedding in
-LElem arithmetic, and `codebook_oracle` over `enumerate_subfield` the
-per-candidate Fraction path that `generate_codebook`'s integer arrays
-replaced.
+LElem arithmetic, `inverse_oracle` the inverse from the characteristic
+polynomial's coefficients, and `codebook_oracle` over `enumerate_subfield`
+the per-candidate Fraction path that `generate_codebook`'s integer arrays
+replaced.  `iter_box_tuples` is the reference box order that
+`box_chunks` walks on integer arrays, and `pairwise_determinants` the
+exact all-pairs determinants that `min_det_report` decides by hashing
+under the division certificate.
 
 `solve_k_linear` and `express_in_power_basis` decide membership in a power
 basis by Gaussian elimination over K; `SubfieldSpec` decides involution
@@ -13,11 +17,31 @@ stability by a commute check instead, and the tests compare the two.  The
 tuples of LElem), compared with ==.
 """
 
-from typing import Optional, Sequence
+from fractions import Fraction
+from itertools import product
+from typing import Iterator, Optional, Sequence
 
-from unidiv.algebra import AlgElem, inverse, involution
-from unidiv.codebook import iter_box_tuples
+from unidiv.algebra import AlgElem, InversionError, involution, reduced_char_poly, reduced_norm
 from unidiv.fields import K_ZERO, KElem, L_ONE, L_ZERO, LElem
+
+
+def _height(f: Fraction) -> int:
+    return max(abs(f.numerator), f.denominator) if f else 0
+
+
+def iter_box_tuples(box) -> Iterator[tuple[Fraction, ...]]:
+    """All nonzero six-tuples over the box, stratified by height.
+
+    Tuples of height H come out before any of height H+1; within a stratum
+    the order is lexicographic with the first coordinate varying fastest.
+    """
+    values = box.values()
+    for h in sorted({_height(v) for v in values} - {0}):
+        allowed = [v for v in values if _height(v) <= h]
+        for rev in product(allowed, repeat=6):
+            tup = rev[::-1]
+            if max(_height(v) for v in tup) == h:
+                yield tup
 
 
 def alg_mul_oracle(x: AlgElem, y: AlgElem) -> AlgElem:
@@ -37,6 +61,21 @@ def alg_mul_oracle(x: AlgElem, y: AlgElem) -> AlgElem:
                 term = term * gamma_l
             acc[k] = acc[k] + term
     return AlgElem(x.spec, *acc)
+
+
+def inverse_oracle(x: AlgElem) -> AlgElem:
+    """-(x^2 + a*x + b)/c, X^3 + a*X^2 + b*X + c = reduced_char_poly(x) (Cayley-Hamilton)."""
+    c, b, a = reduced_char_poly(x).coeffs[:3]
+    if c.is_zero():
+        raise InversionError("nonzero element with zero reduced norm")
+    return (x * x + x.scale(a) + x.spec.one().scale(b)).scale(-c.inv())
+
+
+def pairwise_determinants(elements: Sequence[AlgElem]) -> Iterator[tuple[int, int, KElem]]:
+    """Exact determinants of embedded pairwise differences (elements of K)."""
+    for i in range(len(elements)):
+        for j in range(i + 1, len(elements)):
+            yield i, j, reduced_norm(elements[i] - elements[j])
 
 
 def matrix_embed_oracle(x: AlgElem) -> list[list[LElem]]:
@@ -73,7 +112,7 @@ def codebook_oracle(stream, size: int) -> tuple[list[AlgElem], int, int]:
         if u * au != au * u:
             failures += 1
             continue
-        seen.setdefault(u * inverse(au))
+        seen.setdefault(u * inverse_oracle(au))
         if len(seen) == size:
             break
     return list(seen), scanned, failures

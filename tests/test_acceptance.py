@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import rand_alg, rand_k, rand_l, rand_real_l
-from oracles import rows_conj_transpose, rows_mul
+from oracles import pairwise_determinants, rows_conj_transpose, rows_mul
 from unidiv.algebra import (
     AlgElem,
     STANDARD_ALGEBRA,
@@ -32,7 +32,6 @@ from unidiv.codebook import (
     generate_codebook,
     min_det_report,
     norm_witness_search,
-    pairwise_determinants,
     subfield,
     subfield_table_row,
     unitary_matrix_numeric,

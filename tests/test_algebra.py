@@ -9,6 +9,7 @@ from oracles import (
     IDENTITY_ROWS,
     alg_mul_oracle,
     express_in_power_basis,
+    inverse_oracle,
     rows_add,
     rows_conj_transpose,
     rows_mul,
@@ -294,6 +295,13 @@ def test_char_poly_matches_matrix_oracle(gamma):
         chi = char_poly_oracle(x)
         assert reduced_char_poly(x) == chi
         assert reduced_norm(x) == -chi.coeffs[0]
+
+
+@pytest.mark.parametrize("gamma", ORACLE_GAMMAS, ids=str)
+def test_inverse_matches_char_poly_oracle(gamma):
+    spec = AlgebraSpec(gamma)
+    for x in oracle_cases(spec, random.Random(37)):
+        assert inverse(x) == inverse_oracle(x)
 
 
 def test_inverse_examples():

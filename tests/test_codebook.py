@@ -1,5 +1,4 @@
 import functools
-import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -9,7 +8,14 @@ import numpy as np
 import pytest
 
 from conftest import rand_alg, rand_k
-from oracles import codebook_oracle, enumerate_subfield, express_in_power_basis, matrix_embed_oracle
+from oracles import (
+    codebook_oracle,
+    enumerate_subfield,
+    express_in_power_basis,
+    iter_box_tuples,
+    matrix_embed_oracle,
+    pairwise_determinants,
+)
 import unidiv.codebook
 from unidiv.algebra import (
     AlgebraSpec,
@@ -25,7 +31,9 @@ from unidiv.algebra import (
 )
 from unidiv.codebook import (
     _BASIS_VALUES,
+    _dtype,
     _hilbert90_coords,
+    _norm_coords,
     _numeric_pair_dets,
     _peak,
     _unit_norm_coords,
@@ -33,16 +41,14 @@ from unidiv.codebook import (
     DiversityReport,
     PreconditionError,
     SubfieldSpec,
+    box_chunks,
     division_certificate,
     first_non_unitary,
     generate_codebook,
     hilbert90_unit,
-    iter_box_tuples,
     min_det_report,
-    norm_coords_bound,
     norm_witness_search,
     nu_generator,
-    pairwise_determinants,
     reduce_generator_poly,
     subfield,
     subfield_candidates,
@@ -90,6 +96,43 @@ def test_iter_box_tuples_counts_and_order():
     assert hts == sorted(hts)
 
 
+def test_box_scale():
+    assert [Box(3, d).scale for d in (1, 2, 3, 4, 13)] == [1, 2, 6, 12, 360360]
+
+
+def box_chunk_tuples(box: Box, chunk: int, dtype, count=None) -> list:
+    """The first `count` (default all) tuples of box_chunks, each chunk checked for size and dtype."""
+    out = []
+    for a in box_chunks(box, chunk, dtype):
+        assert len(a) == 6 and 0 < len(a[0]) <= chunk
+        assert all(c.dtype == dtype and len(c) == len(a[0]) for c in a)
+        out += zip(*(c.tolist() for c in a))
+        if count is not None and len(out) >= count:
+            return out[:count]
+    return out
+
+
+@functools.cache
+def scaled_reference(box: Box, count=None) -> list:
+    return [tuple(v * box.scale for v in t) for t in islice(iter_box_tuples(box), count)]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 32, 8192])
+@pytest.mark.parametrize(
+    "box", [Box(1, 1), Box(2, 1), Box(1, 2), Box(2, 2)], ids=lambda b: f"B{b.numerator_bound}D{b.denominator_bound}"
+)
+def test_box_chunks_follow_reference_order(box, chunk):
+    assert box_chunk_tuples(box, chunk, np.int64) == scaled_reference(box)
+
+
+def test_box_chunks_object_dtype():
+    # Box(1, 13) has scale 360360; its first 16,000 tuples cross into the third stratum
+    box = Box(1, 13)
+    got = box_chunk_tuples(box, 8192, object, 16000)
+    assert got == scaled_reference(box, 16000)
+    assert all(type(v) is int for t in got for v in t)
+
+
 def test_enumerate_contains_worked_example_unit_source():
     sub = subfield("zeta9")
     stream = list(enumerate_subfield(sub, Box(1, 1)))
@@ -104,6 +147,9 @@ def test_subfield_specs():
         assert not g.is_in_k()
         # involution stability was checked at construction; spot-check closure
         assert sub.element([1, 0, 0, 0, 0, 0]) == ONE
+        for coords in ([1, 1, 0, 1, 0], [1, 1, 0, 1, 0, 1, 1]):
+            with pytest.raises(ValueError, match="expected six rational coordinates"):
+                sub.element(coords)
     with pytest.raises(ValueError):
         subfield("nu")
     with pytest.raises(ValueError):
@@ -360,8 +406,7 @@ def test_generate_codebook_object_dtype_matches_fraction_oracle():
 
 def candidate_sizes(sub: SubfieldSpec, box: Box) -> tuple:
     """The bounds on |u_j| that subfield_candidates gives _peak."""
-    q = math.lcm(*(v.denominator for v in box.values()))
-    return tuple(box.numerator_bound * q * sum(abs(r[j]) for r in sub.matrix) for j in range(18))
+    return tuple(box.numerator_bound * box.scale * sum(abs(r[j]) for r in sub.matrix) for j in range(18))
 
 
 @pytest.mark.parametrize("box", [Box(1, 1), Box(2, 1), Box(1, 2)], ids=["B1D1", "B2D1", "B1D2"])
@@ -516,22 +561,29 @@ def test_min_det_report_matches_exact_oracle_on_tie_heavy_families():
 
 
 def test_min_det_report_split_algebra_zero_pair():
-    # gamma = 1 is a norm, so A is split: 1 - E != 0 but det(1 - E) = 1 - gamma = 0
+    # gamma = 1 is a norm, so A is split: 1 - E != 0 but det(1 - E) = 1 - gamma = 0.
+    # Hashing cannot see that zero pair, so min_det_report refuses gamma without
+    # a certificate; the exact all-pairs oracle still finds it.
     split = AlgebraSpec(KElem(1))
     assert division_certificate(split.gamma) is None
     family = [split.one(), split.gen(), split.one().scale(-1)]
-    rep = min_det_report(family)
-    assert rep == DiversityReport(zeta=0.0, pair=(0, 1), min_abs_det=0.0, exact_nonzero=False)
-    assert rep == oracle_min_det_report(family)
+    with pytest.raises(ValueError, match="division certificate"):
+        min_det_report(family)
+    zero = DiversityReport(zeta=0.0, pair=(0, 1), min_abs_det=0.0, exact_nonzero=False)
+    assert oracle_min_det_report(family) == zero
 
 
 def test_min_det_report_inconclusive_gamma_without_zero_pair():
-    # gamma = 2 takes the all-pairs exact decision, then the screened minimum
+    # gamma = 2 has no certificate either, although this family has no zero pair
     spec = AlgebraSpec(KElem(2))
     family = [spec.one(), spec.one().scale(-1), spec.one().scale(ZETA3), spec.gen()]
-    rep = min_det_report(family)
-    assert rep.exact_nonzero
-    assert rep == oracle_min_det_report(family)
+    with pytest.raises(ValueError, match="division certificate"):
+        min_det_report(family)
+    assert oracle_min_det_report(family).exact_nonzero
+    # over the certified gamma = zeta3^2 the same family takes the screened minimum
+    spec = AlgebraSpec(ZETA3 * ZETA3)
+    family = [spec.one(), spec.one().scale(-1), spec.one().scale(ZETA3), spec.gen()]
+    assert min_det_report(family) == oracle_min_det_report(family)
 
 
 @pytest.mark.parametrize("gamma", [ZETA3, ZETA3 * ZETA3], ids=["zeta3", "zeta3^2"])
@@ -636,14 +688,15 @@ def test_norm_witness_target_outside_scaled_ring():
 
 def test_norm_witness_object_dtype_path():
     # Q = lcm(1..13) = 360360 puts the norm bound beyond int64
-    assert norm_coords_bound(360360) > 2**63 - 1
+    assert _peak(_norm_coords, (360360,) * 6, ()) > 2**63 - 1
+    assert _dtype(_norm_coords, (360360,) * 6, ()) is object
     assert norm_witness_search(KElem(1), Box(1, 13)) == LElem(1)
 
 
 def test_norm_coords_bound_holds():
     rng = random.Random(5)
     for m in (1, 2, 7, 360360):
-        bound = norm_coords_bound(m)
+        bound = _peak(_norm_coords, (m,) * 6, ())
         for _ in range(50):
             a = [rng.choice((-m, m, rng.randint(-m, m))) for _ in range(6)]
             assert all(abs(v) <= bound for v in l_norm_coords(a))
