@@ -93,8 +93,8 @@ def box_chunks(box: Box, chunk: int, dtype) -> Iterator[list[np.ndarray]]:
     A chunk holds the height-H tuples among up to `chunk` consecutive ones
     of the stratum's product; it is never empty.
     """
-    values = box.values()
-    scaled = [int(v * box.scale) for v in values]
+    values, q = box.values(), box.scale
+    scaled = [int(v * q) for v in values]
     heights = [_height(v) for v in values]
     for h in sorted(set(heights) - {0}):
         # tuple number k of the stratum holds allowed[k // n**i % n] at coordinate i
