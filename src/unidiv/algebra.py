@@ -273,9 +273,6 @@ class MatL:
             + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
         )
 
-    def to_complex(self, conj_index: int = 0) -> list[list[complex]]:
-        return [[v.to_complex(conj_index) for v in row] for row in self.rows]
-
     def render(self) -> list[list[str]]:
         return [[str(v) for v in row] for row in self.rows]
 
@@ -286,20 +283,11 @@ class MatL:
 def matrix_embed(x: AlgElem) -> MatL:
     """The 3x3 matrix of left multiplication by x in the basis {1, E, E^2}.
 
-    Columns hold the coordinates of x*1, x*E and x*E^2: entry (r, c) is
-    sigma^c(x_t) with t = (r - c) mod 3, and the upper triangle picks up a
-    gamma factor from folding E^3.  It is computed on integer coordinates.
+    Columns hold the coordinates of x*1, x*E and x*E^2 (`a_embed_coords`).
     """
     a, q = x.integral()
-    sig = [_parts(a)]
-    for _ in range(2):
-        sig.append([l_sigma_coords(v) for v in sig[-1]])
-
-    def entry(r: int, c: int) -> LElem:
-        e = sig[c][(r - c) % 3]
-        return LElem.from_six_tuple([Fraction(v, q) for v in (_l_scale(x.spec.gamma_coords, e) if r < c else e)])
-
-    return MatL([[entry(r, c) for c in range(3)] for r in range(3)])
+    rows = a_embed_coords(a, x.spec.gamma_coords)
+    return MatL([[LElem.from_six_tuple([Fraction(v, q) for v in e]) for e in row] for row in rows])
 
 
 def involution(x: AlgElem) -> AlgElem:
@@ -501,6 +489,16 @@ def a_mul_coords(x, y, gamma) -> tuple:
             part = _l_add(part, _l_scale(gamma, _l_add(*terms[k + 1:])))
         out += part
     return out
+
+
+def a_embed_coords(x, gamma) -> list:
+    """The entries of `matrix_embed`, rows of six-coordinate entries: (r, c) is
+    sigma^c(x_t), t = (r - c) mod 3, times gamma above the diagonal (folding E^3)."""
+    sig = [_parts(x)]
+    for _ in range(2):
+        sig.append([l_sigma_coords(v) for v in sig[-1]])
+    entry = lambda r, c: sig[c][(r - c) % 3]
+    return [[_l_scale(gamma, entry(r, c)) if r < c else entry(r, c) for c in range(3)] for r in range(3)]
 
 
 def a_involution_coords(x, gamma) -> tuple:

@@ -7,6 +7,7 @@ All commands are deterministic given their flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -28,13 +29,14 @@ from .codebook import (
     Box,
     Codebook,
     DiversityReport,
-    _unitary_render,
     first_non_unitary,
     generate_codebook,
     hilbert90_unit,
     min_det_report,
+    numeric_embeddings,
     subfield,
     subfield_table,
+    unitary_matrix_numeric,
 )
 from .fields import LElem
 
@@ -64,6 +66,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unidiv",
@@ -263,14 +266,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         golden.update(loaded)
 
     x = worked_example().x
-    mat = matrix_embed(x)
     ax = involution(x)
     unit = hilbert90_unit(x)
-    numeric = _unitary_render(unit).tolist()
+    numeric = unitary_matrix_numeric(unit)
 
     checks: list[tuple[str, bool, str, str]] = []
 
-    actual_grid = mat.render()
+    actual_grid = matrix_embed(x).render()
     checks.append(
         ("matrix-embedding", actual_grid == golden["matrix"], str(golden["matrix"]), str(actual_grid))
     )
@@ -480,10 +482,9 @@ def cmd_embed(args: argparse.Namespace) -> int:
             raise InputError(f"malformed element: {exc}")
     # OverflowError: a value past float range; ValueError: past str()'s digit limit
     try:
-        mat = matrix_embed(x)
-        grid = mat.render()
+        grid = matrix_embed(x).render()
         chi = str(reduced_char_poly(x))
-        numeric = mat.to_complex(0)
+        numeric = numeric_embeddings([x])[0][0].tolist()
         element = serialize_element(x)
         text = str(x)
     except (OverflowError, ValueError) as exc:

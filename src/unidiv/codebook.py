@@ -12,6 +12,9 @@ Units are built in one place, `_hilbert90_batch`, from candidates scaled
 to integer coordinates (x does not change) on int64 or object arrays;
 `generate_codebook` runs it on chunks and `hilbert90_unit` on a batch of
 one.  `first_non_unitary` decides x * involution(x) = 1 in one array pass.
+`numeric_embeddings` is the one float evaluation of the embedding: every
+numeric matrix (codebooks, `embed`, the diversity screen) comes from it,
+bit-identical to `LElem.to_complex`.
 
 Stability under the involution is one commute check: in a division
 algebra of prime degree 3, any g outside the center K generates a maximal
@@ -41,15 +44,17 @@ from .algebra import (
     AlgebraSpec,
     InversionError,
     STANDARD_ALGEBRA,
+    a_embed_coords,
     a_involution_coords,
     a_mul_coords,
     a_quotient_coords,
     char_poly_rational,
     involution,
-    matrix_embed,
     reduced_norm,
 )
-from .fields import K_ONE, KElem, LElem, THETA, ZETA3, l_norm_coords, minimal_polynomial_coeffs
+from .fields import (
+    K_ONE, KElem, LElem, THETA, THETA_EMBEDDINGS, ZETA3, ZETA3_COMPLEX, l_norm_coords, minimal_polynomial_coeffs
+)
 from .polynomials import Polynomial, discriminant_cubic, has_rational_root
 from .rationals import as_rat, factor_small_int
 
@@ -236,11 +241,15 @@ def first_non_unitary(elements: Sequence[AlgElem]) -> Optional[int]:
     return int(bad[0]) if len(bad) else None
 
 
-def _units(spec: AlgebraSpec, keys) -> list[AlgElem]:
-    """The units X/d for keys (X, d), checked exactly: x * involution(x) = 1."""
+def _units(spec: AlgebraSpec, keys) -> tuple[list[AlgElem], np.ndarray]:
+    """The units X/d for keys (X, d), checked exactly (x * involution(x) = 1), and their
+    `numeric_embeddings` M; max|M M^dagger - I| > 1e-10 would be an embedding bug."""
     units = [AlgElem.from_integral(spec, x, d) for x, d in keys]
     assert first_non_unitary(units) is None, "unit postcondition failed"
-    return units
+    m = numeric_embeddings(units)[0]
+    defect = np.max(np.abs(m @ m.conj().swapaxes(1, 2) - np.eye(3)), initial=0.0)
+    assert defect <= 1e-10, f"numeric unitarity defect {defect}"
+    return units, m
 
 
 class PreconditionError(ValueError):
@@ -263,34 +272,46 @@ def hilbert90_unit(u: AlgElem) -> AlgElem:
         raise PreconditionError("precondition failed: u does not commute with involution(u)")
     if d[0] == 0:
         raise InversionError("nonzero element with zero reduced norm; gamma does not give a division algebra")
-    return _units(u.spec, [(x[:, 0].tolist(), d[0])])[0]
+    return _units(u.spec, [(x[:, 0].tolist(), d[0])])[0][0]
 
 
 def unitary_matrix_numeric(x: AlgElem) -> list[list[complex]]:
-    """`_unitary_render` of x, as lists, after checking x * involution(x) = 1 exactly."""
+    """The numeric matrix of x, as lists, after checking x * involution(x) = 1 exactly."""
     if first_non_unitary([x]) is not None:
         raise ValueError("element is not unitary")
-    return _unitary_render(x).tolist()
+    return numeric_embeddings([x])[0][0].tolist()
 
 
-def _unitary_render(x: AlgElem) -> np.ndarray:
-    """Complex 3x3 rendering (embedding 0) of a unit, e.g. from `hilbert90_unit`.
+def numeric_embeddings(elements: Sequence[AlgElem]) -> tuple[np.ndarray, np.ndarray]:
+    """Float matrices F of matrix_embed(x) at embedding 0, shape (n, 3, 3), and W.
 
-    The numeric matrix must satisfy max|M M^dagger - I| <= 1e-10 (anything
-    else is an embedding bug).
+    F is `LElem.to_complex(0)` of each entry bit for bit: `a_embed_coords`'s
+    integers divided in Python (correctly rounded; OverflowError past float
+    range), in that method's operation order.  W, which bounds the error in
+    `min_det_report`, sums (|a_m| + |b_m|)|theta|^m over the float a_m + b_m*zeta3.
     """
-    m = np.array(matrix_embed(x).to_complex(0), dtype=complex)
-    defect = np.max(np.abs(m @ m.conj().T - np.eye(3)))
-    assert defect <= 1e-10, f"numeric unitarity defect {defect}"
-    return m
+    nums = np.array([x.integral()[0] for x in elements], dtype=object).reshape(-1, 18).T
+    dens = np.array([x.integral()[1] for x in elements], dtype=object)
+    gamma = np.array([x.spec.gamma_coords for x in elements], dtype=object).reshape(-1, 2).T
+    entries = np.array(a_embed_coords(nums, gamma), dtype=object) / dens  # (3, 3, 6, n), divided by Python
+    c = np.moveaxis(entries.astype(float), -1, 0).copy()
+    t, z = THETA_EMBEDDINGS[0], ZETA3_COMPLEX
+    mul = lambda ar, ai, br, bi: (ar * br - ai * bi, ar * bi + ai * br)  # CPython's complex product
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as CPython makes them, silently
+        # KElem.to_complex: complex(a) + complex(b) * zeta3, for the coefficients of 1, t and t*t
+        zb = [mul(c[..., m + 1], 0.0, z.real, z.imag) for m in (0, 2, 4)]
+        k = [(c[..., m] + re, 0.0 + im) for m, (re, im) in zip((0, 2, 4), zb)]
+        # LElem.to_complex: k0 + k1 * t + k2 * (t * t)
+        p1, p2 = mul(*k[1], t, 0.0), mul(*k[2], t * t, 0.0)
+        values = np.stack([k[0][0] + p1[0] + p2[0], k[0][1] + p1[1] + p2[1]], axis=-1).view(complex)[..., 0]
+        a = np.abs(c)
+        sizes = a[..., 0] + a[..., 1] + (a[..., 2] + a[..., 3]) * abs(t) + (a[..., 4] + a[..., 5]) * (t * t)
+    return values, sizes
 
 
 @dataclass(eq=False, slots=True)
 class Codebook:
-    """An ordered family of certified unitary elements with numeric renderings.
-
-    `matrices` stacks the renderings as one complex array of shape (n, 3, 3).
-    """
+    """An ordered family of certified unitary elements; `matrices` holds their `numeric_embeddings`."""
 
     subfield_spec: SubfieldSpec
     box: Box
@@ -349,13 +370,13 @@ def generate_codebook(sub: SubfieldSpec, box: Box, size: int) -> Codebook:
                 break
         if len(seen) == size:
             break
-    elements = _units(spec, list(seen))
+    elements, matrices = _units(spec, list(seen))
     return Codebook(
         subfield_spec=sub,
         box=box,
         requested=size,
         elements=elements,
-        matrices=np.array([_unitary_render(x) for x in elements] or np.empty((0, 3, 3))),
+        matrices=matrices,
         complete=len(elements) == size,
         precondition_failures=failures,
         candidates_scanned=scanned,
@@ -433,17 +454,6 @@ def division_certificate(gamma: KElem) -> Optional[DivisionCertificate]:
     return DivisionCertificate(gamma, _PI, p, residue, cubes)
 
 
-# Complex values of the six basis elements zeta3^s * theta^m (row 2m + s) at
-# the three embeddings of theta (columns), in LElem.six_tuple order.
-_BASIS_VALUES = np.array(
-    [[LElem.from_six_tuple([int(i == r) for i in range(6)]).to_complex(k) for k in range(3)]
-     for r in range(6)]
-)
-# Entry (r, c) of matrix_embed(x) is sigma^c(x_t) with t = (r - c) mod 3,
-# times gamma above the diagonal; sigma^c(x_t) at embedding 0 is x_t at
-# embedding c.
-_ROWS, _COLS = np.indices((3, 3))
-_PART = (_ROWS - _COLS) % 3
 # Pairs per array pass of the numeric minimum; bounds its working memory.
 _PAIR_CHUNK = 1 << 14
 # Per-pair rounding bound factor, in units of per(T); see min_det_report.
@@ -459,19 +469,9 @@ def _expand3(m: np.ndarray, sign: int) -> np.ndarray:
     )
 
 
-def _numeric_embeddings(elements: Sequence[AlgElem]) -> tuple[np.ndarray, np.ndarray]:
-    """Float matrices of matrix_embed(x) at embedding 0, and their absolute evaluations."""
-    coords = np.array([[[float(c) for c in part.six_tuple()] for part in x.coords()] for x in elements])
-    # Broadcast sums rather than matmul, which would page in BLAS for a 6-term sum.
-    values = (coords[..., None] * _BASIS_VALUES).sum(axis=-2)
-    sizes = (np.abs(coords)[..., None] * np.abs(_BASIS_VALUES)).sum(axis=-2)
-    twist = np.where(_ROWS < _COLS, elements[0].spec.gamma.to_complex(), 1.0)
-    return values[:, _PART, _COLS] * twist, sizes[:, _PART, _COLS] * np.abs(twist)
-
-
 def _numeric_pair_dets(elements: Sequence[AlgElem]) -> tuple[np.ndarray, ...]:
     """Pairs (i, j), i < j, in order, with numeric |det(x_i - x_j)| and its error bound."""
-    mats, sizes = _numeric_embeddings(elements)
+    mats, sizes = numeric_embeddings(elements)
     left, right = np.triu_indices(len(elements), 1)
     numeric = np.empty(len(left))
     bound = np.empty(len(left))
@@ -490,26 +490,27 @@ def min_det_report(elements: Sequence[AlgElem]) -> DiversityReport:
     x_i = x_j, so step 1 finds the first zero pair (least i, then least j)
     by hashing the elements, in O(M).
 
-    Step 2 finds the minimum of |det| screened numerically.  Each element's
-    3x3 embedding is built in floats from its coordinates (x_t at the three
-    embeddings of theta), and every pair's det(F_i - F_j) is expanded as one
-    array computation.  Writing u = 2^-53, W for the entrywise absolute
-    evaluation of an embedding (sum of |coordinate| * |basis value|, times
-    |gamma| above the diagonal) and T = W_i + W_j, the numeric |det| n of
-    a pair is within b = 512u * per(T) (per: the permanent) of its exact
-    |det| e, and of the float `abs(det.to_complex())` that the report uses:
-      - coordinate conversion (u), basis values (8u, pinned by a test) and
-        the six-term dot product (9u) put each embedded entry within 18u of
-        its exact value relative to W, gamma's value and product add 11u,
-        and the subtraction F_i - F_j 2u, so every entry of the difference
-        is within 32u * T of the exact one, whose modulus is at most
-        (1 + 10u) T;
+    Step 2 finds the minimum of |det| screened numerically: det(F_i - F_j)
+    is expanded for every pair as one array computation on the F and W of
+    `numeric_embeddings`.  Writing u = 2^-53, K_m = |a_m| + |b_m| for an
+    exact entry's coordinates a_m + b_m*zeta3 of theta^m (gamma enters
+    exactly) and T = W_i + W_j, the numeric |det| n of a pair is within
+    b = 512u * per(T) (per: the permanent) of its exact |det| e, and of the
+    float `abs(det.to_complex())` that the report uses:
+      - with the floats t of theta, fl(t*t) and fl(sqrt(3)/2) relatively
+        within 2u, 4u and u (pinned by a test), fl(a_m) + fl(b_m)*zeta3 is
+        within 4u * K_m of its value, its products with t and fl(t*t) within
+        7u * K_1|theta| and 9u * K_2 theta^2, and the two sums add at most
+        2u * sum K_m|theta|^m <= 2u(1 + 10u) W; so each entry is within
+        12u * W of its exact value and, with the subtraction F_i - F_j (2u),
+        each entry of the difference within 14u * T of the exact one, whose
+        modulus is at most (1 + 10u) T;
       - det is multilinear with nonnegative expansion in moduli, so that
-        moves it by at most per((1 + 42u) T) - per((1 + 10u) T) < 97u * per(T);
+        moves it by at most per((1 + 24u) T) - per((1 + 10u) T) < 43u * per(T);
       - the cofactor expansion rounds by at most 11u * per(T), the modulus
         by 2u * per(T), and the float of the exact det differs from e by at
         most 15u * per(T);
-    in all under 128u * per(T), so 512u leaves a factor 4 for the rounding
+    in all under 72u * per(T), so 512u leaves a factor 7 for the rounding
     of T and per(T) themselves.  A pair can hold the minimum only if
     n - b <= min(n' + b') over all pairs, i.e. n lies within the two bounds
     of the numeric minimum; exactly those pairs are recomputed with

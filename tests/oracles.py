@@ -2,8 +2,10 @@
 
 `alg_mul_oracle` is the algebra product as the loop over E-powers that the
 18-coordinate closed form replaced, `matrix_embed_oracle` the embedding in
-LElem arithmetic, `inverse_oracle` the inverse from the characteristic
-polynomial's coefficients, and `codebook_oracle` over `enumerate_subfield`
+LElem arithmetic, `matl_to_complex` its float rendering entry by entry
+(`LElem.to_complex`, which `numeric_embeddings` matches bit for bit),
+`inverse_oracle` the inverse from the characteristic polynomial's
+coefficients, and `codebook_oracle` over `enumerate_subfield`
 the per-candidate Fraction path that `generate_codebook`'s integer arrays
 replaced.  `iter_box_tuples` is the reference box order that
 `box_chunks` walks on integer arrays, and `pairwise_determinants` the
@@ -85,6 +87,11 @@ def matrix_embed_oracle(x: AlgElem) -> list[list[LElem]]:
         [x1, x0.sigma(1), g * x2.sigma(2)],
         [x2, x1.sigma(1), x0.sigma(2)],
     ]
+
+
+def matl_to_complex(rows, conj_index: int = 0) -> list[list[complex]]:
+    """The complex values of 3x3 LElem rows (`MatL.rows` or `matrix_embed_oracle`) at one embedding."""
+    return [[v.to_complex(conj_index) for v in row] for row in rows]
 
 
 def enumerate_subfield(sub, box):

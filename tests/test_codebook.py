@@ -1,8 +1,11 @@
 import functools
+import json
 import random
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from oracles import (
     enumerate_subfield,
     express_in_power_basis,
     iter_box_tuples,
+    matl_to_complex,
     matrix_embed_oracle,
     pairwise_determinants,
 )
@@ -22,6 +26,7 @@ from unidiv.algebra import (
     InversionError,
     InvolutionUnavailable,
     STANDARD_ALGEBRA,
+    AlgElem,
     inverse,
     involution,
     reduced_norm,
@@ -29,8 +34,9 @@ from unidiv.algebra import (
     to_zeta9,
     worked_example,
 )
+from unidiv.cli import parse_element
 from unidiv.codebook import (
-    _BASIS_VALUES,
+    _DET_ERROR,
     _dtype,
     _hilbert90_coords,
     _norm_coords,
@@ -49,6 +55,7 @@ from unidiv.codebook import (
     min_det_report,
     norm_witness_search,
     nu_generator,
+    numeric_embeddings,
     reduce_generator_poly,
     subfield,
     subfield_candidates,
@@ -56,7 +63,7 @@ from unidiv.codebook import (
     subfield_table_row,
     unitary_matrix_numeric,
 )
-from unidiv.fields import THETA, THETA_EMBEDDINGS, KElem, LElem, ZETA3, l_norm_coords
+from unidiv.fields import THETA, THETA_EMBEDDINGS, KElem, LElem, ZETA3, ZETA3_COMPLEX, l_norm_coords
 from unidiv.polynomials import (
     Polynomial,
     discriminant_cubic,
@@ -65,6 +72,19 @@ from unidiv.polynomials import (
 
 A = STANDARD_ALGEBRA
 ONE = A.one()
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def data_elements(name: str) -> list[AlgElem]:
+    """The elements of the codebook file tests/data/diversity/NAME.json."""
+    records = json.loads((DATA / "diversity" / f"{name}.json").read_text())["elements"]
+    return [parse_element(rec) for rec in records]
+
+
+def same_bits(got, want) -> bool:
+    """Complex arrays equal bit for bit: == cannot tell -0.0 from 0.0, but the JSON output can."""
+    want = np.array(want, dtype=complex).reshape(np.shape(got))
+    return np.array_equal(np.asarray(got).view(np.uint64), want.view(np.uint64))
 
 
 def test_box_values_order():
@@ -363,10 +383,8 @@ def assert_matches_fraction_oracle(sub: SubfieldSpec, box: Box, size: int):
     assert cb.elements == elements
     assert (cb.candidates_scanned, cb.precondition_failures) == (scanned, failures)
     assert cb.complete == (len(elements) == size)
-    # the same floats as the LElem embedding, in the same operation order
-    assert cb.matrices.tolist() == [
-        [[v.to_complex(0) for v in row] for row in matrix_embed_oracle(x)] for x in elements
-    ]
+    # the same floats as the LElem embedding, in the same operation order, signed zeros included
+    assert same_bits(cb.matrices, [matl_to_complex(matrix_embed_oracle(x)) for x in elements])
     return cb
 
 
@@ -601,35 +619,82 @@ def test_division_certificate_inconclusive(gamma):
     assert division_certificate(gamma) is None
 
 
-def test_basis_values_within_eight_ulps():
-    # min_det_report's rounding bound assumes |computed - exact| <= 8u|value|
-    # for the float values of zeta3^s * theta^m at the three embeddings
-    u = 2.0**-53
+def test_embedding_constants_within_proof_bounds():
+    # min_det_report's rounding bound assumes that the float t of theta, fl(t*t)
+    # and fl(sqrt(3)/2) are within 2u, 4u and u of their values, relatively
+    u = Decimal(2) ** -53
+    t = THETA_EMBEDDINGS[0]
     with localcontext() as ctx:
         ctx.prec = 50
+        theta = Decimal(t)
+        for _ in range(6):  # Newton on theta^3 + theta^2 - 2*theta - 1
+            theta -= (theta**3 + theta**2 - 2 * theta - 1) / (3 * theta**2 + 2 * theta - 2)
+        assert abs(theta**3 + theta**2 - 2 * theta - 1) < Decimal(10) ** -45
+        assert abs(Decimal(t) - theta) <= 2 * u * theta
+        assert abs(Decimal(t * t) - theta**2) <= 4 * u * theta**2
         half_sqrt3 = Decimal(3).sqrt() / 2
-        for k, approx in enumerate(THETA_EMBEDDINGS):
-            t = Decimal(approx)
-            for _ in range(6):  # Newton on theta^3 + theta^2 - 2*theta - 1
-                t -= (t**3 + t**2 - 2 * t - 1) / (3 * t**2 + 2 * t - 2)
-            for m in range(3):
-                for s in range(2):
-                    re = t**m * (Decimal(-1) / 2 if s else 1)
-                    im = t**m * (half_sqrt3 if s else 0)
-                    got = _BASIS_VALUES[2 * m + s, k]
-                    err = complex(float(Decimal(got.real) - re), float(Decimal(got.imag) - im))
-                    assert abs(err) <= 8 * u * abs(got)
+        assert abs(Decimal(ZETA3_COMPLEX.imag) - half_sqrt3) <= u * half_sqrt3
+        assert ZETA3_COMPLEX.real == -0.5
+    assert _DET_ERROR == 512 * 2.0**-53
 
 
-@pytest.mark.parametrize("kind, k, size", [("zeta9", None, 40), ("nu", 1, 12)])
-def test_numeric_determinants_within_bound(kind, k, size):
-    elements = codebook_elements(kind, k, size)
+def random_elements(rng: random.Random, count: int, digits: int) -> list[AlgElem]:
+    """Elements with random numerators and denominators of up to `digits` digits (not units)."""
+    top = 10**digits
+    return [
+        AlgElem.from_integral(A, [rng.randint(-top, top) for _ in range(18)], rng.randint(1, top))
+        for _ in range(count)
+    ]
+
+
+def test_numeric_embeddings_match_lelem_to_complex_bitwise():
+    names = ("zeta9_12", "nu1_5", "L_8", "mixed_6", "k_units_6", "duplicate_6")
+    elements = [x for name in names for x in data_elements(name)]
+    elements.append(parse_element(json.loads((DATA / "cli" / "element.json").read_text())))
+    elements += random_elements(random.Random(25), 300, 25)
+    # entries past float range after the sums: inf, as the LElem path makes it, and no warning
+    big = 6 * 10**307
+    elements.append(AlgElem.from_integral(A, [big, -big, big, -big], 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, sizes = numeric_embeddings(elements)
+    assert values.shape == sizes.shape == (len(elements), 3, 3)
+    assert same_bits(values, [matl_to_complex(matrix_embed_oracle(x)) for x in elements])
+    assert np.isinf(values[-1, 0, 0].real)
+    # over another certified gamma too, whose upper triangle is scaled differently
+    spec = AlgebraSpec(ZETA3 * ZETA3)
+    other = [AlgElem.from_integral(spec, *x.integral()) for x in elements[:40]]
+    assert same_bits(numeric_embeddings(other)[0], [matl_to_complex(matrix_embed_oracle(x)) for x in other])
+
+
+def test_numeric_embeddings_of_no_elements():
+    values, sizes = numeric_embeddings([])
+    assert values.shape == sizes.shape == (0, 3, 3)
+    assert values.dtype == complex
+
+
+def assert_numeric_determinants_within_bound(elements):
+    """Every pair's screened |det| lies within its rounding bound of the exact one."""
+    size = len(elements)
     left, right, numeric, bound = _numeric_pair_dets(elements)
     assert len(left) == size * (size - 1) // 2
     for i, j, n, b in zip(left, right, numeric, bound):
         exact = reduced_norm(elements[i] - elements[j])
         assert abs(n - abs(exact.to_complex())) <= b
         assert 0 < b < 1e-9
+
+
+# zeta9 and nu_1 units fill the gamma-scaled upper triangle; L's units lie in
+# L itself, so their matrices are diagonal
+@pytest.mark.parametrize("kind, k, size", [("zeta9", None, 40), ("nu", 1, 12), ("L", None, 12)])
+def test_numeric_determinants_within_bound(kind, k, size):
+    assert_numeric_determinants_within_bound(codebook_elements(kind, k, size))
+
+
+def test_numeric_determinants_within_bound_on_mixed_subfields():
+    # one unit from each of six subfields, theta components above the diagonal:
+    # every pair takes the generic determinant
+    assert_numeric_determinants_within_bound(data_elements("mixed_6"))
 
 
 @functools.cache
