@@ -8,17 +8,22 @@ exactly when z = gamma*conj(gamma) = 1), reduced norms and characteristic
 polynomials, inversion through Cayley-Hamilton, and the fixed-point test
 for the involution together with its coefficientwise conditions.  The
 product, the involution, Nrd, chi and the quotient u * v^(-1) exist once,
-as closed forms on the 18 rational coordinates at the end of this module.
+as closed forms on the 18 rational coordinates at the end of this module,
+each evaluated from a monomial table traced from it once per gamma.
 
 Everything is immutable and pure; an AlgebraSpec can be shared read-only.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
+
+import numpy as np
 
 from .fields import (
     K_ONE,
@@ -405,11 +410,10 @@ def from_zeta9(coeffs: Sequence[Fraction | int | str]) -> AlgElem:
 
 def to_zeta9(x: AlgElem) -> tuple[Fraction, ...]:
     """Coefficients of 1, z9, ..., z9^5 for an element of the E-subfield."""
-    for part in x.coords():
-        if not part.is_in_k():
-            raise ValueError("element is not in the E-subfield")
+    if not all(part.is_in_k() for part in x.coords()):
+        raise ValueError("element is not in the E-subfield")
     ks = [part.c0 for part in x.coords()]
-    return (ks[0].a0, ks[1].a0, ks[2].a0, ks[0].a1, ks[1].a1, ks[2].a1)
+    return tuple(k.a0 for k in ks) + tuple(k.a1 for k in ks)
 
 
 def zeta9_str(coeffs: Sequence[Fraction]) -> str:
@@ -427,10 +431,7 @@ def zeta9_str(coeffs: Sequence[Fraction]) -> str:
         parts.append((sign, body))
     if not parts:
         return "0"
-    first_sign, first_body = parts[0]
-    s = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        s += sign + body
+    s = "".join(sign + body for sign, body in parts).removeprefix("+")
     return s if denom == 1 else f"({s})/{denom}"
 
 
@@ -457,9 +458,81 @@ def worked_example() -> WorkedExample:
 # Closed forms on eighteen coordinates
 # ---------------------------------------------------------------------------
 # x0 + E*x1 + E^2*x2 as 18 coordinates, the six-tuples of x0, x1 and x2,
-# and gamma as its two K coordinates.  AlgElem and the functions above call
-# these on integers, the codebook on integer arrays and magnitudes, so they
-# use only +, - and *: with gamma integral, every value is an integer.
+# and gamma as its two K coordinates.  Each form is written once, with +, -
+# and * only; its body runs once per (argument sizes, gamma) on _Poly
+# variables, giving its monomial table (`_table`), which every call evaluates
+# (`_tabulated`).  AlgElem and the functions above call the forms on Python
+# integers, exact on object arrays; the codebook on int64 or object arrays
+# and on _Magnitude bounds, which so bound every product and partial sum.
+
+
+class _Poly(dict):
+    """A polynomial {sorted tuple of variable indices: integer or rational coefficient}."""
+
+    def __add__(self, other, sign=1):
+        out = _Poly(self)
+        for m, c in _lift(other).items():
+            out[m] = out.get(m, 0) + sign * c
+        return _Poly({m: c for m, c in out.items() if c})
+
+    def __mul__(self, other):
+        out: dict = {}
+        for (m, c), (n, d) in itertools.product(self.items(), _lift(other).items()):
+            mn = tuple(sorted(m + n))
+            out[mn] = out.get(mn, 0) + c * d
+        return _Poly({m: c for m, c in out.items() if c})
+
+    __radd__, __rmul__ = __add__, __mul__
+    __sub__ = lambda self, other: self.__add__(other, -1)
+    __neg__ = lambda self: self * -1
+
+
+def _lift(v) -> _Poly:
+    return v if isinstance(v, _Poly) else _Poly({(): v} if v else {})
+
+
+def _map_leaves(tree, f):
+    """tree, nested tuples and lists, with each leaf v replaced by f(v)."""
+    return type(tree)(_map_leaves(t, f) for t in tree) if isinstance(tree, (tuple, list)) else f(tree)
+
+
+@functools.lru_cache(maxsize=128)
+def _table(body, sizes: tuple[int, ...], gamma) -> tuple:
+    """body on `sizes` variables: its output nesting (leaf k replaced by k), the number of leaves and,
+    per degree, the variables (degree x terms), coefficients, and each segment's start and leaf."""
+    leaves: list = []
+    count = itertools.count()
+    traced = body(*(tuple(_Poly({(next(count),): 1}) for _ in range(n)) for n in sizes), gamma)
+    nesting = _map_leaves(traced, lambda v: leaves.append(_lift(v)) or len(leaves) - 1)
+    terms = sorted((len(m), k, m, c) for k, leaf in enumerate(leaves) for m, c in leaf.items())
+    degrees = []
+    for _, group in itertools.groupby(terms, key=lambda term: term[0]):
+        _, outs, monomials, coefs = zip(*group)
+        starts = [k for k in range(len(outs)) if k == 0 or outs[k] != outs[k - 1]]
+        coefs = np.array([int(c) if c.denominator == 1 else c for c in coefs])
+        degrees.append((np.array(monomials).T, coefs, np.array(starts), np.array(outs)[starts]))
+    return nesting, len(leaves), degrees
+
+
+def _tabulated(body):
+    """`body` (kept as `__wrapped__`) from `_table`: per degree coef * x[i] * x[j] ... per term, then one
+    sum per segment; array rows in their dtype, Python numbers and _Magnitude bounds as object arrays."""
+
+    @functools.wraps(body)
+    def form(*args):
+        *args, gamma = args
+        nesting, size, degrees = _table(body, tuple(map(len, args)), gamma)
+        scalar = not isinstance(args[0][0], np.ndarray)
+        x = np.concatenate([np.asarray(a, dtype=object if scalar else None) for a in args])
+        out = np.zeros((size, *x.shape[1:]), dtype=np.result_type(x, *(d[1] for d in degrees)))
+        for index, coefs, starts, outs in degrees:
+            term = coefs.reshape(-1, *(1,) * (x.ndim - 1)) * x[index[0]]
+            for i in index[1:]:
+                term *= x[i]
+            out[outs] += np.add.reduceat(term, starts)
+        return _map_leaves(nesting, (out.tolist() if scalar else out).__getitem__)
+
+    return form
 
 
 def _parts(flat):
@@ -475,6 +548,7 @@ def _l_scale(k, a):
     return sum((_k_mul_coords(k[0], k[1], a[i], a[i + 1]) for i in (0, 2, 4)), ())
 
 
+@_tabulated
 def a_mul_coords(x, y, gamma) -> tuple:
     """The product: (E^i a)(E^j b) = E^(i+j) sigma^j(a) b, folding E^3 = gamma."""
     x, y = _parts(x), _parts(y)
@@ -491,6 +565,7 @@ def a_mul_coords(x, y, gamma) -> tuple:
     return out
 
 
+@_tabulated
 def a_embed_coords(x, gamma) -> list:
     """The entries of `matrix_embed`, rows of six-coordinate entries: (r, c) is
     sigma^c(x_t), t = (r - c) mod 3, times gamma above the diagonal (folding E^3)."""
@@ -501,6 +576,7 @@ def a_embed_coords(x, gamma) -> list:
     return [[_l_scale(gamma, entry(r, c)) if r < c else entry(r, c) for c in range(3)] for r in range(3)]
 
 
+@_tabulated
 def a_involution_coords(x, gamma) -> tuple:
     """The involution, with 1/gamma written as conj(gamma) (valid when z = 1)."""
     g = (gamma[0] - gamma[1], -gamma[1])
@@ -508,6 +584,7 @@ def a_involution_coords(x, gamma) -> tuple:
     return c0 + _l_scale(g, l_sigma_coords(c2)) + _l_scale(g, l_sigma_coords(l_sigma_coords(c1)))
 
 
+@_tabulated
 def a_nrd_coords(x, gamma) -> tuple:
     """Nrd(x) as its two K coordinates.
 
@@ -526,6 +603,7 @@ def a_nrd_coords(x, gamma) -> tuple:
     return n0[0] + inner[0], n0[1] + inner[1]
 
 
+@_tabulated
 def a_char_coords(x, gamma) -> tuple:
     """(t, s) of chi(X) = X^3 - t*X^2 + s*X - Nrd(x), each as two K coordinates."""
     a, b, c = _parts(x)
@@ -539,12 +617,18 @@ def a_quotient_coords(u, v, p, gamma) -> tuple:
 
     Cayley-Hamilton gives v*(v^2 - t*v + s) = n for chi_v = X^3 - t*X^2 +
     s*X - n, so u * v^(-1) = (p*v - t*p + s*u) * conj(n) / N(n); d = N(n)
-    is 0 exactly when Nrd(v) = 0.
+    is 0 exactly when Nrd(v) = 0.  (Its table whole would hold about half a
+    million terms, so it combines those of its parts.)
     """
-    (t0, t1), s = a_char_coords(v, gamma)
-    n0, n1 = a_nrd_coords(v, gamma)
-    nbar = (n0 - n1, -n1)
+    (t, s), n = a_char_coords(v, gamma), a_nrd_coords(v, gamma)
+    return _a_quotient_from(u, p, a_mul_coords(p, v, gamma), t, s, n, gamma)
+
+
+@_tabulated
+def _a_quotient_from(u, p, pv, t, s, n, gamma) -> tuple:
+    """`a_quotient_coords` from u, p, p*v and the t, s and n of chi_v; gamma is unused."""
+    nbar = (n[0] - n[1], -n[1])
     x = ()
-    for pv, pp, uu in zip(*map(_parts, (a_mul_coords(p, v, gamma), p, u))):
-        x += _l_scale(nbar, _l_add(pv, _l_scale((-t0, -t1), pp), _l_scale(s, uu)))
-    return x, n0 * nbar[0] - n1 * nbar[1]
+    for pv_k, p_k, u_k in zip(*map(_parts, (pv, p, u))):
+        x += _l_scale(nbar, _l_add(pv_k, _l_scale((-t[0], -t[1]), p_k), _l_scale(s, u_k)))
+    return x, n[0] * nbar[0] - n[1] * nbar[1]

@@ -7,6 +7,7 @@ All commands are deterministic given their flags.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import re
@@ -126,11 +127,7 @@ def _complex_str(z: complex) -> str:
 
 
 def serialize_element(x: AlgElem) -> dict:
-    return {
-        "x0": [str(f) for f in x.x0.six_tuple()],
-        "x1": [str(f) for f in x.x1.six_tuple()],
-        "x2": [str(f) for f in x.x2.six_tuple()],
-    }
+    return {key: [str(f) for f in part.six_tuple()] for key, part in zip(("x0", "x1", "x2"), x.coords())}
 
 
 def parse_element(data) -> AlgElem:
@@ -270,24 +267,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     unit = hilbert90_unit(x)
     numeric = unitary_matrix_numeric(unit)
 
-    checks: list[tuple[str, bool, str, str]] = []
-
     actual_grid = matrix_embed(x).render()
-    checks.append(
-        ("matrix-embedding", actual_grid == golden["matrix"], str(golden["matrix"]), str(actual_grid))
-    )
-
     actual_inv = serialize_element(ax)
-    checks.append(
-        ("involution-image", actual_inv == golden["involution"], str(golden["involution"]), str(actual_inv))
-    )
-
     unit_coeffs = [str(c) for c in to_zeta9(unit)]
-    checks.append(
-        ("unit-expansion", unit_coeffs == golden["unit_zeta9"], str(golden["unit_zeta9"]), str(unit_coeffs))
-    )
-
-    checks.append(("unit-norm", first_non_unitary([unit]) is None, "1", "checked exactly"))
+    checks: list[tuple[str, bool, str, str]] = [
+        ("matrix-embedding", actual_grid == golden["matrix"], str(golden["matrix"]), str(actual_grid)),
+        ("involution-image", actual_inv == golden["involution"], str(golden["involution"]), str(actual_inv)),
+        ("unit-expansion", unit_coeffs == golden["unit_zeta9"], str(golden["unit_zeta9"]), str(unit_coeffs)),
+        ("unit-norm", first_non_unitary([unit]) is None, "1", "checked exactly"),
+    ]
 
     numeric_ok = True
     worst = 0.0
@@ -485,6 +473,8 @@ def cmd_embed(args: argparse.Namespace) -> int:
         grid = matrix_embed(x).render()
         chi = str(reduced_char_poly(x))
         numeric = numeric_embeddings([x])[0][0].tolist()
+        if not all(cmath.isfinite(v) for row in numeric for v in row):
+            raise OverflowError("a numeric entry is past float range")
         element = serialize_element(x)
         text = str(x)
     except (OverflowError, ValueError) as exc:

@@ -11,7 +11,9 @@ nonzero determinant and the family is fully diverse.
 Units are built in one place, `_hilbert90_batch`, from candidates scaled
 to integer coordinates (x does not change) on int64 or object arrays;
 `generate_codebook` runs it on chunks and `hilbert90_unit` on a batch of
-one.  `first_non_unitary` decides x * involution(x) = 1 in one array pass.
+one.  It and `first_non_unitary`, which decides x * involution(x) = 1 in
+one array pass, evaluate the algebra's closed forms from their monomial
+tables, a few array operations per form; `_peak` bounds that evaluation.
 `numeric_embeddings` is the one float evaluation of the embedding: every
 numeric matrix (codebooks, `embed`, the diversity screen) comes from it,
 bit-identical to `LElem.to_complex`.
@@ -72,10 +74,8 @@ class Box:
 
     def values(self) -> list[Fraction]:
         """Allowed coordinate values, smallest height first, then by magnitude."""
-        vals = set()
-        for q in range(1, self.denominator_bound + 1):
-            for p in range(-self.numerator_bound, self.numerator_bound + 1):
-                vals.add(Fraction(p, q))
+        b, d = self.numerator_bound, self.denominator_bound
+        vals = {Fraction(p, q) for q in range(1, d + 1) for p in range(-b, b + 1)}
         return sorted(vals, key=lambda f: (_height(f), abs(f), f < 0))
 
     @property
@@ -292,9 +292,12 @@ def numeric_embeddings(elements: Sequence[AlgElem]) -> tuple[np.ndarray, np.ndar
     """
     nums = np.array([x.integral()[0] for x in elements], dtype=object).reshape(-1, 18).T
     dens = np.array([x.integral()[1] for x in elements], dtype=object)
-    gamma = np.array([x.spec.gamma_coords for x in elements], dtype=object).reshape(-1, 2).T
-    entries = np.array(a_embed_coords(nums, gamma), dtype=object) / dens  # (3, 3, 6, n), divided by Python
-    c = np.moveaxis(entries.astype(float), -1, 0).copy()
+    gammas = [x.spec.gamma_coords for x in elements]
+    entries = np.empty((3, 3, 6, len(elements)), dtype=object)
+    for gamma in set(gammas):
+        cols = [i for i, g in enumerate(gammas) if g == gamma]
+        entries[..., cols] = a_embed_coords(nums[:, cols], gamma)
+    c = np.moveaxis((entries / dens).astype(float), -1, 0).copy()  # divided by Python
     t, z = THETA_EMBEDDINGS[0], ZETA3_COMPLEX
     mul = lambda ar, ai, br, bi: (ar * br - ai * bi, ar * bi + ai * br)  # CPython's complex product
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as CPython makes them, silently
@@ -650,15 +653,10 @@ def reduce_generator_poly(chi: Polynomial) -> Polynomial:
     (first nonzero of b, c, a positive).  Deterministic; matches reduced
     generator tables for fields of this size.
     """
-    ints = []
-    for c in chi.coeffs:
-        f = Fraction(c)
-        if f.denominator != 1:
-            raise ValueError("expected an integral monic cubic")
-        ints.append(int(f))
-    if len(ints) != 4 or ints[3] != 1:
+    coeffs = [Fraction(c) for c in chi.coeffs]
+    if any(c.denominator != 1 for c in coeffs) or len(coeffs) != 4 or coeffs[3] != 1:
         raise ValueError("expected an integral monic cubic")
-    r0, q0, p0 = ints[0], ints[1], ints[2]
+    r0, q0, p0 = (int(c) for c in coeffs[:3])
     C = ((0, 0, -r0), (1, 0, -q0), (0, 1, -p0))
     C2 = _matmul3(C, C)
     best = None

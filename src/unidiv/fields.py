@@ -120,12 +120,7 @@ class KElem:
     def __str__(self):
         if self.a1 == 0:
             return str(self.a0)
-        if self.a1 == 1:
-            zpart = "zeta3"
-        elif self.a1 == -1:
-            zpart = "-zeta3"
-        else:
-            zpart = f"{self.a1}*zeta3"
+        zpart = {1: "zeta3", -1: "-zeta3"}.get(self.a1, f"{self.a1}*zeta3")
         if self.a0 == 0:
             return zpart
         joiner = "+" if not zpart.startswith("-") else ""
@@ -277,10 +272,7 @@ class LElem:
                 parts.append(f"{body}*{var}")
         if not parts:
             return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+        return "".join(p if p.startswith("-") else "+" + p for p in parts).removeprefix("+")
 
     def __repr__(self):
         return f"LElem({self.c0!r}, {self.c1!r}, {self.c2!r})"
@@ -298,8 +290,8 @@ THETA_SQ = LElem(0, 0, 1)
 # An element of L as six rational coordinates in `LElem.six_tuple` order.
 # These are the only implementation of the products, the Galois action,
 # the conjugation, the norm and the trace: KElem and LElem call them on
-# Fractions, the algebra's closed forms on integers, integer arrays and
-# magnitudes, and the witness search on integer arrays and magnitudes.  So
+# Fractions, the algebra's closed forms on the polynomials that trace their
+# tables, and the witness search on integer arrays and magnitudes.  So
 # they must use only +, - and *; on integer inputs every value stays an
 # integer.
 

@@ -88,11 +88,8 @@ class Polynomial:
             else:
                 var = "X" if k == 1 else f"X^{k}"
                 term = var if body == "1" else body + var
-            if not parts:
-                parts.append(term if sign == "+" else "-" + term)
-            else:
-                parts.append(sign + term)
-        return "".join(parts)
+            parts.append(sign + term)
+        return "".join(parts).removeprefix("+")
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"

@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from oracles import (
     rows_conj_transpose,
     rows_mul,
 )
+import unidiv.algebra
 from unidiv.algebra import (
     AlgebraSpec,
     AlgElem,
@@ -38,6 +40,7 @@ from unidiv.algebra import (
     worked_example,
     zeta9_str,
 )
+from unidiv.codebook import _dtype
 from unidiv.fields import K_ONE, KElem, L_ONE, L_ZERO, LElem, THETA, ZETA3
 from unidiv.polynomials import Polynomial, has_rational_root
 
@@ -480,6 +483,82 @@ def test_closed_forms_on_integer_arrays():
             }
             for name, values in got.items():
                 assert [int(v[i]) for v in values] == list(want[name]), name
+
+
+# Every closed form evaluated from a monomial table, with its argument sizes.
+TABULATED = {
+    "a_mul_coords": (18, 18),
+    "a_embed_coords": (18,),
+    "a_involution_coords": (18,),
+    "a_nrd_coords": (18,),
+    "a_char_coords": (18,),
+    "_a_quotient_from": (18, 18, 18, 2, 2, 2),
+}
+TABLE_GAMMAS = {"zeta3": (0, 1), "-zeta3^2": (1, 1), "3/2-zeta3": (Fraction(3, 2), -1)}
+
+
+def skeleton(tree):
+    """The nesting of a form's output, its leaves dropped."""
+    return type(tree)(map(skeleton, tree)) if isinstance(tree, (tuple, list)) else None
+
+
+def leaves(tree) -> list:
+    """The values of a form's output, one per output coordinate (a 2-d array holds several)."""
+    nested = isinstance(tree, (tuple, list)) or (isinstance(tree, np.ndarray) and tree.ndim > 1)
+    return [v for t in tree for v in leaves(t)] if nested else [tree]
+
+
+def assert_same_output(got, want):
+    assert [np.asarray(v).tolist() for v in leaves(got)] == [np.asarray(v).tolist() for v in leaves(want)]
+
+
+def test_tabulated_forms_are_all_listed():
+    forms = {n for n, f in vars(unidiv.algebra).items() if inspect.isfunction(f) and hasattr(f, "__wrapped__")}
+    assert forms == set(TABULATED)
+
+
+def int64_limit(form, sizes, gamma) -> int:
+    """The largest m for which _dtype puts form on inputs |v| <= m in int64."""
+    split = lambda u, g: leaves(form(*(u[sum(sizes[:i]):sum(sizes[:i + 1])] for i in range(len(sizes))), g))
+    fits = lambda m: _dtype(split, (m,) * sum(sizes), gamma) is np.int64
+    low, high = 1, 2**63
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if fits(mid) else (low, mid)
+    return low
+
+
+@pytest.mark.parametrize("gamma", TABLE_GAMMAS.values(), ids=TABLE_GAMMAS.keys())
+@pytest.mark.parametrize("name", TABULATED)
+def test_tables_match_closed_form_bodies(name, gamma):
+    form, sizes = getattr(unidiv.algebra, name), TABULATED[name]
+    body = form.__wrapped__
+    rng = random.Random(59)
+    big = 10**30
+    # Python integers, as AlgElem passes them: exact, and Python numbers out
+    args = [tuple(rng.randint(-big, big) for _ in range(n)) for n in sizes]
+    got, want = form(*args, gamma), body(*args, gamma)
+    assert skeleton(got) == skeleton(want)
+    assert_same_output(got, want)
+    assert all(type(v) in (int, Fraction) for v in leaves(got))
+    # object arrays with 30-digit coordinates
+    for width in (1, 5, 33):
+        args = [np.array([[rng.randint(-big, big) for _ in range(width)] for _ in range(n)], dtype=object)
+                for n in sizes]
+        assert_same_output(form(*args, gamma), body(*args, gamma))
+    if any(isinstance(c, Fraction) for c in gamma):
+        # a non-integral gamma puts Fractions into the table, so it runs on objects
+        if name != "_a_quotient_from":  # the one form that does not read gamma
+            assert any(coefs.dtype == object for _, coefs, _, _ in unidiv.algebra._table(body, sizes, gamma)[2])
+        return
+    # int64 inputs at the limit _dtype allows: no overflow
+    m = int64_limit(form, sizes, gamma)
+    for width in (1, 5, 33):
+        args = [np.array([[rng.choice((-m, m, rng.randint(-m, m))) for _ in range(width)] for _ in range(n)])
+                for n in sizes]
+        got = form(*args, gamma)
+        assert all(v.dtype == np.int64 for v in leaves(got))
+        assert_same_output(got, body(*(a.astype(object) for a in args), gamma))
 
 
 def test_nrd_and_char_closed_forms_match_elements():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -291,6 +292,17 @@ def test_embed_char_poly_past_digit_limit(capsys, tmp_path, fmt):
     code, out = _embed_one_coordinate(capsys, tmp_path, coordinate, fmt)
     assert_one_line_error(code, out)
     assert out.startswith("error: cannot render element")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_embed_entries_past_float_range(capsys, fmt):
+    # every coordinate is a float, but the entries' sums are not: inf, which
+    # is neither JSON nor a number to print
+    path = Path(__file__).parent / "data" / "cli" / "element_overflow.json"
+    code, out = run(capsys, "embed", "--element", str(path), "--format", fmt)
+    assert_one_line_error(code, out)
+    assert out.startswith("error: cannot render element")
+    assert "inf" not in out.lower()
 
 
 def test_embed_zeta9(capsys):

@@ -418,8 +418,9 @@ def test_generate_codebook_object_dtype_matches_fraction_oracle():
     assert next(subfield_candidates(sub, Box(1, 13))).dtype == object
     assert_matches_fraction_oracle(sub, Box(1, 13), 20)
     assert next(subfield_candidates(sub, Box(1, 1))).dtype == np.int64
-    # nu_5 already needs Python integers at Box(1, 1)
-    assert next(subfield_candidates(subfield("nu", 5), Box(1, 1))).dtype == object
+    # the tables' bound keeps nu_5, the largest at Box(1, 1), in int64
+    assert next(subfield_candidates(subfield("nu", 5), Box(1, 1))).dtype == np.int64
+    assert_matches_fraction_oracle(subfield("nu", 5), Box(1, 1), 20)
 
 
 def candidate_sizes(sub: SubfieldSpec, box: Box) -> tuple:
@@ -440,6 +441,39 @@ def test_hilbert90_bound_holds_on_chunks(kind, k, box):
         assert all(abs(v) <= m for row, m in zip(u, sizes) for v in row)
         outputs = _hilbert90_coords(u, sub.generator.spec.gamma_coords)
         assert max(abs(v) for out in outputs for v in np.atleast_1d(out)) <= bound
+
+
+class Recorded(int):
+    """An integer that records the largest |value| of every sum and product it makes."""
+
+    peak = 0
+
+    def _made(value):
+        Recorded.peak = max(Recorded.peak, abs(value))
+        return Recorded(value)
+
+    __add__ = __radd__ = lambda a, b: Recorded._made(int(a) + int(b))
+    __sub__ = lambda a, b: Recorded._made(int(a) - int(b))
+    __rsub__ = lambda a, b: Recorded._made(int(b) - int(a))
+    __mul__ = __rmul__ = lambda a, b: Recorded._made(int(a) * int(b))
+
+
+@pytest.mark.parametrize("box", [Box(1, 1), Box(2, 1)], ids=["B1D1", "B2D1"])
+@pytest.mark.parametrize("kind, k", [("zeta9", None), ("nu", 1), ("nu", 5)], ids=["zeta9", "nu1", "nu5"])
+def test_hilbert90_bound_covers_every_product_and_partial_sum(kind, k, box):
+    # the table evaluator on object arrays forms every product and partial sum
+    # that it forms on int64 arrays, in the same order
+    sub = subfield(kind, k)
+    gamma = sub.generator.spec.gamma_coords
+    bound = _peak(_hilbert90_coords, candidate_sizes(sub, box), gamma)
+    for u in islice(subfield_candidates(sub, box), 2):
+        Recorded.peak = 0
+        exact = _hilbert90_coords(np.vectorize(Recorded, otypes=[object])(u), gamma)
+        assert 0 < Recorded.peak <= bound
+        assert u.dtype == np.int64
+        fast = _hilbert90_coords(u, gamma)
+        assert all(v.dtype == np.int64 for v in fast)
+        assert [v.tolist() for v in fast] == [list(map(int, v)) for v in exact]
 
 
 def test_unitarity_bound_holds_on_units():
