@@ -1,4 +1,4 @@
-"""The cubic cyclic algebra built on L/K with a chosen unit gamma of K.
+"""The cubic cyclic algebra (L/K, sigma, gamma) for a nonzero gamma in Z[zeta3].
 
 Elements are x = x0 + E*x1 + E^2*x2 with L coefficients, where the
 generator E satisfies E^3 = gamma and lambda*E = E*sigma(lambda) for
@@ -41,7 +41,7 @@ from .fields import (
     l_trace_coords,
 )
 from .polynomials import Polynomial
-from .rationals import as_rat
+from .rationals import as_rat, clear_denominators
 
 Scalar = Union[KElem, Fraction, int]
 
@@ -59,17 +59,20 @@ class InversionError(ArithmeticError):
 
 
 class AlgebraSpec:
-    """Structure constants of the algebra: gamma and z = gamma*conj(gamma)."""
+    """gamma (nonzero, in Z[zeta3]), `gamma_coords` its two integers, and z = gamma*conj(gamma).  A
+    rational G/d is refused: G*d^2 gives the same algebra, as gamma*N(c) does for c in L^* and N(d) = d^3."""
 
     __slots__ = ("gamma", "z", "gamma_coords")
 
     def __init__(self, gamma: Scalar = ZETA3):
         g = _as_k(gamma)
-        if g.is_zero():
-            raise ValueError("gamma must be a nonzero element of K")
+        coords, d = clear_denominators((g.a0, g.a1))
+        if g.is_zero() or d != 1:
+            same = f"; gamma = G/{d} gives the same algebra as G*{d}^2 = {g * d**3}" if d != 1 else ""
+            raise ValueError(f"gamma must be a nonzero element of Z[zeta3], got {g}{same}")
         self.gamma = g
         self.z = g * g.conj()
-        self.gamma_coords = tuple(int(c) if c.denominator == 1 else c for c in (g.a0, g.a1))
+        self.gamma_coords = tuple(coords)
 
     @property
     def supports_involution(self) -> bool:
@@ -120,22 +123,17 @@ class AlgElem:
     """x0 + E*x1 + E^2*x2 with L coordinates x0, x1, x2.
 
     It is stored as 18 integers over one positive denominator in lowest
-    terms (`integral`), the six-tuples of x0, x1 and x2, without trailing
-    zeros (an element of L keeps at most six), so equal elements store
-    equal values; x0, x1 and x2 are built from them when read.
+    terms (`integral`), the six-tuples of x0, x1 and x2 (built when read)
+    without trailing zeros, so equal elements store equal values.  gamma is
+    integral, so products stay integral; `scale` folds in a scalar's denominator.
     """
 
     __slots__ = ("spec", "_num", "_den")
 
     def __init__(self, spec: AlgebraSpec, x0: LElem, x1: LElem, x2: LElem):
-        coords = [c for part in (x0, x1, x2) for c in part.six_tuple()]
-        q = math.lcm(*(c.denominator for c in coords))
-        self._set(spec, [c.numerator * (q // c.denominator) for c in coords], q)
+        self._set(spec, *clear_denominators(c for part in (x0, x1, x2) for c in part.six_tuple()))
 
     def _set(self, spec: AlgebraSpec, coords, q) -> None:
-        if not all(type(v) is int for v in (*coords, q)):  # Fractions, from a non-integral gamma
-            m = math.lcm(*(Fraction(v).denominator for v in (*coords, q)))
-            coords, q = [int(v * m) for v in coords], int(q * m)
         if q == 0:
             raise ZeroDivisionError("zero denominator")
         g = math.gcd(q, *coords) * (1 if q > 0 else -1)
@@ -144,7 +142,7 @@ class AlgElem:
         while num and not num[-1]:
             num.pop()
         self._num = tuple(num)
-        self._den = int(q) // g
+        self._den = q // g
 
     def coords(self) -> tuple[LElem, LElem, LElem]:
         return (self.x0, self.x1, self.x2)
@@ -203,10 +201,11 @@ class AlgElem:
         return NotImplemented
 
     def scale(self, k: Scalar) -> "AlgElem":
-        """Multiply by a central scalar (an element of K commutes with E)."""
+        """Multiply by a central scalar (an element of K commutes with E); k's denominator joins x's."""
         kk = _as_k(k)
+        num, m = clear_denominators((kk.a0, kk.a1))
         a, q = self.integral()
-        return AlgElem.from_integral(self.spec, sum((_l_scale((kk.a0, kk.a1), p) for p in _parts(a)), ()), q)
+        return AlgElem.from_integral(self.spec, sum((_l_scale(num, p) for p in _parts(a)), ()), q * m)
 
     def __pow__(self, n: int) -> "AlgElem":
         if n < 0:
@@ -418,8 +417,7 @@ def to_zeta9(x: AlgElem) -> tuple[Fraction, ...]:
 
 def zeta9_str(coeffs: Sequence[Fraction]) -> str:
     """Human-readable rendering like (-10+16*z9+z9^2-4*z9^3+14*z9^4+8*z9^5)/19."""
-    denom = math.lcm(*(c.denominator for c in coeffs))
-    nums = [int(c * denom) for c in coeffs]
+    nums, denom = clear_denominators(coeffs)
     parts = []
     for j, n in enumerate(nums):
         if n == 0:

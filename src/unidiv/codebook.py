@@ -58,7 +58,7 @@ from .fields import (
     K_ONE, KElem, LElem, THETA, THETA_EMBEDDINGS, ZETA3, ZETA3_COMPLEX, l_norm_coords, minimal_polynomial_coeffs
 )
 from .polynomials import Polynomial, discriminant_cubic, has_rational_root
-from .rationals import as_rat, factor_small_int
+from .rationals import as_rat, clear_denominators, factor_small_int
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,12 +157,12 @@ class SubfieldSpec:
         return [[v * (q // d) for v in r] for r, d in rows]
 
     def element(self, coords: Sequence[Fraction]) -> AlgElem:
-        c = [as_rat(v) for v in coords]
+        c, p = clear_denominators(as_rat(v) for v in coords)
         if len(c) != 6:
             raise ValueError("expected six rational coordinates")
         m = self.matrix
         num = [sum(a * b for a, b in zip(c, col)) for col in zip(*m)]
-        return AlgElem.from_integral(self.generator.spec, num, m[0][0])
+        return AlgElem.from_integral(self.generator.spec, num, m[0][0] * p)
 
 
 def nu_generator(k: int) -> AlgElem:
@@ -194,9 +194,8 @@ def _peak(formula, sizes: tuple[int, ...], gamma) -> int:
 
 
 def _dtype(formula, sizes: tuple[int, ...], gamma) -> type:
-    """int64 if it holds every such integer and gamma is integral, else object."""
-    fits = _peak(formula, sizes, gamma) < 2**63 and all(isinstance(c, int) for c in gamma)
-    return np.int64 if fits else object
+    """int64 if it holds every such integer, else object."""
+    return np.int64 if _peak(formula, sizes, gamma) < 2**63 else object
 
 
 def _hilbert90_coords(u, gamma) -> tuple:
@@ -552,8 +551,8 @@ def min_det_report(elements: Sequence[AlgElem]) -> DiversityReport:
 # ---------------------------------------------------------------------------
 
 
-# Tuples per array pass of the witness search; bounds its working memory.
-_WITNESS_CHUNK = 1 << 13
+# Tuples per array pass of the witness search; small enough that freed pages are reused, not refaulted.
+_WITNESS_CHUNK = 1 << 11
 
 
 class _Magnitude:
@@ -607,12 +606,9 @@ def norm_witness_search(target: KElem, box: Box) -> Optional[LElem]:
     `LElem.norm_to_k`.
     """
     q = box.scale
-    goal = (target.a0 * q**3, target.a1 * q**3)
-    if any(g.denominator != 1 for g in goal):
-        return None
-    goal = tuple(int(g) for g in goal)
+    goal, d = clear_denominators((target.a0 * q**3, target.a1 * q**3))
     sizes = (box.numerator_bound * q,) * 6
-    if max(abs(g) for g in goal) > _peak(_norm_coords, sizes, ()):
+    if d != 1 or max(map(abs, goal)) > _peak(_norm_coords, sizes, ()):
         return None
     for a in box_chunks(box, _WITNESS_CHUNK, _dtype(_norm_coords, sizes, ())):
         norm = l_norm_coords(a)

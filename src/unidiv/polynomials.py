@@ -8,12 +8,11 @@ coefficient tuple.  All operations are pure; instances are immutable.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Optional
 
-from .rationals import Rat
+from .rationals import Rat, clear_denominators
 
 
 class Polynomial:
@@ -132,8 +131,7 @@ def has_rational_root(p: Polynomial) -> Optional[Rat]:
     irreducible over the rationals iff this returns None.
     """
     c0, c1, c2, c3 = _require_rational_cubic(p)
-    lcm = math.lcm(c0.denominator, c1.denominator, c2.denominator, c3.denominator)
-    a0, a3 = int(c0 * lcm), int(c3 * lcm)
+    (a0, _, _, a3), _ = clear_denominators((c0, c1, c2, c3))
     if a0 == 0:
         return Fraction(0)
     candidates = []

@@ -8,6 +8,7 @@ that structural equality of field and algebra elements relies on.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -37,6 +38,13 @@ def as_rat(value: int | str | Fraction) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
+
+
+def clear_denominators(values) -> tuple[list[int], int]:
+    """Integers n_i and the least common denominator q of rational values (ints, Fractions): v_i = n_i/q."""
+    values = list(values)
+    q = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (q // v.denominator) for v in values], q
 
 
 def factor_small_int(n: int) -> list[tuple[int, int]]:

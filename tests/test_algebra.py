@@ -274,8 +274,32 @@ def char_poly_oracle(x: AlgElem) -> Polynomial:
     return Polynomial(coeffs + [K_ONE])
 
 
-# gamma = zeta3 and zeta3^2 have z = 1; the others have z != 1.
-ORACLE_GAMMAS = [ZETA3, ZETA3 * ZETA3, KElem(1), KElem(2), KElem(1, 1), KElem(Fraction(3, 2), -1)]
+# gamma = zeta3 and zeta3^2 have z = 1; the others have z != 1.  12 - 8*zeta3 stands for the
+# non-integral 3/2 - zeta3, which AlgebraSpec refuses: both give the same algebra.
+ORACLE_GAMMAS = [ZETA3, ZETA3 * ZETA3, KElem(1), KElem(2), KElem(1, 1), KElem(12, -8)]
+
+
+@pytest.mark.parametrize(
+    "gamma, same",
+    [(KElem(Fraction(3, 2), -1), "12-8*zeta3"), (KElem(Fraction(1, 2)), "4"), (KElem(0), None)],
+    ids=["3/2-zeta3", "1/2", "0"],
+)
+def test_algebra_spec_requires_nonzero_integral_gamma(gamma, same):
+    with pytest.raises(ValueError, match=r"nonzero element of Z\[zeta3\]") as err:
+        AlgebraSpec(gamma)
+    if same is not None:
+        assert str(err.value).endswith(f"= {same}")
+
+
+def test_integral_representative_gives_the_same_algebra():
+    # gamma = G/d and G*d^2: in the second, e = E/d has e^3 = G/d and lambda*e = e*sigma(lambda)
+    spec = AlgebraSpec(KElem(12, -8))
+    assert spec.gamma_coords == (12, -8) and all(type(c) is int for c in spec.gamma_coords)
+    e = spec.gen().scale(Fraction(1, 2))
+    assert e * e * e == spec.from_l(KElem(Fraction(3, 2), -1))
+    lam = LElem(KElem(1, 2), 3, KElem(0, -1))
+    assert spec.from_l(lam) * e == e * spec.from_l(lam.sigma(1))
+    assert AlgebraSpec(Fraction(2)).gamma_coords == (2, 0)
 
 
 def oracle_cases(spec: AlgebraSpec, rng: random.Random) -> list[AlgElem]:
@@ -422,6 +446,15 @@ def test_scale_is_central():
         k = rand_k(rng, 4, 2)
         assert x.scale(k) == A.from_l(LElem(k)) * x
         assert x.scale(k) == x * A.from_l(LElem(k))
+    # scalars with denominators up to 7, against the product of the L coordinates in Fractions
+    for den in range(1, 8):
+        for _ in range(6):
+            x = rand_alg(rng, 9, 6)
+            k = KElem(Fraction(rng.randint(-20, 20), den), Fraction(rng.randint(-20, 20), den))
+            want = AlgElem(A, *(LElem(k) * part for part in x.coords()))
+            assert x.scale(k) == want == A.from_l(LElem(k)) * x == x * A.from_l(LElem(k))
+            assert x.scale(k.a0) == AlgElem(A, *(LElem(k.a0) * part for part in x.coords()))
+    assert E.scale(Fraction(2, 7)).integral() == ((0,) * 6 + (2,) + (0,) * 11, 7)
 
 
 # ---------------------------------------------------------------------------

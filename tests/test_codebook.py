@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import random
 import warnings
 from decimal import Decimal, localcontext
@@ -210,6 +211,29 @@ def test_subfield_stability_matches_power_basis_oracle(g):
     else:
         with pytest.raises(ValueError, match="not stable under the involution"):
             SubfieldSpec("test", None, g, "test")
+
+
+STABLE_CASES = [(n, g) for n, g in STABILITY_CASES if n not in ("theta+E", "theta*E")]
+
+
+@pytest.mark.parametrize("g", [g for _, g in STABLE_CASES], ids=[n for n, _ in STABLE_CASES])
+def test_subfield_matrix_and_element_match_algelem_products(g):
+    sub = SubfieldSpec("test", None, g, "test")
+    spec = g.spec
+    powers, z = [spec.one(), g, g * g], spec.from_l(ZETA3)
+    # the rows of sub.matrix are q times 1, zeta3, g, zeta3*g, g^2, zeta3*g^2, q their least denominator
+    basis = [b * w for b in powers for w in (spec.one(), z)]
+    m = sub.matrix
+    q = m[0][0]
+    assert q == math.lcm(*(b.integral()[1] for b in basis))
+    assert [AlgElem.from_integral(spec, row, q) for row in m] == basis
+    # element(c) is sum_i (c_2i + c_2i+1*zeta3) * g^i, for coordinates over denominators 1..6
+    rng = random.Random(67)
+    for den in range(1, 7):
+        c = [Fraction(rng.randint(-9, 9), den) for _ in range(6)]
+        want = sum((spec.from_l(KElem(c[2 * i], c[2 * i + 1])) * powers[i] for i in range(3)), spec.zero())
+        assert sub.element(c) == want
+        assert sub.element([str(v) for v in c]) == want
 
 
 def test_stability_cases_unstable_exactly_theta_plus_e_and_theta_e():
