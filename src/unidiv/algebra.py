@@ -460,8 +460,8 @@ def worked_example() -> WorkedExample:
 # and * only; its body runs once per (argument sizes, gamma) on _Poly
 # variables, giving its monomial table (`_table`), which every call evaluates
 # (`_tabulated`).  AlgElem and the functions above call the forms on Python
-# integers, exact on object arrays; the codebook on int64 or object arrays
-# and on _Magnitude bounds, which so bound every product and partial sum.
+# integers, exact on object arrays; the codebook on int64 or object arrays,
+# in int64 when `_peak`, the same tables on sizes, bounds every value formed.
 
 
 class _Poly(dict):
@@ -514,23 +514,62 @@ def _table(body, sizes: tuple[int, ...], gamma) -> tuple:
 
 def _tabulated(body):
     """`body` (kept as `__wrapped__`) from `_table`: per degree coef * x[i] * x[j] ... per term, then one
-    sum per segment; array rows in their dtype, Python numbers and _Magnitude bounds as object arrays."""
+    sum per segment; array rows in their dtype, Python numbers as object arrays.  Given a `_Sizes` gamma
+    it runs on sizes with |coefficients| and records its partial products and outputs (see `_peak`)."""
 
     @functools.wraps(body)
     def form(*args):
         *args, gamma = args
-        nesting, size, degrees = _table(body, tuple(map(len, args)), gamma)
+        marked = gamma if isinstance(gamma, _Sizes) else None
+        nesting, size, degrees = _table(body, tuple(map(len, args)), marked.gamma if marked else gamma)
         scalar = not isinstance(args[0][0], np.ndarray)
         x = np.concatenate([np.asarray(a, dtype=object if scalar else None) for a in args])
         out = np.zeros((size, *x.shape[1:]), dtype=np.result_type(x, *(d[1] for d in degrees)))
         for index, coefs, starts, outs in degrees:
-            term = coefs.reshape(-1, *(1,) * (x.ndim - 1)) * x[index[0]]
+            term = (abs(coefs) if marked else coefs).reshape(-1, *(1,) * (x.ndim - 1)) * x[index[0]]
             for i in index[1:]:
+                if marked:
+                    marked.record(term)
                 term *= x[i]
             out[outs] += np.add.reduceat(term, starts)
+        if marked:
+            marked.record(out)
         return _map_leaves(nesting, (out.tolist() if scalar else out).__getitem__)
 
     return form
+
+
+class _Sizes:
+    """gamma marked for `_peak`, with `peak`, the largest value recorded so far."""
+
+    __slots__ = ("gamma", "peak")
+
+    def __init__(self, gamma):
+        self.gamma, self.peak = gamma, 0
+
+    def record(self, values: np.ndarray) -> None:
+        self.peak = max(self.peak, values.max())
+
+
+@functools.lru_cache(maxsize=512)
+def _peak(formula, sizes: tuple[int, ...], gamma) -> int:
+    """Bound on every integer formula(u, gamma) makes from integers |u_j| <= sizes[j].
+
+    formula must compute through tabulated forms only.  It runs once on the
+    sizes with gamma marked, so each form evaluates its table with
+    |coefficients| on the bounds of its inputs: every term is then
+    non-negative, so a monomial's partial products (recorded; a later
+    factor can be 0) and its form's outputs (recorded) bound every partial
+    product, segment sum and output the evaluation forms on integers.
+    """
+    marked = _Sizes(gamma)
+    formula(list(sizes), marked)
+    return max(marked.peak, *sizes)
+
+
+def _dtype(formula, sizes: tuple[int, ...], gamma) -> type:
+    """int64 if it holds every such integer, else object."""
+    return np.int64 if _peak(formula, sizes, gamma) < 2**63 else object
 
 
 def _parts(flat):

@@ -13,7 +13,8 @@ to integer coordinates (x does not change) on int64 or object arrays;
 `generate_codebook` runs it on chunks and `hilbert90_unit` on a batch of
 one.  It and `first_non_unitary`, which decides x * involution(x) = 1 in
 one array pass, evaluate the algebra's closed forms from their monomial
-tables, a few array operations per form; `_peak` bounds that evaluation.
+tables, a few array operations per form, in int64 when `algebra._peak`,
+the same tables evaluated on sizes, bounds every value they form.
 `numeric_embeddings` is the one float evaluation of the embedding: every
 numeric matrix (codebooks, `embed`, the diversity screen) comes from it,
 bit-identical to `LElem.to_complex`.
@@ -28,7 +29,8 @@ unit of Z[zeta3] that is not a local norm at the prime 2 - zeta3 above 7,
 where L/K is totally and tamely ramified, so it is not a norm from L;
 `min_det_report` requires it.  The bounded exhaustive search
 `norm_witness_search` stays as a cross-check, exact on the integer arrays
-of `box_chunks`, the one box walk (`subfield_candidates` reads it too).
+of `box_chunks`, the one box walk (`subfield_candidates` reads it too),
+with the L norm evaluated directly under a pinned bound (`_NORM_MASS`).
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .algebra import (
     AlgebraSpec,
     InversionError,
     STANDARD_ALGEBRA,
+    _dtype,
     a_embed_coords,
     a_involution_coords,
     a_mul_coords,
@@ -185,17 +188,6 @@ def subfield(kind: str, k: Optional[int] = None) -> SubfieldSpec:
 
 # Candidates per array pass of generate_codebook.
 _UNIT_CHUNK = 32
-
-
-@functools.lru_cache(maxsize=512)
-def _peak(formula, sizes: tuple[int, ...], gamma) -> int:
-    """Bound on every integer formula(u, gamma) makes from integers |u_j| <= sizes[j]."""
-    return max(v.peak for v in formula([_Magnitude(m) for m in sizes], gamma))
-
-
-def _dtype(formula, sizes: tuple[int, ...], gamma) -> type:
-    """int64 if it holds every such integer, else object."""
-    return np.int64 if _peak(formula, sizes, gamma) < 2**63 else object
 
 
 def _hilbert90_coords(u, gamma) -> tuple:
@@ -553,41 +545,9 @@ def min_det_report(elements: Sequence[AlgElem]) -> DiversityReport:
 
 # Tuples per array pass of the witness search; small enough that freed pages are reused, not refaulted.
 _WITNESS_CHUNK = 1 << 11
-
-
-class _Magnitude:
-    """An upper bound on |value| carried through +, - and * of a formula.
-
-    `peak` also bounds every intermediate value, so a formula evaluated on
-    _Magnitude(m) inputs bounds every integer that the same formula makes
-    from integer inputs of absolute value at most m.
-    """
-
-    __slots__ = ("size", "peak")
-
-    def __init__(self, size: int, peak: int = 0):
-        self.size = size
-        self.peak = max(size, peak)
-
-    def __add__(self, other):
-        o = other if isinstance(other, _Magnitude) else _Magnitude(abs(other))
-        return _Magnitude(self.size + o.size, max(self.peak, o.peak))
-
-    __radd__ = __sub__ = __rsub__ = __add__
-
-    def __mul__(self, other):
-        o = other if isinstance(other, _Magnitude) else _Magnitude(abs(other))
-        return _Magnitude(self.size * o.size, max(self.peak, o.peak))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self
-
-
-def _norm_coords(a, gamma) -> tuple:
-    """`l_norm_coords` in the (coordinates, gamma) form of `_peak`; gamma is unused."""
-    return l_norm_coords(a)
+# Every value l_norm_coords forms from integers |a_i| <= m (m >= 1) is at most _NORM_MASS * m^3:
+# traced on polynomials, each intermediate has degree at most 3 and |coefficients| summing to at most 150.
+_NORM_MASS = 150
 
 
 def norm_witness_search(target: KElem, box: Box) -> Optional[LElem]:
@@ -598,19 +558,20 @@ def norm_witness_search(target: KElem, box: Box) -> Optional[LElem]:
     `division_certificate`, so the search cross-checks it.
 
     The search is exact integer arithmetic throughout.  With Q =
-    `box.scale`, a candidate u = a/Q has integer coordinates a and
-    N(u) = N(a)/Q^3, so only targets with Q^3*target in Z[zeta3] within
-    `_peak`'s bound can be hit.  N(a) is evaluated as an integer cubic
-    form on the arrays of `box_chunks`, in int64 when that bound fits and
-    on Python integers otherwise.  The returned witness is confirmed with
-    `LElem.norm_to_k`.
+    `box.scale`, a candidate u = a/Q has integer coordinates a, |a_i| <= m
+    = B*Q, and N(u) = N(a)/Q^3, so only targets with Q^3*target in
+    Z[zeta3] within _NORM_MASS * m^3, the bound on every value
+    `l_norm_coords` forms, can be hit.  N(a) is evaluated directly as an
+    integer cubic form on the arrays of `box_chunks`, in int64 when that
+    bound fits and on Python integers otherwise.  The returned witness is
+    confirmed with `LElem.norm_to_k`.
     """
     q = box.scale
     goal, d = clear_denominators((target.a0 * q**3, target.a1 * q**3))
-    sizes = (box.numerator_bound * q,) * 6
-    if d != 1 or max(map(abs, goal)) > _peak(_norm_coords, sizes, ()):
+    bound = _NORM_MASS * (box.numerator_bound * q) ** 3
+    if d != 1 or max(map(abs, goal)) > bound:
         return None
-    for a in box_chunks(box, _WITNESS_CHUNK, _dtype(_norm_coords, sizes, ())):
+    for a in box_chunks(box, _WITNESS_CHUNK, np.int64 if bound < 2**63 else object):
         norm = l_norm_coords(a)
         hits = np.flatnonzero((norm[0] == goal[0]) & (norm[1] == goal[1]))
         if len(hits):

@@ -291,9 +291,8 @@ THETA_SQ = LElem(0, 0, 1)
 # These are the only implementation of the products, the Galois action,
 # the conjugation, the norm and the trace: KElem and LElem call them on
 # Fractions, the algebra's closed forms on the polynomials that trace their
-# tables, and the witness search on integer arrays and magnitudes.  So
-# they must use only +, - and *; on integer inputs every value stays an
-# integer.
+# tables, and the witness search on integer arrays.  So they must use only
+# +, - and *; on integer inputs every value stays an integer.
 
 
 def _k_mul_coords(x0, x1, y0, y1):

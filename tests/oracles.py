@@ -12,6 +12,10 @@ replaced.  `iter_box_tuples` is the reference box order that
 exact all-pairs determinants that `min_det_report` decides by hashing
 under the division certificate.
 
+`Magnitude` is the bound arithmetic that `algebra._peak` replaced: one
+object per value, carried through the same tables; `magnitude_peak` is its
+bound on a formula, the reference for `_peak`.
+
 `solve_k_linear` and `express_in_power_basis` decide membership in a power
 basis by Gaussian elimination over K; `SubfieldSpec` decides involution
 stability by a commute check instead, and the tests compare the two.  The
@@ -188,3 +192,38 @@ def rows_mul(a, b):
 def rows_conj_transpose(a):
     """Transpose with complex conjugation applied entrywise."""
     return tuple(tuple(a[j][i].conj() for j in range(3)) for i in range(3))
+
+
+class Magnitude:
+    """An upper bound on |value| carried through +, - and * of a formula.
+
+    `peak` also bounds every intermediate value, so a formula evaluated on
+    Magnitude(m) inputs bounds every integer that the same formula makes
+    from integer inputs of absolute value at most m.
+    """
+
+    __slots__ = ("size", "peak")
+
+    def __init__(self, size: int, peak: int = 0):
+        self.size = size
+        self.peak = max(size, peak)
+
+    def __add__(self, other):
+        o = other if isinstance(other, Magnitude) else Magnitude(abs(other))
+        return Magnitude(self.size + o.size, max(self.peak, o.peak))
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __mul__(self, other):
+        o = other if isinstance(other, Magnitude) else Magnitude(abs(other))
+        return Magnitude(self.size * o.size, max(self.peak, o.peak))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self
+
+
+def magnitude_peak(formula, sizes, gamma) -> int:
+    """The Magnitude bound on every integer formula(u, gamma) makes from integers |u_j| <= sizes[j]."""
+    return max(v.peak for v in formula([Magnitude(m) for m in sizes], gamma))

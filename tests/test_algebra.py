@@ -22,6 +22,7 @@ from unidiv.algebra import (
     InversionError,
     InvolutionUnavailable,
     STANDARD_ALGEBRA,
+    _dtype,
     a_char_coords,
     a_involution_coords,
     a_mul_coords,
@@ -40,7 +41,6 @@ from unidiv.algebra import (
     worked_example,
     zeta9_str,
 )
-from unidiv.codebook import _dtype
 from unidiv.fields import K_ONE, KElem, L_ONE, L_ZERO, LElem, THETA, ZETA3
 from unidiv.polynomials import Polynomial, has_rational_root
 

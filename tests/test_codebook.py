@@ -5,7 +5,7 @@ import random
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +17,7 @@ from oracles import (
     enumerate_subfield,
     express_in_power_basis,
     iter_box_tuples,
+    magnitude_peak,
     matl_to_complex,
     matrix_embed_oracle,
     pairwise_determinants,
@@ -28,6 +29,8 @@ from unidiv.algebra import (
     InvolutionUnavailable,
     STANDARD_ALGEBRA,
     AlgElem,
+    _peak,
+    _Poly,
     inverse,
     involution,
     reduced_norm,
@@ -38,11 +41,9 @@ from unidiv.algebra import (
 from unidiv.cli import parse_element
 from unidiv.codebook import (
     _DET_ERROR,
-    _dtype,
+    _NORM_MASS,
     _hilbert90_coords,
-    _norm_coords,
     _numeric_pair_dets,
-    _peak,
     _unit_norm_coords,
     Box,
     DiversityReport,
@@ -452,6 +453,23 @@ def candidate_sizes(sub: SubfieldSpec, box: Box) -> tuple:
     return tuple(box.numerator_bound * box.scale * sum(abs(r[j]) for r in sub.matrix) for j in range(18))
 
 
+@pytest.mark.parametrize(
+    "box", [Box(1, 1), Box(2, 1), Box(1, 2), Box(1, 13)], ids=["B1D1", "B2D1", "B1D2", "B1D13"]
+)
+@pytest.mark.parametrize("kind, k", CLI_SUBFIELDS, ids=CLI_IDS)
+def test_peak_equals_magnitude_oracle_on_units(kind, k, box):
+    # the tables on sizes bound what the Magnitude arithmetic bounds, so no dtype decision moves
+    sub = subfield(kind, k)
+    sizes, gamma = candidate_sizes(sub, box), sub.generator.spec.gamma_coords
+    assert _peak(_hilbert90_coords, sizes, gamma) == magnitude_peak(_hilbert90_coords, sizes, gamma)
+
+
+@pytest.mark.parametrize("bits", [1, 8, 20, 40])
+def test_peak_equals_magnitude_oracle_on_unit_norm(bits):
+    sizes = (2**bits,) * 18
+    assert _peak(_unit_norm_coords, sizes, (0, 1)) == magnitude_peak(_unit_norm_coords, sizes, (0, 1))
+
+
 @pytest.mark.parametrize("box", [Box(1, 1), Box(2, 1), Box(1, 2)], ids=["B1D1", "B2D1", "B1D2"])
 @pytest.mark.parametrize("kind, k", CLI_SUBFIELDS, ids=CLI_IDS)
 def test_hilbert90_bound_holds_on_chunks(kind, k, box):
@@ -480,10 +498,13 @@ class Recorded(int):
     __sub__ = lambda a, b: Recorded._made(int(a) - int(b))
     __rsub__ = lambda a, b: Recorded._made(int(b) - int(a))
     __mul__ = __rmul__ = lambda a, b: Recorded._made(int(a) * int(b))
+    __neg__ = lambda a: Recorded._made(-int(a))
 
 
-@pytest.mark.parametrize("box", [Box(1, 1), Box(2, 1)], ids=["B1D1", "B2D1"])
-@pytest.mark.parametrize("kind, k", [("zeta9", None), ("nu", 1), ("nu", 5)], ids=["zeta9", "nu1", "nu5"])
+@pytest.mark.parametrize("box", [Box(1, 1), Box(2, 1), Box(1, 2)], ids=["B1D1", "B2D1", "B1D2"])
+@pytest.mark.parametrize(
+    "kind, k", [("zeta9", None), ("nu", 1), ("nu", 5), ("L", None)], ids=["zeta9", "nu1", "nu5", "L"]
+)
 def test_hilbert90_bound_covers_every_product_and_partial_sum(kind, k, box):
     # the table evaluator on object arrays forms every product and partial sum
     # that it forms on int64 arrays, in the same order
@@ -498,6 +519,24 @@ def test_hilbert90_bound_covers_every_product_and_partial_sum(kind, k, box):
         fast = _hilbert90_coords(u, gamma)
         assert all(v.dtype == np.int64 for v in fast)
         assert [v.tolist() for v in fast] == [list(map(int, v)) for v in exact]
+
+
+@pytest.mark.parametrize(
+    "kind, k, box, size",
+    [("nu", 5, Box(1, 1), 10**6), ("zeta9", None, Box(2, 1), 200), ("L", None, Box(1, 2), 100)],
+    ids=["nu5-B1D1", "zeta9-B2D1", "L-B1D2"],
+)
+def test_unit_norm_bound_covers_every_product_and_partial_sum(kind, k, box, size):
+    # first_non_unitary's bound, over every value x * involution(x) forms on the units' integers
+    units = generate_codebook(subfield(kind, k), box, size).elements
+    top = max(max(q, *map(abs, num)) for num, q in (x.integral() for x in units))
+    bound = _peak(_unit_norm_coords, (2 ** top.bit_length(),) * 18, (0, 1))
+    for x in units:
+        num, q = x.integral()
+        Recorded.peak = 0
+        prod = _unit_norm_coords([Recorded(v) for v in num], (0, 1))
+        assert 0 < Recorded.peak <= bound and q * q <= bound
+        assert [int(v) for v in prod] == [q * q] + [0] * 17
 
 
 def test_unitarity_bound_holds_on_units():
@@ -809,17 +848,66 @@ def test_norm_witness_target_outside_scaled_ring():
     assert oracle_first_witnesses(Box(1, 1)).get(target) is None
 
 
-def test_norm_witness_object_dtype_path():
-    # Q = lcm(1..13) = 360360 puts the norm bound beyond int64
-    assert _peak(_norm_coords, (360360,) * 6, ()) > 2**63 - 1
-    assert _dtype(_norm_coords, (360360,) * 6, ()) is object
-    assert norm_witness_search(KElem(1), Box(1, 13)) == LElem(1)
+def witness_search_dtypes(monkeypatch, target: KElem, box: Box) -> tuple:
+    """norm_witness_search(target, box) and the dtypes it walks the box in."""
+    dtypes, walk = [], unidiv.codebook.box_chunks
+    monkeypatch.setattr(unidiv.codebook, "box_chunks", lambda b, c, dtype: dtypes.append(dtype) or walk(b, c, dtype))
+    return norm_witness_search(target, box), dtypes
+
+
+def test_norm_witness_object_dtype_path(monkeypatch):
+    # Q = lcm(1..16) = 720720 puts the norm bound beyond int64
+    assert _NORM_MASS * 720720**3 > 2**63 - 1
+    assert witness_search_dtypes(monkeypatch, KElem(1), Box(1, 16)) == (LElem(1), [object])
+
+
+def test_norm_witness_int64_at_box_1_13(monkeypatch):
+    # Q = lcm(1..13) = 360360 keeps the norm bound within int64
+    assert _NORM_MASS * 360360**3 <= 2**63 - 1
+    assert witness_search_dtypes(monkeypatch, KElem(1), Box(1, 13)) == (LElem(1), [np.int64])
+
+
+class RecordedPoly(_Poly):
+    """A polynomial that records every polynomial its arithmetic makes."""
+
+    made: list = []
+
+    def _made(p):
+        RecordedPoly.made.append(p)
+        return RecordedPoly(p)
+
+    __add__ = __radd__ = lambda a, b: RecordedPoly._made(_Poly.__add__(a, b))
+    __sub__ = lambda a, b: RecordedPoly._made(_Poly.__add__(a, b, -1))
+    __mul__ = __rmul__ = lambda a, b: RecordedPoly._made(_Poly.__mul__(a, b))
+    __neg__ = lambda a: RecordedPoly._made(_Poly.__mul__(a, -1))
+
+
+def test_norm_mass_is_the_largest_intermediate_mass():
+    # each value l_norm_coords forms is a polynomial in a of degree <= 3, so with |a_i| <= m (m >= 1)
+    # it is at most its coefficient mass times m^3
+    RecordedPoly.made = []
+    out = l_norm_coords([RecordedPoly({(i,): 1}) for i in range(6)])
+    made = RecordedPoly.made
+    assert all(p in made for p in out)
+    assert max(len(monomial) for p in made for monomial in p) == 3
+    assert max(sum(map(abs, p.values())) for p in made) == _NORM_MASS == 150
+
+
+def test_norm_mass_bounds_direct_evaluation_at_int64_limit():
+    m = 394_699  # the largest m with _NORM_MASS * m^3 < 2^63
+    assert _NORM_MASS * m**3 < 2**63 <= _NORM_MASS * (m + 1) ** 3
+    tuples = list(product((-m, 0, m), repeat=6))
+    Recorded.peak = 0
+    exact = [l_norm_coords([Recorded(v) for v in a]) for a in tuples]
+    assert 0.5 * _NORM_MASS * m**3 < Recorded.peak <= _NORM_MASS * m**3
+    fast = l_norm_coords(np.array(tuples, dtype=np.int64).T)
+    assert [v.tolist() for v in fast] == [[int(n[i]) for n in exact] for i in (0, 1)]
 
 
 def test_norm_coords_bound_holds():
     rng = random.Random(5)
     for m in (1, 2, 7, 360360):
-        bound = _peak(_norm_coords, (m,) * 6, ())
+        bound = _NORM_MASS * m**3
         for _ in range(50):
             a = [rng.choice((-m, m, rng.randint(-m, m))) for _ in range(6)]
             assert all(abs(v) <= bound for v in l_norm_coords(a))
