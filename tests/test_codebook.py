@@ -31,6 +31,7 @@ from unidiv.algebra import (
     AlgElem,
     _peak,
     _Poly,
+    a_mul_coords,
     inverse,
     involution,
     reduced_norm,
@@ -468,6 +469,13 @@ def test_peak_equals_magnitude_oracle_on_units(kind, k, box):
 def test_peak_equals_magnitude_oracle_on_unit_norm(bits):
     sizes = (2**bits,) * 18
     assert _peak(_unit_norm_coords, sizes, (0, 1)) == magnitude_peak(_unit_norm_coords, sizes, (0, 1))
+
+
+def test_peak_records_partial_products_before_a_zero_factor():
+    # x * y with y = 0: every output is 0, yet the evaluation forms coef * x_i, |coef| up to 3
+    mul = lambda u, gamma: a_mul_coords(u[:18], u[18:], gamma)
+    sizes = (1000,) * 18 + (0,) * 18
+    assert _peak(mul, sizes, (0, 1)) == magnitude_peak(mul, sizes, (0, 1)) == 3000
 
 
 @pytest.mark.parametrize("box", [Box(1, 1), Box(2, 1), Box(1, 2)], ids=["B1D1", "B2D1", "B1D2"])
