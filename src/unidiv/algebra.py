@@ -290,8 +290,8 @@ def matrix_embed(x: AlgElem) -> MatL:
     Columns hold the coordinates of x*1, x*E and x*E^2 (`a_embed_coords`).
     """
     a, q = x.integral()
-    rows = a_embed_coords(a, x.spec.gamma_coords)
-    return MatL([[LElem.from_six_tuple([Fraction(v, q) for v in e]) for e in row] for row in rows])
+    e = [[Fraction(v, q) for v in c] for c in _parts(a_embed_coords(a, x.spec.gamma_coords), 9)]
+    return MatL([[LElem.from_six_tuple(c) for c in e[r:r + 3]] for r in (0, 3, 6)])
 
 
 def involution(x: AlgElem) -> AlgElem:
@@ -318,9 +318,9 @@ def reduced_char_poly(x: AlgElem) -> Polynomial:
     Every coefficient lies in K by construction.
     """
     a, q = x.integral()
-    t, s = a_char_coords(a, x.spec.gamma_coords)
-    trace = KElem(Fraction(t[0], q), Fraction(t[1], q))
-    minors = KElem(Fraction(s[0], q * q), Fraction(s[1], q * q))
+    t0, t1, s0, s1 = a_char_coords(a, x.spec.gamma_coords)
+    trace = KElem(Fraction(t0, q), Fraction(t1, q))
+    minors = KElem(Fraction(s0, q * q), Fraction(s1, q * q))
     return Polynomial([-reduced_norm(x), minors, -trace, K_ONE])
 
 
@@ -353,7 +353,7 @@ def inverse(x: AlgElem) -> AlgElem:
     if x.is_zero():
         raise ZeroDivisionError("zero element of the algebra")
     a, q = x.integral()
-    num, d = a_quotient_coords((1,) + (0,) * 17, a, a, x.spec.gamma_coords)
+    *num, d = a_quotient_coords((1,) + (0,) * 17, a, a, x.spec.gamma_coords)
     if d == 0:
         raise InversionError(
             "nonzero element with zero reduced norm; gamma does not give a division algebra"
@@ -457,11 +457,12 @@ def worked_example() -> WorkedExample:
 # ---------------------------------------------------------------------------
 # x0 + E*x1 + E^2*x2 as 18 coordinates, the six-tuples of x0, x1 and x2,
 # and gamma as its two K coordinates.  Each form is written once, with +, -
-# and * only; its body runs once per (argument sizes, gamma) on _Poly
-# variables, giving its monomial table (`_table`), which every call evaluates
-# (`_tabulated`).  AlgElem and the functions above call the forms on Python
-# integers, exact on object arrays; the codebook on int64 or object arrays,
-# in int64 when `_peak`, the same tables on sizes, bounds every value formed.
+# and * only, as one flat tuple of outputs; its body runs once per (argument
+# sizes, gamma) on _Poly variables, giving its monomial table (`_table`),
+# which every call evaluates (`_tabulated`) into one array of rows, one per
+# output: a tuple of Python numbers for AlgElem and the functions above, an
+# (outputs, k) int64 or object array for the codebook's (n, k) arrays, in
+# int64 when `_peak`, the same tables on sizes, bounds every value formed.
 
 
 class _Poly(dict):
@@ -489,19 +490,12 @@ def _lift(v) -> _Poly:
     return v if isinstance(v, _Poly) else _Poly({(): v} if v else {})
 
 
-def _map_leaves(tree, f):
-    """tree, nested tuples and lists, with each leaf v replaced by f(v)."""
-    return type(tree)(_map_leaves(t, f) for t in tree) if isinstance(tree, (tuple, list)) else f(tree)
-
-
 @functools.lru_cache(maxsize=128)
 def _table(body, sizes: tuple[int, ...], gamma) -> tuple:
-    """body on `sizes` variables: its output nesting (leaf k replaced by k), the number of leaves and,
-    per degree, the variables (degree x terms), coefficients, and each segment's start and leaf."""
-    leaves: list = []
+    """body on `sizes` variables: its number of outputs and, per degree, the variables
+    (degree x terms), coefficients, and each segment's start and output row."""
     count = itertools.count()
-    traced = body(*(tuple(_Poly({(next(count),): 1}) for _ in range(n)) for n in sizes), gamma)
-    nesting = _map_leaves(traced, lambda v: leaves.append(_lift(v)) or len(leaves) - 1)
+    leaves = [_lift(v) for v in body(*(tuple(_Poly({(next(count),): 1}) for _ in range(n)) for n in sizes), gamma)]
     terms = sorted((len(m), k, m, c) for k, leaf in enumerate(leaves) for m, c in leaf.items())
     degrees = []
     for _, group in itertools.groupby(terms, key=lambda term: term[0]):
@@ -509,19 +503,20 @@ def _table(body, sizes: tuple[int, ...], gamma) -> tuple:
         starts = [k for k in range(len(outs)) if k == 0 or outs[k] != outs[k - 1]]
         coefs = np.array([int(c) if c.denominator == 1 else c for c in coefs])
         degrees.append((np.array(monomials).T, coefs, np.array(starts), np.array(outs)[starts]))
-    return nesting, len(leaves), degrees
+    return len(leaves), degrees
 
 
 def _tabulated(body):
-    """`body` (kept as `__wrapped__`) from `_table`: per degree coef * x[i] * x[j] ... per term, then one
-    sum per segment; array rows in their dtype, Python numbers as object arrays.  Given a `_Sizes` gamma
-    it runs on sizes with |coefficients| and records its partial products and outputs (see `_peak`)."""
+    """`body` (kept as `__wrapped__`) from `_table`: per degree coef * x[i] * x[j] ... per term, then one sum
+    per segment, into one array of rows: (outputs, k) in the dtype of (n, k) arrays, a tuple for Python numbers
+    (run as object arrays).  Given a `_Sizes` gamma it runs on sizes with |coefficients| and records its
+    partial products and outputs (see `_peak`)."""
 
     @functools.wraps(body)
     def form(*args):
         *args, gamma = args
         marked = gamma if isinstance(gamma, _Sizes) else None
-        nesting, size, degrees = _table(body, tuple(map(len, args)), marked.gamma if marked else gamma)
+        size, degrees = _table(body, tuple(map(len, args)), marked.gamma if marked else gamma)
         scalar = not isinstance(args[0][0], np.ndarray)
         x = np.concatenate([np.asarray(a, dtype=object if scalar else None) for a in args])
         out = np.zeros((size, *x.shape[1:]), dtype=np.result_type(x, *(d[1] for d in degrees)))
@@ -534,7 +529,7 @@ def _tabulated(body):
             out[outs] += np.add.reduceat(term, starts)
         if marked:
             marked.record(out)
-        return _map_leaves(nesting, (out.tolist() if scalar else out).__getitem__)
+        return tuple(out.tolist()) if scalar else out
 
     return form
 
@@ -572,8 +567,8 @@ def _dtype(formula, sizes: tuple[int, ...], gamma) -> type:
     return np.int64 if _peak(formula, sizes, gamma) < 2**63 else object
 
 
-def _parts(flat):
-    return flat[0:6], flat[6:12], flat[12:18]
+def _parts(flat, n=3):
+    return [flat[6 * i:6 * i + 6] for i in range(n)]
 
 
 def _l_add(*terms):
@@ -603,14 +598,14 @@ def a_mul_coords(x, y, gamma) -> tuple:
 
 
 @_tabulated
-def a_embed_coords(x, gamma) -> list:
-    """The entries of `matrix_embed`, rows of six-coordinate entries: (r, c) is
+def a_embed_coords(x, gamma) -> tuple:
+    """The entries of `matrix_embed` row by row, six coordinates each: (r, c) is
     sigma^c(x_t), t = (r - c) mod 3, times gamma above the diagonal (folding E^3)."""
     sig = [_parts(x)]
     for _ in range(2):
         sig.append([l_sigma_coords(v) for v in sig[-1]])
-    entry = lambda r, c: sig[c][(r - c) % 3]
-    return [[_l_scale(gamma, entry(r, c)) if r < c else entry(r, c) for c in range(3)] for r in range(3)]
+    entry = lambda r, c: _l_scale(gamma, sig[c][(r - c) % 3]) if r < c else sig[c][(r - c) % 3]
+    return tuple(v for r in range(3) for c in range(3) for v in entry(r, c))
 
 
 @_tabulated
@@ -642,23 +637,23 @@ def a_nrd_coords(x, gamma) -> tuple:
 
 @_tabulated
 def a_char_coords(x, gamma) -> tuple:
-    """(t, s) of chi(X) = X^3 - t*X^2 + s*X - Nrd(x), each as two K coordinates."""
+    """t + s of chi(X) = X^3 - t*X^2 + s*X - Nrd(x), each as two K coordinates."""
     a, b, c = _parts(x)
     s0 = l_trace_coords(l_mul_coords(a, l_sigma_coords(a)))
     s1 = _k_mul_coords(*gamma, *l_trace_coords(l_mul_coords(b, l_sigma_coords(c))))
-    return l_trace_coords(a), (s0[0] - s1[0], s0[1] - s1[1])
+    return l_trace_coords(a) + (s0[0] - s1[0], s0[1] - s1[1])
 
 
 def a_quotient_coords(u, v, p, gamma) -> tuple:
-    """X (18 coordinates) and d in K's first coordinate with u * v^(-1) = X/d, given p = u*v.
+    """X (18 coordinates) + (d,), d in K's first coordinate, with u * v^(-1) = X/d, given p = u*v.
 
     Cayley-Hamilton gives v*(v^2 - t*v + s) = n for chi_v = X^3 - t*X^2 +
     s*X - n, so u * v^(-1) = (p*v - t*p + s*u) * conj(n) / N(n); d = N(n)
     is 0 exactly when Nrd(v) = 0.  (Its table whole would hold about half a
     million terms, so it combines those of its parts.)
     """
-    (t, s), n = a_char_coords(v, gamma), a_nrd_coords(v, gamma)
-    return _a_quotient_from(u, p, a_mul_coords(p, v, gamma), t, s, n, gamma)
+    ts = a_char_coords(v, gamma)
+    return _a_quotient_from(u, p, a_mul_coords(p, v, gamma), ts[:2], ts[2:], a_nrd_coords(v, gamma), gamma)
 
 
 @_tabulated
@@ -668,4 +663,4 @@ def _a_quotient_from(u, p, pv, t, s, n, gamma) -> tuple:
     x = ()
     for pv_k, p_k, u_k in zip(*map(_parts, (pv, p, u))):
         x += _l_scale(nbar, _l_add(pv_k, _l_scale((-t[0], -t[1]), p_k), _l_scale(s, u_k)))
-    return x, n[0] * nbar[0] - n[1] * nbar[1]
+    return x + (n[0] * nbar[0] - n[1] * nbar[1],)

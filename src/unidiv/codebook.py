@@ -58,7 +58,7 @@ from .algebra import (
     reduced_norm,
 )
 from .fields import (
-    K_ONE, KElem, LElem, THETA, THETA_EMBEDDINGS, ZETA3, ZETA3_COMPLEX, l_norm_coords, minimal_polynomial_coeffs
+    KElem, LElem, THETA, THETA_EMBEDDINGS, ZETA3_COMPLEX, l_norm_coords, minimal_polynomial_coeffs
 )
 from .polynomials import Polynomial, discriminant_cubic, has_rational_root
 from .rationals import as_rat, clear_denominators, factor_small_int
@@ -155,9 +155,11 @@ class SubfieldSpec:
     @property
     def matrix(self) -> list[list[int]]:
         g = self.generator
-        rows = [b.scale(z).integral() for b in (g.spec.one(), g, g * g) for z in (K_ONE, ZETA3)]
+        rows = [b.integral() for b in (g.spec.one(), g, g * g)]
         q = math.lcm(*(d for _, d in rows))
-        return [[v * (q // d) for v in r] for r, d in rows]
+        rows = [[v * (q // d) for v in r] for r, d in rows]
+        # zeta3*(a0 + a1*zeta3) = -a1 + (a0 - a1)*zeta3 on each K coordinate pair, a unimodular integer map
+        return [row for r in rows for row in (r, [w for a0, a1 in zip(r[::2], r[1::2]) for w in (-a1, a0 - a1)])]
 
     def element(self, coords: Sequence[Fraction]) -> AlgElem:
         c, p = clear_denominators(as_rat(v) for v in coords)
@@ -190,22 +192,23 @@ def subfield(kind: str, k: Optional[int] = None) -> SubfieldSpec:
 _UNIT_CHUNK = 32
 
 
-def _hilbert90_coords(u, gamma) -> tuple:
-    """u*v, v*u, X (18 coordinates each) and d with u * v^(-1) = X/d, v = involution(u)."""
+def _hilbert90_coords(u, gamma):
+    """The rows u*v, v*u, X (18 coordinates each) and d with u * v^(-1) = X/d, v = involution(u):
+    a (55, k) array for an (18, k) array u, a tuple for Python numbers."""
     v = a_involution_coords(u, gamma)
     p = a_mul_coords(u, v, gamma)
-    x, d = a_quotient_coords(u, v, p, gamma)
-    return (*p, *a_mul_coords(v, u, gamma), *x, d)
+    rows = (p, a_mul_coords(v, u, gamma), a_quotient_coords(u, v, p, gamma))
+    return np.concatenate(rows) if isinstance(p, np.ndarray) else sum(rows, ())
 
 
 def _hilbert90_batch(u: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The commute mask, X (18 x k) and d for the columns u of an 18 x k integer array
     (any candidate scaled to integers: its rational multiples give the same X/d)."""
     c = _hilbert90_coords(u, gamma)
-    return np.logical_and.reduce([a == b for a, b in zip(c[:18], c[18:36])]), np.array(c[36:54]), c[54]
+    return (c[:18] == c[18:36]).all(axis=0), c[36:54], c[54]
 
 
-def _unit_norm_coords(x, gamma) -> list:
+def _unit_norm_coords(x, gamma):
     """x * involution(x), 18 coordinates."""
     return a_mul_coords(x, a_involution_coords(x, gamma), gamma)
 
@@ -228,7 +231,7 @@ def first_non_unitary(elements: Sequence[AlgElem]) -> Optional[int]:
     dtype = _dtype(_unit_norm_coords, (2 ** top.bit_length(),) * 18, gamma)
     q = np.array(dens, dtype=dtype)
     prod = _unit_norm_coords(np.array(nums, dtype=dtype).T, gamma)
-    bad = np.flatnonzero(np.logical_or.reduce([prod[0] != q * q, *(c != 0 for c in prod[1:])]))
+    bad = np.flatnonzero((prod[0] != q * q) | prod[1:].any(axis=0))
     return int(bad[0]) if len(bad) else None
 
 
@@ -284,11 +287,11 @@ def numeric_embeddings(elements: Sequence[AlgElem]) -> tuple[np.ndarray, np.ndar
     nums = np.array([x.integral()[0] for x in elements], dtype=object).reshape(-1, 18).T
     dens = np.array([x.integral()[1] for x in elements], dtype=object)
     gammas = [x.spec.gamma_coords for x in elements]
-    entries = np.empty((3, 3, 6, len(elements)), dtype=object)
+    entries = np.empty((54, len(elements)), dtype=object)
     for gamma in set(gammas):
         cols = [i for i, g in enumerate(gammas) if g == gamma]
-        entries[..., cols] = a_embed_coords(nums[:, cols], gamma)
-    c = np.moveaxis((entries / dens).astype(float), -1, 0).copy()  # divided by Python
+        entries[:, cols] = a_embed_coords(nums[:, cols], gamma)
+    c = (entries / dens).astype(float).T.reshape(-1, 3, 3, 6).copy()  # divided by Python
     t, z = THETA_EMBEDDINGS[0], ZETA3_COMPLEX
     mul = lambda ar, ai, br, bi: (ar * br - ai * bi, ar * bi + ai * br)  # CPython's complex product
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as CPython makes them, silently

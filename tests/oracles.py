@@ -10,7 +10,9 @@ the per-candidate Fraction path that `generate_codebook`'s integer arrays
 replaced.  `iter_box_tuples` is the reference box order that
 `box_chunks` walks on integer arrays, and `pairwise_determinants` the
 exact all-pairs determinants that `min_det_report` decides by hashing
-under the division certificate.
+under the division certificate.  `subfield_matrix_oracle` is
+`SubfieldSpec.matrix` by six `AlgElem.scale` calls, where the matrix maps
+each row's K coordinate pairs to the zeta3 row on integers.
 
 `Magnitude` is the bound arithmetic that `algebra._peak` replaced: one
 object per value, carried through the same tables; `magnitude_peak` is its
@@ -23,12 +25,13 @@ stability by a commute check instead, and the tests compare the two.  The
 tuples of LElem), compared with ==.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from unidiv.algebra import AlgElem, involution, reduced_char_poly, reduced_norm
-from unidiv.fields import K_ZERO, KElem, L_ONE, L_ZERO, LElem
+from unidiv.fields import K_ONE, K_ZERO, KElem, L_ONE, L_ZERO, LElem, ZETA3
 
 
 def _height(f: Fraction) -> int:
@@ -80,6 +83,14 @@ def pairwise_determinants(elements: Sequence[AlgElem]) -> Iterator[tuple[int, in
     for i in range(len(elements)):
         for j in range(i + 1, len(elements)):
             yield i, j, reduced_norm(elements[i] - elements[j])
+
+
+def subfield_matrix_oracle(sub) -> list[list[int]]:
+    """q times 1, zeta3, g, zeta3*g, g^2 and zeta3*g^2 as integer rows, q their least common denominator."""
+    g = sub.generator
+    rows = [b.scale(z).integral() for b in (g.spec.one(), g, g * g) for z in (K_ONE, ZETA3)]
+    q = math.lcm(*(d for _, d in rows))
+    return [[v * (q // d) for v in r] for r, d in rows]
 
 
 def matrix_embed_oracle(x: AlgElem) -> list[list[LElem]]:

@@ -504,7 +504,7 @@ def test_closed_forms_on_integer_arrays():
             "mul": a_mul_coords(x, y, g),
             "involution": a_involution_coords(x, g),
             "nrd": a_nrd_coords(x, g),
-            "char": sum(a_char_coords(x, g), ()),
+            "char": a_char_coords(x, g),
         }
         for i, (r, r2) in enumerate(zip(rows, rows2)):
             fr, fr2 = [Fraction(v) for v in r], [Fraction(v) for v in r2]
@@ -512,7 +512,7 @@ def test_closed_forms_on_integer_arrays():
                 "mul": a_mul_coords(fr, fr2, g),
                 "involution": a_involution_coords(fr, g),
                 "nrd": a_nrd_coords(fr, g),
-                "char": sum(a_char_coords(fr, g), ()),
+                "char": a_char_coords(fr, g),
             }
             for name, values in got.items():
                 assert [int(v[i]) for v in values] == list(want[name]), name
@@ -527,12 +527,16 @@ TABULATED = {
     "a_char_coords": (18,),
     "_a_quotient_from": (18, 18, 18, 2, 2, 2),
 }
+# The number of outputs of each, pinned: the rows of its one array of outputs.
+OUTPUTS = {
+    "a_mul_coords": 18,
+    "a_embed_coords": 54,
+    "a_involution_coords": 18,
+    "a_nrd_coords": 2,
+    "a_char_coords": 4,
+    "_a_quotient_from": 19,
+}
 TABLE_GAMMAS = {"zeta3": (0, 1), "-zeta3^2": (1, 1), "3/2-zeta3": (Fraction(3, 2), -1)}
-
-
-def skeleton(tree):
-    """The nesting of a form's output, its leaves dropped."""
-    return type(tree)(map(skeleton, tree)) if isinstance(tree, (tuple, list)) else None
 
 
 def leaves(tree) -> list:
@@ -564,25 +568,28 @@ def int64_limit(form, sizes, gamma) -> int:
 @pytest.mark.parametrize("gamma", TABLE_GAMMAS.values(), ids=TABLE_GAMMAS.keys())
 @pytest.mark.parametrize("name", TABULATED)
 def test_tables_match_closed_form_bodies(name, gamma):
-    form, sizes = getattr(unidiv.algebra, name), TABULATED[name]
+    form, sizes, outputs = getattr(unidiv.algebra, name), TABULATED[name], OUTPUTS[name]
     body = form.__wrapped__
     rng = random.Random(59)
     big = 10**30
-    # Python integers, as AlgElem passes them: exact, and Python numbers out
+    # Python integers, as AlgElem passes them: exact, and a flat tuple of Python numbers out
     args = [tuple(rng.randint(-big, big) for _ in range(n)) for n in sizes]
     got, want = form(*args, gamma), body(*args, gamma)
-    assert skeleton(got) == skeleton(want)
+    assert type(got) is tuple and len(got) == len(want) == outputs
     assert_same_output(got, want)
-    assert all(type(v) in (int, Fraction) for v in leaves(got))
-    # object arrays with 30-digit coordinates
+    assert all(type(v) in (int, Fraction) for v in got)
+    # object arrays with 30-digit coordinates: one (outputs, width) array, and the body gives full rows
     for width in (1, 5, 33):
         args = [np.array([[rng.randint(-big, big) for _ in range(width)] for _ in range(n)], dtype=object)
                 for n in sizes]
-        assert_same_output(form(*args, gamma), body(*args, gamma))
+        got, want = form(*args, gamma), body(*args, gamma)
+        assert isinstance(got, np.ndarray) and got.shape == (outputs, width) and got.dtype == object
+        assert len(want) == outputs and all(np.shape(v) == (width,) for v in want)
+        assert_same_output(got, want)
     if any(isinstance(c, Fraction) for c in gamma):
         # a non-integral gamma puts Fractions into the table, so it runs on objects
         if name != "_a_quotient_from":  # the one form that does not read gamma
-            assert any(coefs.dtype == object for _, coefs, _, _ in unidiv.algebra._table(body, sizes, gamma)[2])
+            assert any(coefs.dtype == object for _, coefs, _, _ in unidiv.algebra._table(body, sizes, gamma)[1])
         return
     # int64 inputs at the limit _dtype allows: no overflow
     m = int64_limit(form, sizes, gamma)
@@ -590,7 +597,7 @@ def test_tables_match_closed_form_bodies(name, gamma):
         args = [np.array([[rng.choice((-m, m, rng.randint(-m, m))) for _ in range(width)] for _ in range(n)])
                 for n in sizes]
         got = form(*args, gamma)
-        assert all(v.dtype == np.int64 for v in leaves(got))
+        assert isinstance(got, np.ndarray) and got.shape == (outputs, width) and got.dtype == np.int64
         assert_same_output(got, body(*(a.astype(object) for a in args), gamma))
 
 
@@ -598,7 +605,7 @@ def test_nrd_and_char_closed_forms_match_elements():
     rng = random.Random(53)
     for _ in range(20):
         x = rand_alg(rng, num=6, den=4)
-        t, s = a_char_coords(flat(x), (0, 1))
+        ts = a_char_coords(flat(x), (0, 1))
         chi = reduced_char_poly(x)
         assert KElem(*a_nrd_coords(flat(x), (0, 1))) == reduced_norm(x) == -chi.coeffs[0]
-        assert (KElem(*t), KElem(*s)) == (-chi.coeffs[2], chi.coeffs[1])
+        assert (KElem(*ts[:2]), KElem(*ts[2:])) == (-chi.coeffs[2], chi.coeffs[1])

@@ -21,6 +21,7 @@ from oracles import (
     matl_to_complex,
     matrix_embed_oracle,
     pairwise_determinants,
+    subfield_matrix_oracle,
 )
 import unidiv.codebook
 from unidiv.algebra import (
@@ -29,6 +30,7 @@ from unidiv.algebra import (
     InvolutionUnavailable,
     STANDARD_ALGEBRA,
     AlgElem,
+    _dtype,
     _peak,
     _Poly,
     a_mul_coords,
@@ -236,6 +238,27 @@ def test_subfield_matrix_and_element_match_algelem_products(g):
         want = sum((spec.from_l(KElem(c[2 * i], c[2 * i + 1])) * powers[i] for i in range(3)), spec.zero())
         assert sub.element(c) == want
         assert sub.element([str(v) for v in c]) == want
+
+
+# Generators with denominators, so that q = matrix[0][0] exceeds 1 (every CLI generator has q = 1).
+DENOMINATOR_CASES = [
+    *((f"{n}[1/3+g/2]", g.scale(Fraction(1, 2)) + ONE.scale(Fraction(1, 3))) for n, g in STABLE_CASES[:70:10]),
+    ("nu5[5/6+(1/2+zeta3/3)g]",
+     nu_generator(5).scale(KElem(Fraction(1, 2), Fraction(1, 3))) + ONE.scale(Fraction(5, 6))),
+]
+
+
+@pytest.mark.parametrize(
+    "name, g", STABLE_CASES + DENOMINATOR_CASES, ids=[n for n, _ in STABLE_CASES + DENOMINATOR_CASES]
+)
+def test_subfield_matrix_matches_scale_oracle(name, g):
+    # the zeta3 rows come from the integer map (a0, a1) -> (-a1, a0 - a1), not from AlgElem.scale
+    sub = SubfieldSpec("test", None, g, "test")
+    m = sub.matrix
+    assert m == subfield_matrix_oracle(sub)
+    assert all(type(v) is int for row in m for v in row)
+    assert m[0][0] == math.lcm(*(b.integral()[1] for b in (g.spec.one(), g, g * g)))
+    assert (m[0][0] > 1) == ("/" in name)
 
 
 def test_stability_cases_unstable_exactly_theta_plus_e_and_theta_e():
@@ -463,6 +486,17 @@ def test_peak_equals_magnitude_oracle_on_units(kind, k, box):
     sub = subfield(kind, k)
     sizes, gamma = candidate_sizes(sub, box), sub.generator.spec.gamma_coords
     assert _peak(_hilbert90_coords, sizes, gamma) == magnitude_peak(_hilbert90_coords, sizes, gamma)
+
+
+@pytest.mark.parametrize(
+    "box", [Box(1, 1), Box(2, 1), Box(1, 2), Box(1, 13)], ids=["B1D1", "B2D1", "B1D2", "B1D13"]
+)
+@pytest.mark.parametrize("kind, k", CLI_SUBFIELDS, ids=CLI_IDS)
+def test_hilbert90_dtype_is_pinned(kind, k, box):
+    # the chain's dtype decision, as pinned before its forms returned flat rows: object only at Box(1, 13)
+    sub = subfield(kind, k)
+    want = object if box == Box(1, 13) else np.int64
+    assert _dtype(_hilbert90_coords, candidate_sizes(sub, box), sub.generator.spec.gamma_coords) is want
 
 
 @pytest.mark.parametrize("bits", [1, 8, 20, 40])
