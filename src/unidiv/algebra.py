@@ -290,8 +290,8 @@ def matrix_embed(x: AlgElem) -> MatL:
     Columns hold the coordinates of x*1, x*E and x*E^2 (`a_embed_coords`).
     """
     a, q = x.integral()
-    e = [[Fraction(v, q) for v in c] for c in _parts(a_embed_coords(a, x.spec.gamma_coords), 9)]
-    return MatL([[LElem.from_six_tuple(c) for c in e[r:r + 3]] for r in (0, 3, 6)])
+    e = [Fraction(v, q) for v in a_embed_coords(a, x.spec.gamma_coords)]
+    return MatL([[LElem.from_six_tuple(e[i:i + 6]) for i in range(r, r + 18, 6)] for r in (0, 18, 36)])
 
 
 def involution(x: AlgElem) -> AlgElem:
@@ -567,8 +567,8 @@ def _dtype(formula, sizes: tuple[int, ...], gamma) -> type:
     return np.int64 if _peak(formula, sizes, gamma) < 2**63 else object
 
 
-def _parts(flat, n=3):
-    return [flat[6 * i:6 * i + 6] for i in range(n)]
+def _parts(flat):
+    return flat[0:6], flat[6:12], flat[12:18]
 
 
 def _l_add(*terms):

@@ -13,8 +13,9 @@ to integer coordinates (x does not change) on int64 or object arrays;
 `generate_codebook` runs it on chunks and `hilbert90_unit` on a batch of
 one.  It and `first_non_unitary`, which decides x * involution(x) = 1 in
 one array pass, evaluate the algebra's closed forms from their monomial
-tables, a few array operations per form, in int64 when `algebra._peak`,
-the same tables evaluated on sizes, bounds every value they form.
+tables, a few array operations per form, each form returning one
+(outputs, k) array of rows that the next takes whole, in int64 when
+`algebra._peak`, the same tables evaluated on sizes, bounds every value.
 `numeric_embeddings` is the one float evaluation of the embedding: every
 numeric matrix (codebooks, `embed`, the diversity screen) comes from it,
 bit-identical to `LElem.to_complex`.
