@@ -60,9 +60,11 @@ class InversionError(ArithmeticError):
 
 class AlgebraSpec:
     """gamma (nonzero, in Z[zeta3]), `gamma_coords` its two integers, and z = gamma*conj(gamma).  A
-    rational G/d is refused: G*d^2 gives the same algebra, as gamma*N(c) does for c in L^* and N(d) = d^3."""
+    rational G/d is refused: G*d^2 gives the same algebra, as gamma*N(c) does for c in L^* and N(d) = d^3.
+    Specs compare and hash by `gamma_coords`; `supports_involution` is z = 1, the only case where the
+    involution mirrors the conjugate transpose."""
 
-    __slots__ = ("gamma", "z", "gamma_coords")
+    __slots__ = ("gamma", "z", "gamma_coords", "supports_involution")
 
     def __init__(self, gamma: Scalar = ZETA3):
         g = _as_k(gamma)
@@ -73,11 +75,7 @@ class AlgebraSpec:
         self.gamma = g
         self.z = g * g.conj()
         self.gamma_coords = tuple(coords)
-
-    @property
-    def supports_involution(self) -> bool:
-        """True iff z = 1, the only case where the involution mirrors the conjugate transpose."""
-        return self.z == K_ONE
+        self.supports_involution = self.z == K_ONE
 
     def require_involution(self) -> None:
         if not self.supports_involution:
@@ -102,10 +100,10 @@ class AlgebraSpec:
     def __eq__(self, other):
         if not isinstance(other, AlgebraSpec):
             return NotImplemented
-        return self.gamma == other.gamma
+        return self.gamma_coords == other.gamma_coords
 
     def __hash__(self):
-        return hash(self.gamma)
+        return hash(self.gamma_coords)
 
     def __repr__(self):
         return f"AlgebraSpec(gamma={self.gamma})"
@@ -225,7 +223,7 @@ class AlgElem:
         return self.spec == other.spec and self._num == other._num and self._den == other._den
 
     def __hash__(self):
-        return hash((self.spec.gamma, self._num, self._den))
+        return hash((self.spec.gamma_coords, self._num, self._den))
 
     def is_zero(self) -> bool:
         return not any(self._num)

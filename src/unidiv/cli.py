@@ -10,6 +10,7 @@ import argparse
 import cmath
 import functools
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -39,7 +40,7 @@ from .codebook import (
     subfield_table,
     unitary_matrix_numeric,
 )
-from .fields import LElem
+from .rationals import rat_pair
 
 
 class InputError(Exception):
@@ -133,18 +134,23 @@ def serialize_element(x: AlgElem) -> dict:
 def parse_element(data) -> AlgElem:
     """The element of an object record holding x0, x1, x2 as lists of six coordinates.
 
-    Raises ValueError or TypeError if the record has any other shape.
+    `rat_pair` reads each coordinate as integers (p, q); the 18 go to `AlgElem.from_integral` over
+    their lcm, with no Fraction or field element built.  ValueError or TypeError for any other shape.
     """
     if not isinstance(data, dict):
         raise TypeError("element record is not a JSON object")
-    parts = []
+    pairs = []
     for key in ("x0", "x1", "x2"):
         if key not in data:
             raise ValueError(f"element record is missing {key!r}")
         if not isinstance(data[key], list):
             raise TypeError(f"{key!r} is not a list of coordinates")
-        parts.append(LElem.from_six_tuple(data[key]))
-    return AlgElem(STANDARD_ALGEBRA, *parts)
+        part = [rat_pair(v) for v in data[key]]
+        if len(part) != 6:
+            raise ValueError("expected six rational coordinates")
+        pairs += part
+    q = math.lcm(*(d for _, d in pairs))
+    return AlgElem.from_integral(STANDARD_ALGEBRA, [p * (q // d) for p, d in pairs], q)
 
 
 def codebook_to_dict(cb: Codebook, report: Optional[DiversityReport]) -> dict:

@@ -1,9 +1,9 @@
 """Arbitrary-precision rational scalars and small-integer factorization.
 
-``Rat`` is the coefficient scalar used everywhere in this package.  It is
-the standard library ``fractions.Fraction``, which already keeps the
-canonical reduced form (gcd(|numerator|, denominator) = 1, denominator > 0)
-that structural equality of field and algebra elements relies on.
+``Rat``, the coefficient scalar of the field layer, is ``fractions.Fraction``: its canonical
+reduced form (gcd(|numerator|, denominator) = 1, denominator > 0) is what structural equality
+of field elements relies on.  CLI input enters as integers, not as ``Rat``: `rat_pair` reads
+each coordinate as a pair (p, q), and the algebra layer keeps integers over one denominator.
 """
 
 from __future__ import annotations
@@ -19,25 +19,28 @@ Rat = Fraction
 _RAT_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def as_rat(value: int | str | Fraction) -> Fraction:
-    """Coerce ints, "p" or "p/q" strings and Fractions to a canonical rational.
+def rat_pair(value: int | str) -> tuple[int, int]:
+    """Integers (p, q), q > 0 and not necessarily reduced, with p/q = value: a non-bool int or a string
+    [+-]?digits(/digits)?.  ValueError for any other string or a zero denominator, TypeError for
+    anything else, including bool (JSON true is not 1)."""
+    if isinstance(value, str):
+        if _RAT_STRING.fullmatch(value) is None:
+            raise ValueError(f"not a rational p or p/q: {value!r}")
+        p, _, q = value.partition("/")
+        p, q = int(p), int(q or 1)
+        if q == 0:
+            raise ValueError(f"zero denominator in {value!r}")
+        return p, q
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value, 1
+    raise TypeError(f"cannot interpret {value!r} as a rational")
 
-    A string must match [+-]?digits(/digits)?.  Raises ValueError for any
-    other string or a zero denominator, and TypeError for anything else,
-    including bool (JSON true is not 1).
-    """
+
+def as_rat(value: int | str | Fraction) -> Fraction:
+    """A Fraction as it is, or the canonical rational of what `rat_pair` reads, with its errors."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
-        raise TypeError(f"cannot interpret {value!r} as a rational")
-    if isinstance(value, str) and _RAT_STRING.fullmatch(value) is None:
-        raise ValueError(f"not a rational p or p/q: {value!r}")
-    if isinstance(value, (int, str)):
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
-    raise TypeError(f"cannot interpret {value!r} as a rational")
+    return Fraction(*rat_pair(value))
 
 
 def clear_denominators(values) -> tuple[list[int], int]:

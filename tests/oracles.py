@@ -14,6 +14,10 @@ under the division certificate.  `subfield_matrix_oracle` is
 `SubfieldSpec.matrix` by six `AlgElem.scale` calls, where the matrix maps
 each row's K coordinate pairs to the zeta3 row on integers.
 
+`parse_element_oracle` is `cli.parse_element` through Fractions and field
+elements (`LElem.from_six_tuple` per part, then `AlgElem`), the path that
+reading each coordinate as an integer pair replaced.
+
 `Magnitude` is the bound arithmetic that `algebra._peak` replaced: one
 object per value, carried through the same tables; `magnitude_peak` is its
 bound on a formula, the reference for `_peak`.
@@ -30,7 +34,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from unidiv.algebra import AlgElem, involution, reduced_char_poly, reduced_norm
+from unidiv.algebra import STANDARD_ALGEBRA, AlgElem, involution, reduced_char_poly, reduced_norm
 from unidiv.fields import K_ONE, K_ZERO, KElem, L_ONE, L_ZERO, LElem, ZETA3
 
 
@@ -51,6 +55,20 @@ def iter_box_tuples(box) -> Iterator[tuple[Fraction, ...]]:
             tup = rev[::-1]
             if max(_height(v) for v in tup) == h:
                 yield tup
+
+
+def parse_element_oracle(data) -> AlgElem:
+    """`cli.parse_element` as it was: per-key checks, then six `as_rat` coordinates per LElem."""
+    if not isinstance(data, dict):
+        raise TypeError("element record is not a JSON object")
+    parts = []
+    for key in ("x0", "x1", "x2"):
+        if key not in data:
+            raise ValueError(f"element record is missing {key!r}")
+        if not isinstance(data[key], list):
+            raise TypeError(f"{key!r} is not a list of coordinates")
+        parts.append(LElem.from_six_tuple(data[key]))
+    return AlgElem(STANDARD_ALGEBRA, *parts)
 
 
 def alg_mul_oracle(x: AlgElem, y: AlgElem) -> AlgElem:

@@ -41,6 +41,7 @@ from unidiv.algebra import (
     worked_example,
     zeta9_str,
 )
+from unidiv.cli import parse_element
 from unidiv.fields import K_ONE, KElem, L_ONE, L_ZERO, LElem, THETA, ZETA3
 from unidiv.polynomials import Polynomial, has_rational_root
 
@@ -149,6 +150,47 @@ def test_involution_requires_unit_gamma():
     assert alt.supports_involution
     g = alt.gen()
     assert g * involution(g) == alt.one()
+
+
+@pytest.mark.parametrize(
+    "gamma, supported",
+    [(ZETA3, True), (ZETA3 * ZETA3, True), (KElem(-1), True), (KElem(2), False), (KElem(1, 1), True)],
+    ids=["zeta3", "zeta3^2", "-1", "2", "1+zeta3"],
+)
+def test_supports_involution_iff_gamma_has_norm_one(gamma, supported):
+    spec = AlgebraSpec(gamma)
+    assert spec.supports_involution is supported
+    assert supported == (gamma * gamma.conj() == K_ONE)
+
+
+def test_specs_compare_and_hash_by_gamma():
+    assert AlgebraSpec(ZETA3) == STANDARD_ALGEBRA
+    assert hash(AlgebraSpec(ZETA3)) == hash(STANDARD_ALGEBRA)
+    assert AlgebraSpec(KElem(0, 1)) == STANDARD_ALGEBRA
+    assert AlgebraSpec(ZETA3 * ZETA3) != STANDARD_ALGEBRA
+    other = AlgebraSpec(ZETA3 * ZETA3)
+    with pytest.raises(ValueError, match="different gamma"):
+        other.one() + ONE
+
+
+def test_one_element_from_three_constructions():
+    # 1/2 - 3*z9 + (5/7)*z9^2 + 2*z9^3 - (1/4)*z9^5, with z9 = E and z9^3 = zeta3
+    coeffs = ["1/2", "-3", "5/7", "2", "0", "-1/4"]
+    record = {
+        "x0": ["1/2", "2", "0", "0", "0", "0"],
+        "x1": ["-3", "0", "0", "0", "0", "0"],
+        "x2": ["10/14", "-2/8", "0", "0", "0", "0"],
+    }
+    direct = AlgElem(
+        AlgebraSpec(ZETA3),
+        LElem(KElem(Fraction(1, 2), 2)),
+        LElem(KElem(-3)),
+        LElem(KElem(Fraction(5, 7), Fraction(-1, 4))),
+    )
+    for x in (parse_element(record), from_zeta9(coeffs)):
+        assert x == direct and hash(x) == hash(direct)
+        assert x.integral() == direct.integral()
+    assert len({parse_element(record), from_zeta9(coeffs), direct}) == 1
 
 
 def test_conj_transpose_shadows_involution():

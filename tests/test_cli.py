@@ -2,8 +2,11 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from unidiv.cli import main
+from oracles import parse_element_oracle
+from unidiv.cli import main, parse_element
 
 
 def run(capsys, *argv):
@@ -374,3 +377,65 @@ def test_string_coordinates(capsys, tmp_path, command):
     code, out = run(capsys, *argv, str(path))
     assert_one_line_error(code, out)
     assert "malformed" in out
+
+
+# parse_element reads integer pairs; parse_element_oracle is the Fraction path it replaced
+
+# JSON ints, and "p"/"p/q" strings with signs, leading zeros, unreduced pairs and large coprime denominators
+_coordinate = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.builds(
+        lambda sign, pad, p, q, k: sign + "0" * pad + str(p * k) + (f"/{q * k}" if q else ""),
+        st.sampled_from(["", "+", "-"]),
+        st.integers(0, 2),
+        st.integers(0, 10**6),
+        st.one_of(st.integers(0, 12), st.sampled_from([999_983, 999_979, 524_288, 10**6])),
+        st.integers(1, 4),
+    ),
+)
+_part = st.one_of(
+    st.lists(_coordinate, min_size=6, max_size=6),
+    st.just([0] * 6),
+    st.just(["0", "-0", "+00", "0/7", 0, "0/1"]),
+)
+
+
+@settings(max_examples=300)
+@given(st.fixed_dictionaries({"x0": _part, "x1": _part, "x2": _part}))
+def test_parse_element_matches_fraction_oracle(record):
+    x, ref = parse_element(record), parse_element_oracle(record)
+    assert x == ref and hash(x) == hash(ref)
+    assert x.integral() == ref.integral()
+
+
+def _refusal(parse, record):
+    with pytest.raises((TypeError, ValueError)) as err:
+        parse(record)
+    return err.type, str(err.value)
+
+
+def _with(key, part):
+    return {**ONE_RECORD, key: part}
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        *(
+            _with("x1", ["0", "0", bad, "0", "0", "0"])
+            for bad in (True, None, 1.5, "", "x", "1/0", "1e5", "1/-2", "1" * 4301, "1/" + "1" * 4301)
+        ),
+        _with("x0", ["1", "0", "0", "0", "0"]),
+        _with("x2", ["0"] * 7),
+        _with("x2", ["0"] * 6 + ["1/0"]),
+        {k: v for k, v in ONE_RECORD.items() if k != "x2"},
+        {"x0": ["1.5"] + ["0"] * 5},
+        _with("x1", "000000"),
+        _with("x1", {"0": 0}),
+        [ONE_RECORD["x0"], ONE_RECORD["x1"], ONE_RECORD["x2"]],
+        "x0",
+        None,
+    ],
+)
+def test_parse_element_refuses_as_the_fraction_oracle_does(record):
+    assert _refusal(parse_element, record) == _refusal(parse_element_oracle, record)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from unidiv.rationals import as_rat, factor_small_int
+from unidiv.rationals import as_rat, factor_small_int, rat_pair
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -46,13 +46,53 @@ def test_as_rat_zero_denominator():
 def test_as_rat_rejects_other_string_syntax(text):
     # Fraction reads the first six (the last is an Arabic-Indic one); only
     # [+-]?digits(/digits)? with ASCII digits is accepted
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as from_as_rat:
         as_rat(text)
+    with pytest.raises(ValueError) as from_rat_pair:
+        rat_pair(text)
+    assert str(from_rat_pair.value) == str(from_as_rat.value)
 
 
 def test_as_rat_reads_signed_p_and_p_q():
     assert as_rat("+3") == 3
     assert as_rat("-007/14") == Fraction(-1, 2)
+
+
+# "p" or "p/q" with a sign or none, leading zeros, and numerator and denominator scaled by k >= 1
+rat_strings = st.builds(
+    lambda sign, pad, p, q, k: sign + "0" * pad + str(p * k) + (f"/{q * k}" if q else ""),
+    st.sampled_from(["", "+", "-"]),
+    st.integers(0, 3),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.integers(1, 12),
+)
+
+
+@given(st.one_of(st.integers(-(10**30), 10**30), rat_strings))
+def test_rat_pair_matches_as_rat(value):
+    p, q = rat_pair(value)
+    assert type(p) is int and type(q) is int and q > 0
+    assert Fraction(p, q) == as_rat(value)
+
+
+def test_rat_pair_keeps_the_written_pair():
+    assert rat_pair("-006/4") == (-6, 4)
+    assert rat_pair("+3") == (3, 1)
+    assert rat_pair(-7) == (-7, 1)
+
+
+@pytest.mark.parametrize("value", [True, False, None, 1.5, Fraction(1, 2), [1], "1/0", "-0/00", "1" * 4301])
+def test_rat_pair_rejects_as_as_rat_does(value):
+    # the same exception type and message; a Fraction, which as_rat passes through, is no input here
+    with pytest.raises((TypeError, ValueError)) as from_rat_pair:
+        rat_pair(value)
+    if isinstance(value, Fraction):
+        assert from_rat_pair.type is TypeError
+        return
+    with pytest.raises(from_rat_pair.type) as from_as_rat:
+        as_rat(value)
+    assert str(from_rat_pair.value) == str(from_as_rat.value)
 
 
 def test_rat_str_round_trip():
