@@ -46,7 +46,7 @@ def test_as_rat_zero_denominator():
 def test_as_rat_rejects_other_string_syntax(text):
     # Fraction reads the first six (the last is an Arabic-Indic one); only
     # [+-]?digits(/digits)? with ASCII digits is accepted
-    with pytest.raises(ValueError) as from_as_rat:
+    with pytest.raises(ValueError, match="^not a rational p or p/q: ") as from_as_rat:
         as_rat(text)
     with pytest.raises(ValueError) as from_rat_pair:
         rat_pair(text)
@@ -73,7 +73,7 @@ rat_strings = st.builds(
 def test_rat_pair_matches_as_rat(value):
     p, q = rat_pair(value)
     assert type(p) is int and type(q) is int and q > 0
-    assert Fraction(p, q) == as_rat(value)
+    assert Fraction(p, q) == as_rat(value) == Fraction(value)
 
 
 def test_rat_pair_keeps_the_written_pair():
@@ -82,17 +82,29 @@ def test_rat_pair_keeps_the_written_pair():
     assert rat_pair(-7) == (-7, 1)
 
 
-@pytest.mark.parametrize("value", [True, False, None, 1.5, Fraction(1, 2), [1], "1/0", "-0/00", "1" * 4301])
-def test_rat_pair_rejects_as_as_rat_does(value):
-    # the same exception type and message; a Fraction, which as_rat passes through, is no input here
-    with pytest.raises((TypeError, ValueError)) as from_rat_pair:
-        rat_pair(value)
-    if isinstance(value, Fraction):
-        assert from_rat_pair.type is TypeError
-        return
-    with pytest.raises(from_rat_pair.type) as from_as_rat:
-        as_rat(value)
-    assert str(from_rat_pair.value) == str(from_as_rat.value)
+@pytest.mark.parametrize(
+    "value, error, message",
+    [
+        (True, TypeError, "cannot interpret True as a rational"),
+        (None, TypeError, "cannot interpret None as a rational"),
+        (1.5, TypeError, "cannot interpret 1.5 as a rational"),
+        ([1], TypeError, "cannot interpret [1] as a rational"),
+        ("1/0", ValueError, "zero denominator in '1/0'"),
+        ("-0/00", ValueError, "zero denominator in '-0/00'"),
+        ("1" * 4301, ValueError, "Exceeds the limit (4300 digits) for integer string conversion"),
+    ],
+    ids=["true", "none", "float", "list", "1/0", "-0/00", "4301-digits"],
+)
+def test_rat_pair_rejects_as_as_rat_does(value, error, message):
+    for read in (rat_pair, as_rat):
+        with pytest.raises(error) as err:
+            read(value)
+        assert str(err.value).startswith(message)
+
+
+def test_rat_pair_refuses_a_fraction():
+    with pytest.raises(TypeError, match="cannot interpret Fraction"):
+        rat_pair(Fraction(1, 2))
 
 
 def test_rat_str_round_trip():
