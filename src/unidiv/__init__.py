@@ -20,11 +20,9 @@ from .algebra import (
     MatL,
     STANDARD_ALGEBRA,
     char_poly_rational,
-    fixed_point_conditions,
     from_zeta9,
     inverse,
     involution,
-    is_involution_fixed,
     matrix_embed,
     reduced_char_poly,
     reduced_norm,
@@ -52,11 +50,9 @@ __all__ = [
     "MatL",
     "STANDARD_ALGEBRA",
     "char_poly_rational",
-    "fixed_point_conditions",
     "from_zeta9",
     "inverse",
     "involution",
-    "is_involution_fixed",
     "matrix_embed",
     "reduced_char_poly",
     "reduced_norm",

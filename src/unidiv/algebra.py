@@ -5,11 +5,11 @@ generator E satisfies E^3 = gamma and lambda*E = E*sigma(lambda) for
 lambda in L.  The module provides the 3x3 matrix embedding over L, the
 involution whose matrix shadow is the conjugate transpose (available
 exactly when z = gamma*conj(gamma) = 1), reduced norms and characteristic
-polynomials, inversion through Cayley-Hamilton, and the fixed-point test
-for the involution together with its coefficientwise conditions.  The
-product, the involution, Nrd, chi and the quotient u * v^(-1) exist once,
-as closed forms on the 18 rational coordinates at the end of this module,
-each evaluated from a monomial table traced from it once per gamma.
+polynomials, inversion through Cayley-Hamilton, and `_expand3`, the one 3x3
+cofactor expansion, on exact or float arrays.  The product, the
+involution, Nrd, chi and the quotient u * v^(-1) exist once, as closed
+forms on the 18 rational coordinates at the end of this module, each
+evaluated from a monomial table traced from it once per gamma.
 
 Everything is immutable and pure; an AlgebraSpec can be shared read-only.
 """
@@ -262,18 +262,11 @@ class MatL:
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows: Sequence[Sequence[LElem]]):
-        self.rows = tuple(tuple(_as_l(v) for v in row) for row in rows)
-        if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
-            raise ValueError("expected a 3x3 grid")
+    def __init__(self, rows: tuple[tuple[LElem, ...], ...]):
+        self.rows = rows
 
     def det(self) -> LElem:
-        r = self.rows
-        return (
-            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-        )
+        return _expand3(np.array(self.rows, dtype=object), -1)
 
     def render(self) -> list[list[str]]:
         return [[str(v) for v in row] for row in self.rows]
@@ -289,7 +282,16 @@ def matrix_embed(x: AlgElem) -> MatL:
     """
     a, q = x.integral()
     e = [Fraction(v, q) for v in a_embed_coords(a, x.spec.gamma_coords)]
-    return MatL([[LElem.from_six_tuple(e[i:i + 6]) for i in range(r, r + 18, 6)] for r in (0, 18, 36)])
+    return MatL(tuple(tuple(LElem.from_six_tuple(e[i:i + 6]) for i in range(r, r + 18, 6)) for r in (0, 18, 36)))
+
+
+def _expand3(m: np.ndarray, sign: int) -> np.ndarray:
+    """Determinant (sign = -1) or permanent (sign = +1) of stacked 3x3 matrices."""
+    return (
+        m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] + sign * m[..., 1, 2] * m[..., 2, 1])
+        + sign * m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] + sign * m[..., 1, 2] * m[..., 2, 0])
+        + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] + sign * m[..., 1, 1] * m[..., 2, 0])
+    )
 
 
 def involution(x: AlgElem) -> AlgElem:
@@ -359,24 +361,6 @@ def inverse(x: AlgElem) -> AlgElem:
     y = AlgElem.from_integral(x.spec, [q * v for v in num], d)
     assert x * y == x.spec.one(), "inverse postcondition failed"
     return y
-
-
-def is_involution_fixed(x: AlgElem) -> bool:
-    return involution(x) == x
-
-
-def fixed_point_conditions(x: AlgElem) -> tuple[bool, bool, bool]:
-    """The three coefficientwise conditions equivalent to x = involution(x).
-
-    Writing x_i = v_i + zeta3*w_i with v_i, w_i in the real subfield Q(theta):
-    (1) x0 is real, (2) v1 = -sigma(v2), (3) w1 = sigma(w2) + v1.
-    """
-    v1, w1 = x.x1.real_imag_parts()
-    v2, w2 = x.x2.real_imag_parts()
-    cond1 = x.x0 == x.x0.conj()
-    cond2 = v1 == -(v2.sigma(1))
-    cond3 = w1 == w2.sigma(1) + v1
-    return (cond1, cond2, cond3)
 
 
 def subfield_element(spec: AlgebraSpec, c0: Scalar, c1: Scalar, c2: Scalar) -> AlgElem:

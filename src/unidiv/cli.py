@@ -13,6 +13,8 @@ import json
 import math
 import re
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -38,7 +40,6 @@ from .codebook import (
     numeric_embeddings,
     subfield,
     subfield_table,
-    unitary_matrix_numeric,
 )
 from .rationals import rat_pair
 
@@ -191,8 +192,8 @@ def report_to_dict(report: DiversityReport) -> dict:
 
 # Reference decimals for the worked example's unitary matrix, stored as the
 # transpose of the actual matrix.  The reference digits are truncated and
-# mixed-precision, so entries are kept as strings and compared at one unit
-# in the last displayed decimal place (0.001 for the three-decimal entries).
+# mixed-precision, so entries are kept as strings and compared, exactly, at
+# one unit in the last displayed decimal place (0.001 for three decimals).
 _GOLDEN_NUMERIC = [
     [("-0.421", "-0.182"), ("0.473", "0.638"), ("-0.157", "0.36")],
     [("-0.236", "-0.319"), ("-0.421", "-0.182"), ("0.473", "0.638")],
@@ -200,48 +201,35 @@ _GOLDEN_NUMERIC = [
 ]
 
 
-def _decimal_tolerance(text: str) -> float:
-    places = len(text.split(".")[1]) if "." in text else 0
-    return 10.0 ** (-places)
+def _display_units(value: float, text: str) -> Fraction:
+    """|value - text| in units of text's last decimal place, exactly, for any number of places."""
+    d = Decimal(text)
+    return abs(Fraction(value) - Fraction(d)) * 10 ** -d.as_tuple().exponent
 
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
 
 
-def _is_grid(value, shape: tuple[int, ...], leaf) -> bool:
-    """True if value is nested lists of the given shape whose leaves satisfy leaf."""
-    if not shape:
-        return leaf(value)
-    return (
-        isinstance(value, list)
-        and len(value) == shape[0]
-        and all(_is_grid(v, shape[1:], leaf) for v in value)
-    )
+def _same_shape(value, ref, decimal: bool) -> bool:
+    """value has ref's structure (lists of its lengths, objects with its keys) with string leaves,
+    decimal (`_DECIMAL`) ones if asked.  The walk follows ref, so its depth is ref's whatever value holds."""
+    if isinstance(ref, list):
+        same = isinstance(value, list) and len(value) == len(ref)
+        return same and all(_same_shape(v, r, decimal) for v, r in zip(value, ref))
+    if isinstance(ref, dict):
+        same = isinstance(value, dict) and value.keys() == ref.keys()
+        return same and all(_same_shape(value[k], r, decimal) for k, r in ref.items())
+    return isinstance(value, str) and (not decimal or _DECIMAL.fullmatch(value) is not None)
 
 
-def _golden_problem(loaded) -> Optional[str]:
-    """Why a --golden override is malformed, or None if every known key has its shape."""
+def _golden_problem(loaded, builtin: dict) -> Optional[str]:
+    """Why a --golden override is malformed, or None if each known key has the shape of its built-in
+    value, with decimal leaves under numeric_transposed."""
     if not isinstance(loaded, dict):
         return "top level is not a JSON object"
-    text = lambda v: isinstance(v, str)
-    decimal = lambda v: isinstance(v, str) and _DECIMAL.fullmatch(v) is not None
-    shapes = {
-        "matrix": ("a 3x3 grid of strings", lambda v: _is_grid(v, (3, 3), text)),
-        "involution": (
-            "an object holding x0, x1 and x2 as six strings each",
-            lambda v: isinstance(v, dict)
-            and sorted(v) == ["x0", "x1", "x2"]
-            and all(_is_grid(part, (6,), text) for part in v.values()),
-        ),
-        "unit_zeta9": ("a list of six strings", lambda v: _is_grid(v, (6,), text)),
-        "numeric_transposed": (
-            "a 3x3 grid of [re, im] decimal strings",
-            lambda v: _is_grid(v, (3, 3, 2), decimal),
-        ),
-    }
-    for key, (shape, ok) in shapes.items():
-        if key in loaded and not ok(loaded[key]):
-            return f"{key!r} must be {shape}"
+    for key, ref in builtin.items():
+        if key in loaded and not _same_shape(loaded[key], ref, key == "numeric_transposed"):
+            return f"{key!r} must have the shape of the built-in {json.dumps(ref)}"
     return None
 
 
@@ -263,7 +251,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     golden = builtin_golden()
     if args.golden:
         loaded = read_json(args.golden, "golden file")
-        problem = _golden_problem(loaded)
+        problem = _golden_problem(loaded, golden)
         if problem is not None:
             raise InputError(f"malformed golden file: {problem}")
         golden.update(loaded)
@@ -271,7 +259,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     x = worked_example().x
     ax = involution(x)
     unit = hilbert90_unit(x)
-    numeric = unitary_matrix_numeric(unit)
+    numeric = numeric_embeddings([unit])[0][0].tolist()
 
     actual_grid = matrix_embed(x).render()
     actual_inv = serialize_element(ax)
@@ -283,22 +271,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ("unit-norm", first_non_unitary([unit]) is None, "1", "checked exactly"),
     ]
 
-    numeric_ok = True
-    worst = 0.0
-    for i in range(3):
-        for j in range(3):
-            want = golden["numeric_transposed"][j][i]
-            got = numeric[i][j]
-            for text, value in zip(want, (got.real, got.imag)):
-                excess = abs(value - float(text)) / _decimal_tolerance(str(text))
-                worst = max(worst, excess)
-                numeric_ok = numeric_ok and excess <= 1.0
+    worst = max(
+        _display_units(value, text)
+        for i in range(3)
+        for j in range(3)
+        for text, value in zip(golden["numeric_transposed"][j][i], (numeric[i][j].real, numeric[i][j].imag))
+    )
+    shown = float(worst) if worst < sys.float_info.max else math.inf  # float() would overflow past it
     checks.append(
         (
             "numeric-unitary-matrix",
-            numeric_ok,
+            worst <= 1,
             "each entry within one unit of its displayed decimals",
-            f"worst deviation {worst:.3f} display units",
+            f"worst deviation {shown:.3f} display units",
         )
     )
 

@@ -17,8 +17,10 @@ tables, a few array operations per form, each form returning one
 (outputs, k) array of rows that the next takes whole, in int64 when
 `algebra._peak`, the same tables evaluated on sizes, bounds every value.
 `numeric_embeddings` is the one float evaluation of the embedding: every
-numeric matrix (codebooks, `embed`, the diversity screen) comes from it,
-bit-identical to `LElem.to_complex`.
+numeric matrix (codebooks, `embed`, `verify`, the diversity screen) comes
+from it, bit-identical to `LElem.to_complex`.  `generate_codebook` dedupes
+units on the AlgElem itself; `algebra._expand3`, the one 3x3 cofactor
+expansion, runs on these floats and on the generator table's integers.
 
 Stability under the involution is one commute check: in a division
 algebra of prime degree 3, any g outside the center K generates a maximal
@@ -46,10 +48,10 @@ import numpy as np
 
 from .algebra import (
     AlgElem,
-    AlgebraSpec,
     InversionError,
     STANDARD_ALGEBRA,
     _dtype,
+    _expand3,
     a_embed_coords,
     a_involution_coords,
     a_mul_coords,
@@ -236,15 +238,14 @@ def first_non_unitary(elements: Sequence[AlgElem]) -> Optional[int]:
     return int(bad[0]) if len(bad) else None
 
 
-def _units(spec: AlgebraSpec, keys) -> tuple[list[AlgElem], np.ndarray]:
-    """The units X/d for keys (X, d), checked exactly (x * involution(x) = 1), and their
-    `numeric_embeddings` M; max|M M^dagger - I| > 1e-10 would be an embedding bug."""
-    units = [AlgElem.from_integral(spec, x, d) for x, d in keys]
+def _unit_matrices(units: Sequence[AlgElem]) -> np.ndarray:
+    """The `numeric_embeddings` M of units checked exactly (x * involution(x) = 1);
+    max|M M^dagger - I| > 1e-10 would be an embedding bug."""
     assert first_non_unitary(units) is None, "unit postcondition failed"
     m = numeric_embeddings(units)[0]
     defect = np.max(np.abs(m @ m.conj().swapaxes(1, 2) - np.eye(3)), initial=0.0)
     assert defect <= 1e-10, f"numeric unitarity defect {defect}"
-    return units, m
+    return m
 
 
 class PreconditionError(ValueError):
@@ -267,14 +268,9 @@ def hilbert90_unit(u: AlgElem) -> AlgElem:
         raise PreconditionError("precondition failed: u does not commute with involution(u)")
     if d[0] == 0:
         raise InversionError("nonzero element with zero reduced norm; gamma does not give a division algebra")
-    return _units(u.spec, [(x[:, 0].tolist(), d[0])])[0][0]
-
-
-def unitary_matrix_numeric(x: AlgElem) -> list[list[complex]]:
-    """The numeric matrix of x, as lists, after checking x * involution(x) = 1 exactly."""
-    if first_non_unitary([x]) is not None:
-        raise ValueError("element is not unitary")
-    return numeric_embeddings([x])[0][0].tolist()
+    unit = AlgElem.from_integral(u.spec, x[:, 0].tolist(), d[0])
+    _unit_matrices([unit])
+    return unit
 
 
 def numeric_embeddings(elements: Sequence[AlgElem]) -> tuple[np.ndarray, np.ndarray]:
@@ -344,16 +340,16 @@ def generate_codebook(sub: SubfieldSpec, box: Box, size: int) -> Codebook:
     `_hilbert90_batch` runs on the integer chunks of `subfield_candidates`
     (int64 or object dtype, as their magnitude bound allows).  A walk over
     each chunk keeps the enumeration order: candidates failing the commute
-    check are counted in `precondition_failures`, units are deduplicated on
-    the gcd-reduced key (X/g, d/g) of X/d, and the walk stops at the
-    candidate completing `size` units.  Only emitted units become AlgElems,
+    check are counted in `precondition_failures`, each unit X/d becomes an
+    AlgElem (in lowest terms, so equal units are equal keys) deduplicated on
+    itself, and the walk stops at the candidate completing `size` units,
     checked exactly in one batch (x * involution(x) = 1) and rendered.  If
     the box runs out first, the codebook is returned with complete=False.
     """
     if size < 1:
         raise ValueError("size must be at least 1")
     spec = sub.generator.spec
-    seen: dict[tuple, None] = {}
+    seen: dict[AlgElem, None] = {}
     failures = scanned = 0
     for u in subfield_candidates(sub, box):
         commute, x, d = _hilbert90_batch(u, spec.gamma_coords)
@@ -362,19 +358,18 @@ def generate_codebook(sub: SubfieldSpec, box: Box, size: int) -> Codebook:
             if not ok:
                 failures += 1
                 continue
-            g = math.gcd(den, *num)
-            seen[(tuple(v // g for v in num), den // g)] = None
+            seen[AlgElem.from_integral(spec, num, den)] = None
             if len(seen) == size:
                 break
         if len(seen) == size:
             break
-    elements, matrices = _units(spec, list(seen))
+    elements = list(seen)
     return Codebook(
         subfield_spec=sub,
         box=box,
         requested=size,
         elements=elements,
-        matrices=matrices,
+        matrices=_unit_matrices(elements),
         complete=len(elements) == size,
         precondition_failures=failures,
         candidates_scanned=scanned,
@@ -456,15 +451,6 @@ def division_certificate(gamma: KElem) -> Optional[DivisionCertificate]:
 _PAIR_CHUNK = 1 << 14
 # Per-pair rounding bound factor, in units of per(T); see min_det_report.
 _DET_ERROR = 512 * 2.0**-53
-
-
-def _expand3(m: np.ndarray, sign: int) -> np.ndarray:
-    """Determinant (sign = -1) or permanent (sign = +1) of stacked 3x3 matrices."""
-    return (
-        m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] + sign * m[..., 1, 2] * m[..., 2, 1])
-        + sign * m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] + sign * m[..., 1, 2] * m[..., 2, 0])
-        + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] + sign * m[..., 1, 1] * m[..., 2, 0])
-    )
 
 
 def _numeric_pair_dets(elements: Sequence[AlgElem]) -> tuple[np.ndarray, ...]:
@@ -618,19 +604,16 @@ def reduce_generator_poly(chi: Polynomial) -> Polynomial:
     if any(c.denominator != 1 for c in coeffs) or len(coeffs) != 4 or coeffs[3] != 1:
         raise ValueError("expected an integral monic cubic")
     r0, q0, p0 = (int(c) for c in coeffs[:3])
-    C = ((0, 0, -r0), (1, 0, -q0), (0, 1, -p0))
-    C2 = _matmul3(C, C)
+    C = np.array(((0, 0, -r0), (1, 0, -q0), (0, 1, -p0)), dtype=object)
+    C2 = C @ C
     best = None
     for b in range(-_QUAD_BOUND, _QUAD_BOUND + 1):
         for c in range(-_QUAD_BOUND, _QUAD_BOUND + 1):
             if b == 0 and c == 0:
                 continue
-            N = tuple(
-                tuple(b * C[i][j] + c * C2[i][j] for j in range(3)) for i in range(3)
-            )
-            pN, qN, rN = _charpoly3(N)
+            pN, qN, rN = _charpoly3(b * C + c * C2)
             for a in range(-_COEFF_BOUND, _COEFF_BOUND + 1):
-                # char poly of N + a*I is chi_N(X - a)
+                # char poly of N + a*I, N = b*C + c*C^2, is chi_N(X - a)
                 p = pN - 3 * a
                 q = qN - 2 * a * pN + 3 * a * a
                 r = rN - a * qN + a * a * pN - a**3
@@ -660,22 +643,10 @@ def _orientation(signs: tuple[int, ...]) -> int:
     return 2
 
 
-def _matmul3(x, y):
-    return tuple(
-        tuple(sum(x[i][k] * y[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
-    )
-
-
-def _charpoly3(m) -> tuple[int, int, int]:
-    tr = m[0][0] + m[1][1] + m[2][2]
-    s = sum(m[i][i] * m[j][j] - m[i][j] * m[j][i] for i, j in ((0, 1), (0, 2), (1, 2)))
-    det = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-    return (-tr, s, -det)
+def _charpoly3(m: np.ndarray) -> tuple[int, int, int]:
+    """(p, q, r) with X^3 + p*X^2 + q*X + r the characteristic polynomial of a 3x3 integer object array."""
+    s = sum(m[i, i] * m[j, j] - m[i, j] * m[j, i] for i, j in ((0, 1), (0, 2), (1, 2)))
+    return (-m.trace(), s, -_expand3(m, -1))
 
 
 def subfield_table_row(k: int) -> TableRow:

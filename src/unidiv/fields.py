@@ -236,12 +236,6 @@ class LElem:
         t = THETA_EMBEDDINGS[conj_index]
         return self.c0.to_complex() + self.c1.to_complex() * t + self.c2.to_complex() * (t * t)
 
-    def real_imag_parts(self) -> tuple["LElem", "LElem"]:
-        """Split as v + zeta3*w with v, w in the real subfield Q(theta)."""
-        v = LElem(*(KElem(c.a0) for c in self.coeffs()))
-        w = LElem(*(KElem(c.a1) for c in self.coeffs()))
-        return v, w
-
     def six_tuple(self) -> tuple[Fraction, ...]:
         """Rational coordinates in basis order (1, zeta3, theta, theta*zeta3, theta^2, theta^2*zeta3)."""
         return (self.c0.a0, self.c0.a1, self.c1.a0, self.c1.a1, self.c2.a0, self.c2.a1)

@@ -18,6 +18,15 @@ each row's K coordinate pairs to the zeta3 row on integers.
 elements (`LElem.from_six_tuple` per part, then `AlgElem`), the path that
 reading each coordinate as an integer pair replaced.
 
+`golden_problem_oracle` is the `verify --golden` shape check as a
+hand-written table of grid shapes (`_is_grid`), which `cli._golden_problem`
+replaced by a walk over the built-in golden value; the tests show both
+accept the same overrides.  `matmul3` and `charpoly3_oracle` are the 3x3
+tuple arithmetic that `reduce_generator_poly` replaced by object arrays and
+`algebra._expand3`.  `fixed_point_conditions` (on `real_imag_parts`) is the
+coefficientwise form of involution(x) = x, the criterion-7 oracle that the
+tests compare with the definition.
+
 `Magnitude` is the bound arithmetic that `algebra._peak` replaced: one
 object per value, carried through the same tables; `magnitude_peak` is its
 bound on a formula, the reference for `_peak`.
@@ -35,6 +44,7 @@ from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from unidiv.algebra import STANDARD_ALGEBRA, AlgElem, involution, reduced_char_poly, reduced_norm
+from unidiv.cli import _DECIMAL
 from unidiv.fields import K_ONE, K_ZERO, KElem, L_ONE, L_ZERO, LElem, ZETA3
 
 
@@ -69,6 +79,83 @@ def parse_element_oracle(data) -> AlgElem:
             raise TypeError(f"{key!r} is not a list of coordinates")
         parts.append(LElem.from_six_tuple(data[key]))
     return AlgElem(STANDARD_ALGEBRA, *parts)
+
+
+def _is_grid(value, shape: tuple[int, ...], leaf) -> bool:
+    """True if value is nested lists of the given shape whose leaves satisfy leaf."""
+    if not shape:
+        return leaf(value)
+    return (
+        isinstance(value, list)
+        and len(value) == shape[0]
+        and all(_is_grid(v, shape[1:], leaf) for v in value)
+    )
+
+
+def golden_problem_oracle(loaded) -> Optional[str]:
+    """Why a --golden override is malformed, or None if every known key has its shape."""
+    if not isinstance(loaded, dict):
+        return "top level is not a JSON object"
+    text = lambda v: isinstance(v, str)
+    decimal = lambda v: isinstance(v, str) and _DECIMAL.fullmatch(v) is not None
+    shapes = {
+        "matrix": ("a 3x3 grid of strings", lambda v: _is_grid(v, (3, 3), text)),
+        "involution": (
+            "an object holding x0, x1 and x2 as six strings each",
+            lambda v: isinstance(v, dict)
+            and sorted(v) == ["x0", "x1", "x2"]
+            and all(_is_grid(part, (6,), text) for part in v.values()),
+        ),
+        "unit_zeta9": ("a list of six strings", lambda v: _is_grid(v, (6,), text)),
+        "numeric_transposed": (
+            "a 3x3 grid of [re, im] decimal strings",
+            lambda v: _is_grid(v, (3, 3, 2), decimal),
+        ),
+    }
+    for key, (shape, ok) in shapes.items():
+        if key in loaded and not ok(loaded[key]):
+            return f"{key!r} must be {shape}"
+    return None
+
+
+def matmul3(x, y):
+    return tuple(
+        tuple(sum(x[i][k] * y[k][j] for k in range(3)) for j in range(3))
+        for i in range(3)
+    )
+
+
+def charpoly3_oracle(m) -> tuple[int, int, int]:
+    """(p, q, r) with X^3 + p*X^2 + q*X + r the characteristic polynomial of 3x3 integer tuples."""
+    tr = m[0][0] + m[1][1] + m[2][2]
+    s = sum(m[i][i] * m[j][j] - m[i][j] * m[j][i] for i, j in ((0, 1), (0, 2), (1, 2)))
+    det = (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+    return (-tr, s, -det)
+
+
+def real_imag_parts(a: LElem) -> tuple[LElem, LElem]:
+    """Split a as v + zeta3*w with v, w in the real subfield Q(theta)."""
+    v = LElem(*(KElem(c.a0) for c in a.coeffs()))
+    w = LElem(*(KElem(c.a1) for c in a.coeffs()))
+    return v, w
+
+
+def fixed_point_conditions(x: AlgElem) -> tuple[bool, bool, bool]:
+    """The three coefficientwise conditions equivalent to x = involution(x).
+
+    Writing x_i = v_i + zeta3*w_i with v_i, w_i in the real subfield Q(theta):
+    (1) x0 is real, (2) v1 = -sigma(v2), (3) w1 = sigma(w2) + v1.
+    """
+    v1, w1 = real_imag_parts(x.x1)
+    v2, w2 = real_imag_parts(x.x2)
+    cond1 = x.x0 == x.x0.conj()
+    cond2 = v1 == -(v2.sigma(1))
+    cond3 = w1 == w2.sigma(1) + v1
+    return (cond1, cond2, cond3)
 
 
 def alg_mul_oracle(x: AlgElem, y: AlgElem) -> AlgElem:

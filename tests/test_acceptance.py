@@ -12,30 +12,28 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import rand_alg, rand_k, rand_l, rand_real_l
-from oracles import pairwise_determinants, rows_conj_transpose, rows_mul
+from oracles import fixed_point_conditions, pairwise_determinants, rows_conj_transpose, rows_mul
 from unidiv.algebra import (
     AlgElem,
     STANDARD_ALGEBRA,
-    fixed_point_conditions,
     inverse,
     involution,
-    is_involution_fixed,
     matrix_embed,
     reduced_char_poly,
     subfield_element,
     to_zeta9,
     worked_example,
 )
-from unidiv.cli import _GOLDEN_NUMERIC, _decimal_tolerance, serialize_element
+from unidiv.cli import _GOLDEN_NUMERIC, _display_units, serialize_element
 from unidiv.codebook import (
     Box,
+    first_non_unitary,
     generate_codebook,
     min_det_report,
     norm_witness_search,
     numeric_embeddings,
     subfield,
     subfield_table_row,
-    unitary_matrix_numeric,
 )
 from unidiv.fields import K_ONE, KElem, LElem, THETA, ZETA3
 from unidiv.polynomials import Polynomial
@@ -88,14 +86,15 @@ def test_criterion_2_worked_example():
 
     # (d) numeric matrix against the reference decimals (stored transposed);
     # each entry is compared at one unit of its displayed precision, which
-    # is the stated 0.001 for the three-decimal entries
-    numeric = unitary_matrix_numeric(unit)
+    # is the stated 0.001 for the three-decimal entries, exactly
+    assert first_non_unitary([unit]) is None
+    numeric = numeric_embeddings([unit])[0][0].tolist()
     for i in range(3):
         for j in range(3):
             want = _GOLDEN_NUMERIC[j][i]
             got = numeric[i][j]
             for text, value in zip(want, (got.real, got.imag)):
-                assert abs(value - float(text)) <= _decimal_tolerance(text), (
+                assert _display_units(value, text) <= 1, (
                     f"entry ({i},{j}): {value} vs {text}"
                 )
     _finish(2, 1.0, start, "matrix, involution image, unit expansion, numeric decimals")
@@ -196,7 +195,7 @@ def test_criterion_7_fixed_point_conditions():
     for i in range(500):
         x = build_fixed()
         conds = fixed_point_conditions(x)
-        fixed = is_involution_fixed(x)
+        fixed = involution(x) == x
         if not (all(conds) and fixed):
             discrepancies.append((serialize_element(x), conds, fixed))
 
@@ -210,7 +209,7 @@ def test_criterion_7_fixed_point_conditions():
         else:
             broken = AlgElem(A, x.x0, x.x1 + zeta * delta, x.x2)
         conds = fixed_point_conditions(broken)
-        fixed = is_involution_fixed(broken)
+        fixed = involution(broken) == broken
         expected = tuple(j != which for j in range(3))
         if conds != expected or fixed or all(conds):
             discrepancies.append((serialize_element(broken), conds, fixed))

@@ -10,6 +10,7 @@ from oracles import (
     IDENTITY_ROWS,
     alg_mul_oracle,
     express_in_power_basis,
+    fixed_point_conditions,
     inverse_oracle,
     rows_add,
     rows_conj_transpose,
@@ -28,11 +29,9 @@ from unidiv.algebra import (
     a_mul_coords,
     a_nrd_coords,
     char_poly_rational,
-    fixed_point_conditions,
     from_zeta9,
     inverse,
     involution,
-    is_involution_fixed,
     matrix_embed,
     reduced_char_poly,
     reduced_norm,
@@ -414,13 +413,13 @@ def test_split_algebra_surfaces_zero_divisor():
 
 
 def test_fixed_point_examples():
-    assert is_involution_fixed(ONE)
+    assert involution(ONE) == ONE
     assert fixed_point_conditions(ONE) == (True, True, True)
-    assert not is_involution_fixed(E)
+    assert involution(E) != E
     # the rational solution v1=1, w1=1, v2=-1, w2=0 from the fixed-point conditions
     x = AlgElem(A, L_ZERO, LElem(KElem(1, 1)), LElem(KElem(-1, 0)))
     assert fixed_point_conditions(x) == (True, True, True)
-    assert is_involution_fixed(x)
+    assert involution(x) == x
 
 
 def _fixed_element(rng):
@@ -438,18 +437,18 @@ def test_fixed_point_conditions_match_fixedness():
     for _ in range(40):
         x = _fixed_element(rng)
         assert fixed_point_conditions(x) == (True, True, True)
-        assert is_involution_fixed(x)
+        assert involution(x) == x
         zeta = LElem(ZETA3)
         # break exactly one condition at a time
         broken0 = AlgElem(A, x.x0 + zeta * delta, x.x1, x.x2)
         assert fixed_point_conditions(broken0) == (False, True, True)
-        assert not is_involution_fixed(broken0)
+        assert involution(broken0) != broken0
         broken1 = AlgElem(A, x.x0, x.x1 + delta + zeta * delta, x.x2)
         assert fixed_point_conditions(broken1) == (True, False, True)
-        assert not is_involution_fixed(broken1)
+        assert involution(broken1) != broken1
         broken2 = AlgElem(A, x.x0, x.x1 + zeta * delta, x.x2)
         assert fixed_point_conditions(broken2) == (True, True, False)
-        assert not is_involution_fixed(broken2)
+        assert involution(broken2) != broken2
 
 
 def test_subfield_element_dictionary():

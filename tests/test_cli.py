@@ -1,12 +1,15 @@
 import json
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import parse_element_oracle
-from unidiv.cli import main, parse_element
+from oracles import golden_problem_oracle, parse_element_oracle
+from unidiv.algebra import worked_example
+from unidiv.cli import _GOLDEN_NUMERIC, _golden_problem, builtin_golden, main, parse_element
+from unidiv.codebook import hilbert90_unit, numeric_embeddings
 
 
 def run(capsys, *argv):
@@ -227,15 +230,50 @@ def test_diversity_zero_denominator_element(capsys, tmp_path):
     assert_one_line_error(*run(capsys, "diversity", str(path)))
 
 
+def _nested(depth: int):
+    value = "0"
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+_DEEP = _nested(900)
+
+
+def _override(key, change):
+    return {key: change(json.loads(json.dumps(builtin_golden()[key])))}
+
+
 @pytest.mark.parametrize(
     "golden",
-    [[1, 2], "str", {"numeric_transposed": 5}, {"numeric_transposed": [[["x", "y"]]]}],
-    ids=["list", "string", "numeric-not-grid", "numeric-not-decimal"],
+    [
+        [1, 2],
+        "str",
+        {"numeric_transposed": 5},
+        {"numeric_transposed": [[["x", "y"]]]},
+        _override("matrix", lambda m: m + m[:1]),
+        _override("unit_zeta9", lambda u: u[:5]),
+        _override("unit_zeta9", lambda u: u + ["0"]),
+        _override("matrix", lambda m: [[1, *m[0][1:]], *m[1:]]),
+        _override("numeric_transposed", lambda n: [[[*n[0][0], "0"], *n[0][1:]], *n[1:]]),
+        _override("numeric_transposed", lambda n: [[["1.", "0"], *n[0][1:]], *n[1:]]),
+        _override("involution", lambda v: {**v, "x3": v["x0"]}),
+        _override("involution", lambda v: {"x0": v["x0"], "x1": v["x1"]}),
+        _override("matrix", lambda m: [[_DEEP, *m[0][1:]], *m[1:]]),
+        {"unit_zeta9": _DEEP},
+    ],
+    ids=["list", "string", "numeric-not-grid", "numeric-not-decimal", "4-rows", "5-entries", "7-entries",
+         "int-leaf", "3-element-pair", "numeric-trailing-point", "extra-key", "missing-key", "deep-leaf",
+         "deep-value"],
 )
 def test_verify_malformed_golden(capsys, tmp_path, golden):
+    assert golden_problem_oracle(golden) is not None
     path = tmp_path / "golden.json"
     path.write_text(json.dumps(golden))
-    assert_one_line_error(*run(capsys, "verify", "--golden", str(path)))
+    code, out = run(capsys, "verify", "--golden", str(path))
+    assert_one_line_error(code, out)
+    if isinstance(golden, dict):
+        assert all(repr(key) in out for key in golden)
 
 
 @pytest.mark.parametrize("argv", [["diversity"], ["verify", "--golden"]], ids=["diversity", "golden"])
@@ -439,3 +477,100 @@ def _with(key, part):
 )
 def test_parse_element_refuses_as_the_fraction_oracle_does(record):
     assert _refusal(parse_element, record) == _refusal(parse_element_oracle, record)
+
+
+# verify --golden: the shape check walks the built-in value; golden_problem_oracle is the table it replaced
+
+_leaf = st.one_of(
+    st.sampled_from(["0", "-0.5", "+12.250", "007", "1.", ".5", "1e3", " 1", "\u0663", "", "zeta3"]),
+    st.text(max_size=4),
+    st.integers(-3, 3),
+    st.none(),
+    st.just(_DEEP),
+)
+
+
+def _slip(draw, value):
+    """value with one node changed: a leaf replaced, a list one longer or shorter, a key added or dropped."""
+    move = draw(st.integers(0, 2))
+    if move == 0 and isinstance(value, list) and value:
+        i = draw(st.integers(0, len(value) - 1))
+        return value[:i] + [_slip(draw, value[i])] + value[i + 1:]
+    if move == 0 and isinstance(value, dict):
+        key = draw(st.sampled_from(sorted(value)))
+        return {**value, key: _slip(draw, value[key])}
+    if move == 1 and isinstance(value, list):
+        return draw(st.sampled_from([value[:-1], value + value[:1], value + [draw(_leaf)]]))
+    if move == 1 and isinstance(value, dict):
+        return draw(st.sampled_from([{**value, "x3": value["x0"]}, {k: v for k, v in value.items() if k != "x1"}]))
+    return draw(_leaf)
+
+
+@st.composite
+def _golden_overrides(draw):
+    """Some of the built-in keys, each with up to two slips, and sometimes a key verify does not know."""
+    builtin = json.loads(json.dumps(builtin_golden()))
+    out = {}
+    for key in draw(st.lists(st.sampled_from(sorted(builtin)), unique=True)):
+        value = builtin[key]
+        for _ in range(draw(st.integers(0, 2))):
+            value = _slip(draw, value)
+        out[key] = value
+    if draw(st.booleans()):
+        out["other"] = draw(_leaf)
+    return out
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=7) | st.dictionaries(st.text(max_size=4), children, max_size=5),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_golden_overrides(), _json_values))
+def test_golden_shape_check_matches_table_oracle(loaded):
+    problem = _golden_problem(loaded, builtin_golden())
+    assert (problem is None) == (golden_problem_oracle(loaded) is None)
+
+
+def test_builtin_golden_passes_both_shape_checks():
+    golden = json.loads(json.dumps(builtin_golden()))
+    assert _golden_problem(golden, builtin_golden()) is None and golden_problem_oracle(golden) is None
+    assert _golden_problem({"other": [1]}, builtin_golden()) is None
+
+
+def _exact_numeric(places: int, bump: int) -> list:
+    """numeric_transposed holding the worked example's float matrix exactly, written to `places`
+    decimals, with the first entry moved `bump` units of the last place away from zero."""
+    m = numeric_embeddings([hilbert90_unit(worked_example().x)])[0][0]
+    grid = [[[f"{Decimal(v):.{places}f}" for v in (z.real, z.imag)] for z in col] for col in m.T.tolist()]
+    text = grid[0][0][0]
+    grid[0][0][0] = text[:-1] + str(int(text[-1]) + bump)
+    return grid
+
+
+@pytest.mark.parametrize("bump, ok", [(0, True), (1, True), (2, False)])
+def test_verify_golden_compares_long_decimals_exactly(capsys, tmp_path, bump, ok):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps({"numeric_transposed": _exact_numeric(400, bump)}))
+    code, out = run(capsys, "verify", "--golden", str(path))
+    assert code == (0 if ok else 1)
+    assert out.endswith("verification PASSED\n" if ok else "verification FAILED\n")
+    report = json.loads(run(capsys, "verify", "--golden", str(path), "--format", "json")[1])
+    assert report["checks"][-1]["actual"] == f"worst deviation {bump}.000 display units"
+
+
+@pytest.mark.parametrize("places", [320, 330, 1000])
+def test_verify_golden_with_many_places_fails_in_one_line(capsys, tmp_path, places):
+    # past about 323 places the float tolerance 10.0**-places underflowed to 0.0: ZeroDivisionError
+    padded = [[[f"{Decimal(t):.{places}f}" for t in pair] for pair in row] for row in _GOLDEN_NUMERIC]
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps({"numeric_transposed": padded}))
+    code, out = run(capsys, "verify", "--golden", str(path))
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails == ["FAIL numeric-unitary-matrix: expected each entry within one unit of its displayed decimals, "
+                     "got worst deviation inf display units"]
+    assert out.endswith("verification FAILED\n")

@@ -10,15 +10,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_alg, rand_k
 from oracles import (
+    charpoly3_oracle,
     codebook_oracle,
     enumerate_subfield,
     express_in_power_basis,
     iter_box_tuples,
     magnitude_peak,
     matl_to_complex,
+    matmul3,
     matrix_embed_oracle,
     pairwise_determinants,
     subfield_matrix_oracle,
@@ -45,6 +49,7 @@ from unidiv.cli import parse_element
 from unidiv.codebook import (
     _DET_ERROR,
     _NORM_MASS,
+    _charpoly3,
     _hilbert90_coords,
     _numeric_pair_dets,
     _unit_norm_coords,
@@ -66,7 +71,6 @@ from unidiv.codebook import (
     subfield_candidates,
     subfield_table,
     subfield_table_row,
-    unitary_matrix_numeric,
 )
 from unidiv.fields import THETA, THETA_EMBEDDINGS, KElem, LElem, ZETA3, ZETA3_COMPLEX, l_norm_coords
 from unidiv.polynomials import (
@@ -363,12 +367,13 @@ def test_hilbert90_scaling_invariance():
 def test_unitary_matrix_numeric():
     w = worked_example()
     x = hilbert90_unit(w.x)
-    m = np.array(unitary_matrix_numeric(x))
+    assert first_non_unitary([x]) is None
+    m = numeric_embeddings([x])[0][0]
     assert np.max(np.abs(m @ m.conj().T - np.eye(3))) < 1e-12
-    ident = np.array(unitary_matrix_numeric(ONE))
+    assert first_non_unitary([ONE]) is None
+    ident = numeric_embeddings([ONE])[0][0]
     assert np.max(np.abs(ident - np.eye(3))) == 0.0
-    with pytest.raises(ValueError):
-        unitary_matrix_numeric(w.x)  # x itself is not unitary
+    assert first_non_unitary([w.x]) == 0  # x itself is not unitary
 
 
 def test_generate_codebook_first_ten():
@@ -618,7 +623,7 @@ def test_first_non_unitary_matches_exact_product():
 def test_diversity_pair_scalars():
     cb = generate_codebook(subfield("zeta9"), Box(1, 1), 2)
     cb.elements = [ONE, ONE.scale(-1)]
-    cb.matrices = [unitary_matrix_numeric(x) for x in cb.elements]
+    cb.matrices = numeric_embeddings(cb.elements)[0]
     rep = min_det_report(cb.elements)
     assert rep.exact_nonzero
     assert abs(rep.zeta - 1.0) < 1e-12
@@ -953,6 +958,22 @@ def test_norm_coords_bound_holds():
         for _ in range(50):
             a = [rng.choice((-m, m, rng.randint(-m, m))) for _ in range(6)]
             assert all(abs(v) <= bound for v in l_norm_coords(a))
+
+
+_coefficient = st.one_of(st.integers(-60, 60), st.integers(-(2**80), 2**80))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_coefficient, _coefficient, _coefficient), _coefficient, _coefficient)
+def test_charpoly3_matches_tuple_oracle(pqr, b, c):
+    # reduce_generator_poly's N = b*C + c*C^2, C the companion matrix of X^3 + p*X^2 + q*X + r
+    p, q, r = pqr
+    rows = ((0, 0, -r), (1, 0, -q), (0, 1, -p))
+    C = np.array(rows, dtype=object)
+    got = _charpoly3(b * C + c * (C @ C))
+    C2 = matmul3(rows, rows)
+    assert got == charpoly3_oracle(tuple(tuple(b * rows[i][j] + c * C2[i][j] for j in range(3)) for i in range(3)))
+    assert all(type(v) is int for v in got)
 
 
 def test_reduce_generator_poly_requires_integral_input():
