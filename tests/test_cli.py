@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import golden_problem_oracle, parse_element_oracle
+from test_cli_fuzz import json_values
 from unidiv.algebra import worked_example
 from unidiv.cli import _GOLDEN_NUMERIC, _golden_problem, builtin_golden, main, parse_element
 from unidiv.codebook import hilbert90_unit, numeric_embeddings
@@ -521,15 +522,8 @@ def _golden_overrides(draw):
     return out
 
 
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
-    lambda children: st.lists(children, max_size=7) | st.dictionaries(st.text(max_size=4), children, max_size=5),
-    max_leaves=20,
-)
-
-
 @settings(max_examples=500, deadline=None)
-@given(st.one_of(_golden_overrides(), _json_values))
+@given(st.one_of(_golden_overrides(), json_values))
 def test_golden_shape_check_matches_table_oracle(loaded):
     problem = _golden_problem(loaded, builtin_golden())
     assert (problem is None) == (golden_problem_oracle(loaded) is None)
