@@ -443,8 +443,10 @@ def worked_example() -> WorkedExample:
 # sizes, gamma) on _Poly variables, giving its monomial table (`_table`),
 # which every call evaluates (`_tabulated`) into one array of rows, one per
 # output: a tuple of Python numbers for AlgElem and the functions above, an
-# (outputs, k) int64 or object array for the codebook's (n, k) arrays, in
-# int64 when `_peak`, the same tables on sizes, bounds every value formed.
+# (outputs, k) array for the codebook's (n, k) arrays.  Three tiers: float64
+# on integers within the table's float limit, where every value formed is
+# an integer below 2^53; else int64 arrays, which callers choose when
+# `_peak`, the same tables on sizes, bounds every value; else object arrays.
 
 
 class _Poly(dict):
@@ -474,8 +476,10 @@ def _lift(v) -> _Poly:
 
 @functools.lru_cache(maxsize=128)
 def _table(body, sizes: tuple[int, ...], gamma) -> tuple:
-    """body on `sizes` variables: its number of outputs and, per degree, the variables
-    (degree x terms), coefficients, and each segment's start and output row."""
+    """body on `sizes` variables: its number of outputs; per degree, the variables (degree x terms),
+    coefficients, and each segment's start and output row; per degree, the distinct monomials
+    (degree x m); their float64 (outputs x all m) coefficients; and the float limit: the largest t
+    with every output's sum of |c| * t^degree below 2^53 (-1 if a coefficient is not an integer)."""
     count = itertools.count()
     leaves = [_lift(v) for v in body(*(tuple(_Poly({(next(count),): 1}) for _ in range(n)) for n in sizes), gamma)]
     terms = sorted((len(m), k, m, c) for k, leaf in enumerate(leaves) for m, c in leaf.items())
@@ -485,22 +489,51 @@ def _table(body, sizes: tuple[int, ...], gamma) -> tuple:
         starts = [k for k in range(len(outs)) if k == 0 or outs[k] != outs[k - 1]]
         coefs = np.array([int(c) if c.denominator == 1 else c for c in coefs])
         degrees.append((np.array(monomials).T, coefs, np.array(starts), np.array(outs)[starts]))
-    return len(leaves), degrees
+    column = {m: j for j, m in enumerate(dict.fromkeys(m for _, _, m, _ in terms))}  # by degree, as terms
+    dense, sums = np.zeros((len(leaves), len(column))), [[0] * (terms[-1][0] + 1) for _ in leaves]
+    for d, k, m, c in terms:
+        dense[k, column[m]] = c
+        sums[k][d] += abs(c)
+    sums = set(map(tuple, sums))
+    below = lambda t: all(sum(s * t**d for d, s in enumerate(out)) < 2**53 for out in sums)
+    low, high = (0, 2**53) if all(d[1].dtype != object for d in degrees) else (-1, 0)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if below(mid) else (low, mid)
+    monomials = [np.array(list(group)).T for _, group in itertools.groupby(column, key=len)]
+    return len(leaves), degrees, monomials, dense, low
+
+
+def _float_limit(form, sizes: tuple[int, ...], gamma) -> int:
+    """The largest |input| on which `form` takes its float tier, -1 if it has none (see `_table`)."""
+    return _table(form.__wrapped__, sizes, gamma)[-1]
 
 
 def _tabulated(body):
-    """`body` (kept as `__wrapped__`) from `_table`: per degree coef * x[i] * x[j] ... per term, then one sum
-    per segment, into one array of rows: (outputs, k) in the dtype of (n, k) arrays, a tuple for Python numbers
-    (run as object arrays).  Given a `_Sizes` gamma it runs on sizes with |coefficients| and records its
-    partial products and outputs (see `_peak`)."""
+    """`body` (kept as `__wrapped__`) from `_table`, into one array of rows: (outputs, k) in the dtype of
+    (n, k) arrays, a tuple for Python numbers.  Three tiers: int64 arrays and tuples of Python ints within the
+    float limit take float64, each degree's distinct monomials times the coefficients in one matmul, exact as
+    every value formed is an integer below 2^53; other int64 arrays take int64 and the rest object arrays, per
+    degree coef * x[i] * x[j] ... per term, then one sum per segment.  Given a `_Sizes` gamma it runs that
+    path on sizes with |coefficients| and records its partial products and outputs (see `_peak`)."""
 
     @functools.wraps(body)
     def form(*args):
         *args, gamma = args
         marked = gamma if isinstance(gamma, _Sizes) else None
-        size, degrees = _table(body, tuple(map(len, args)), marked.gamma if marked else gamma)
+        size, degrees, monomials, dense, limit = _table(body, tuple(map(len, args)), marked.gamma if marked else gamma)
         scalar = not isinstance(args[0][0], np.ndarray)
-        x = np.concatenate([np.asarray(a, dtype=object if scalar else None) for a in args])
+        if scalar:
+            flat = [v for a in args for v in a]
+            x = np.array(flat, dtype=None if set(map(type, flat)) == {int} else object)
+        else:
+            x = np.concatenate(args)
+        if not marked and x.dtype == np.int64 and -limit <= x.min(initial=0) and x.max(initial=0) <= limit:
+            f = x.astype(float)
+            out = dense @ np.concatenate([functools.reduce(np.multiply, f.take(m, axis=0)) for m in monomials])
+            out = out.astype(np.int64)
+            return tuple(out.tolist()) if scalar else out
+        x = x.astype(object) if scalar else x
         out = np.zeros((size, *x.shape[1:]), dtype=np.result_type(x, *(d[1] for d in degrees)))
         for index, coefs, starts, outs in degrees:
             term = (abs(coefs) if marked else coefs).reshape(-1, *(1,) * (x.ndim - 1)) * x[index[0]]

@@ -15,10 +15,13 @@ one.  It and `first_non_unitary`, which decides x * involution(x) = 1 in
 one array pass, evaluate the algebra's closed forms from their monomial
 tables, a few array operations per form, each form returning one
 (outputs, k) array of rows that the next takes whole, in int64 when
-`algebra._peak`, the same tables evaluated on sizes, bounds every value.
+`algebra._peak`, the same tables evaluated on sizes, bounds every value,
+and on the tables' exact float64 tier wherever the values lie within a
+table's float limit (object arrays otherwise).
 `numeric_embeddings` is the one float evaluation of the embedding: every
 numeric matrix (codebooks, `embed`, `verify`, the diversity screen) comes
-from it, bit-identical to `LElem.to_complex`.  `generate_codebook` dedupes
+from it, bit-identical to `LElem.to_complex`, its integer entries on the
+float tier and divided in float64 when below 2^53.  `generate_codebook` dedupes
 units on the AlgElem itself; `algebra._expand3`, the one 3x3 cofactor
 expansion, runs on these floats and on the generator table's integers.
 
@@ -52,6 +55,7 @@ from .algebra import (
     STANDARD_ALGEBRA,
     _dtype,
     _expand3,
+    _float_limit,
     a_embed_coords,
     a_involution_coords,
     a_mul_coords,
@@ -277,18 +281,25 @@ def numeric_embeddings(elements: Sequence[AlgElem]) -> tuple[np.ndarray, np.ndar
     """Float matrices F of matrix_embed(x) at embedding 0, shape (n, 3, 3), and W.
 
     F is `LElem.to_complex(0)` of each entry bit for bit: `a_embed_coords`'s
-    integers divided in Python (correctly rounded; OverflowError past float
-    range), in that method's operation order.  W, which bounds the error in
-    `min_det_report`, sums (|a_m| + |b_m|)|theta|^m over the float a_m + b_m*zeta3.
+    integers divided correctly rounded, in that method's operation order.
+    Coordinates within the table's float limit take int64 and its float
+    tier, the rest object arrays; entries and denominators below 2^53 are
+    divided in float64, the rest in Python (OverflowError past float range).
+    W, which bounds the error in `min_det_report`, sums (|a_m| + |b_m|)|theta|^m
+    over the float a_m + b_m*zeta3.
     """
-    nums = np.array([x.integral()[0] for x in elements], dtype=object).reshape(-1, 18).T
-    dens = np.array([x.integral()[1] for x in elements], dtype=object)
+    pairs = [x.integral() for x in elements]
     gammas = [x.spec.gamma_coords for x in elements]
-    entries = np.empty((54, len(elements)), dtype=object)
+    c = np.empty((54, len(elements)))
     for gamma in set(gammas):
         cols = [i for i, g in enumerate(gammas) if g == gamma]
-        entries[:, cols] = a_embed_coords(nums[:, cols], gamma)
-    c = (entries / dens).astype(float).T.reshape(-1, 3, 3, 6).copy()  # divided by Python
+        nums, dens = (np.array(v) for v in zip(*(pairs[i] for i in cols)))
+        limit = _float_limit(a_embed_coords, (18,), gamma)
+        fits = nums.dtype == np.int64 and -limit <= nums.min() and nums.max() <= limit
+        entries = a_embed_coords(nums.T if fits else nums.T.astype(object), gamma)
+        dtype = float if max(abs(entries).max(), dens.max()) < 2**53 else object  # both divide correctly rounded
+        c[:, cols] = entries.astype(dtype) / dens.astype(dtype)
+    c = c.T.reshape(-1, 3, 3, 6).copy()
     t, z = THETA_EMBEDDINGS[0], ZETA3_COMPLEX
     mul = lambda ar, ai, br, bi: (ar * br - ai * bi, ar * bi + ai * br)  # CPython's complex product
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as CPython makes them, silently

@@ -1,9 +1,15 @@
+import contextlib
+import functools
 import inspect
+import operator
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_alg, rand_k, rand_l, rand_real_l
 from oracles import (
@@ -12,6 +18,7 @@ from oracles import (
     express_in_power_basis,
     fixed_point_conditions,
     inverse_oracle,
+    magnitude_peak,
     rows_add,
     rows_conj_transpose,
     rows_mul,
@@ -630,7 +637,8 @@ def test_tables_match_closed_form_bodies(name, gamma):
     if any(isinstance(c, Fraction) for c in gamma):
         # a non-integral gamma puts Fractions into the table, so it runs on objects
         if name != "_a_quotient_from":  # the one form that does not read gamma
-            assert any(coefs.dtype == object for _, coefs, _, _ in unidiv.algebra._table(body, sizes, gamma)[1])
+            _, degrees, *_ = unidiv.algebra._table(body, sizes, gamma)
+            assert any(coefs.dtype == object for _, coefs, _, _ in degrees)
         return
     # int64 inputs at the limit _dtype allows: no overflow
     m = int64_limit(form, sizes, gamma)
@@ -640,6 +648,78 @@ def test_tables_match_closed_form_bodies(name, gamma):
         got = form(*args, gamma)
         assert isinstance(got, np.ndarray) and got.shape == (outputs, width) and got.dtype == np.int64
         assert_same_output(got, body(*(a.astype(object) for a in args), gamma))
+
+
+def table(name, gamma) -> tuple:
+    return unidiv.algebra._table(getattr(unidiv.algebra, name).__wrapped__, TABULATED[name], gamma)
+
+
+@contextlib.contextmanager
+def tables_edited(edit):
+    """Every tabulated form reads its table through edit(table)."""
+    read = unidiv.algebra._table
+    with mock.patch.object(unidiv.algebra, "_table", lambda *key: edit(read(*key))):
+        yield
+
+
+def float_tier_formula(name, gamma):
+    """The float tier's arithmetic on flat inputs: each distinct monomial's product, times its coefficients."""
+    _, _, monomials, dense, _ = table(name, gamma)
+    columns = [m for group in monomials for m in group.T]
+
+    def formula(u, g):
+        products = [functools.reduce(operator.mul, (u[i] for i in m)) for m in columns]
+        return [sum((int(c) * p for c, p in zip(row, products) if c), 0 * products[0]) for row in dense]
+
+    return formula
+
+
+@pytest.mark.parametrize("gamma", TABLE_GAMMAS.values(), ids=TABLE_GAMMAS.keys())
+@pytest.mark.parametrize("name", TABULATED)
+def test_float_limit_bounds_the_float_tier_tightly(name, gamma):
+    _, degrees, _, dense, limit = table(name, gamma)
+    if any(coefs.dtype == object for _, coefs, _, _ in degrees):
+        assert limit == -1  # a non-integral coefficient: no float tier
+        return
+    assert dense.shape[0] == OUTPUTS[name] and dense.nbytes < 50_000
+    # every monomial's partial products, coefficient products and sums in any order, on inputs |v| <= T
+    formula, n = float_tier_formula(name, gamma), sum(TABULATED[name])
+    assert magnitude_peak(formula, (limit,) * n, gamma) < 2**53 <= magnitude_peak(formula, (limit + 1,) * n, gamma)
+
+
+@pytest.mark.parametrize("gamma", TABLE_GAMMAS.values(), ids=TABLE_GAMMAS.keys())
+@pytest.mark.parametrize("name", TABULATED)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_float_tier_matches_int64_object_and_body(name, gamma, data):
+    form, sizes, limit = getattr(unidiv.algebra, name), TABULATED[name], table(name, gamma)[-1]
+    top = limit if limit >= 0 else 2**20  # no float tier: values of any size
+    width = data.draw(st.integers(1, 3), label="width")
+    value = st.one_of(st.sampled_from([top, -top]), st.integers(-top, top))
+    line = st.lists(value, min_size=width, max_size=width)
+    args = [np.array(data.draw(st.lists(line, min_size=n, max_size=n)), dtype=np.int64) for n in sizes]
+    if data.draw(st.booleans(), label="one value past the limit"):
+        arg = data.draw(st.integers(0, len(sizes) - 1))
+        row, col = data.draw(st.integers(0, sizes[arg] - 1)), data.draw(st.integers(0, width - 1))
+        args[arg][row, col] = data.draw(st.sampled_from([top + 1, -top - 1]))
+    columns = [[tuple(a[:, j].tolist()) for a in args] for j in range(width)]
+    objects = [a.astype(object) for a in args]
+    want = form(*objects, gamma)
+    assert_same_output(want, form.__wrapped__(*objects, gamma))
+    got = form(*args, gamma)
+    with tables_edited(lambda t: (*t[:4], -1)):  # no float limit: the sparse int64 path
+        sparse = form(*args, gamma)
+    with tables_edited(lambda t: (*t[:3], 0 * t[3], t[4])):  # zero coefficients, read by the float tier alone
+        zeroed = form(*args, gamma), [form(*c, gamma) for c in columns]
+    assert got.dtype == sparse.dtype == (np.int64 if limit >= 0 else object)
+    assert got.tolist() == sparse.tolist() == want.tolist()
+    within = lambda arrays: max(abs(v) for a in arrays for v in np.ravel(a).tolist()) <= limit
+    assert zeroed[0].tolist() == (np.zeros_like(want) if within(args) else want).tolist()
+    for j, c in enumerate(columns):
+        out = form(*c, gamma)
+        assert type(out) is tuple and list(out) == want[:, j].tolist() == list(form.__wrapped__(*c, gamma))
+        assert all(type(v) is int for v in out) or limit < 0
+        assert list(zeroed[1][j]) == ([0] * len(out) if within(c) else list(out))
 
 
 def test_nrd_and_char_closed_forms_match_elements():

@@ -7,6 +7,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice, product
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -809,6 +810,24 @@ def test_numeric_embeddings_match_lelem_to_complex_bitwise():
     spec = AlgebraSpec(ZETA3 * ZETA3)
     other = [AlgElem.from_integral(spec, *x.integral()) for x in elements[:40]]
     assert same_bits(numeric_embeddings(other)[0], [matl_to_complex(matrix_embed_oracle(x)) for x in other])
+
+
+def test_numeric_embeddings_near_2_53_match_lelem_to_complex_bitwise():
+    # float64 divides integers below 2^53 correctly rounded, but not 1 by 2^53 + 1
+    assert 1 / float(2**53 + 1) != 1 / (2**53 + 1)
+    rng = random.Random(31)
+    spy = mock.Mock(wraps=unidiv.codebook.a_embed_coords, __wrapped__=unidiv.codebook.a_embed_coords.__wrapped__)
+    for top in (2**53 - 1, 2**53, 2**53 + 1):
+        small = [[1] + [rng.randint(-99, 99) for _ in range(17)] for _ in range(6)]
+        batches = (
+            [AlgElem.from_integral(A, num, top) for num in small],  # denominators at top, on the float tier
+            [AlgElem.from_integral(A, [sign * top], 7) for sign in (1, -1)],  # entries at top, on objects
+        )
+        for batch, dtype in zip(batches, (np.int64, object)):
+            with mock.patch.object(unidiv.codebook, "a_embed_coords", spy):
+                values = numeric_embeddings(batch)[0]
+            assert spy.call_args.args[0].dtype == dtype
+            assert same_bits(values, [matl_to_complex(matrix_embed_oracle(x)) for x in batch])
 
 
 def test_numeric_embeddings_of_no_elements():

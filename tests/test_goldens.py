@@ -13,6 +13,11 @@ replaced it:
 - duplicate_6 repeats two ζ9 units at non-adjacent positions, (0, 4) and
   (1, 3), so the first duplicate by position is not the first pair found.
 
+nu5_b2_24 is `unidiv generate --subfield nu:5 --box 2 --size 24`, written
+before the closed forms gained their float64 tier: its candidates take
+int64 (a 56-bit peak), its unit forms the float tier, and the Nrd rechecks
+of its pair differences object arrays.
+
 Each NAME.json sits next to NAME.diversity.json and NAME.diversity.txt, the
 stdout of `unidiv diversity NAME.json` in JSON and text format.
 """
@@ -24,8 +29,9 @@ import pytest
 from unidiv.cli import main
 
 DATA = Path(__file__).resolve().parent / "data" / "diversity"
-NAMES = ("zeta9_12", "nu1_5", "L_8", "mixed_6", "k_units_6", "duplicate_6")
-GENERATED = {"zeta9_12": ("zeta9", 12), "nu1_5": ("nu:1", 5), "L_8": ("L", 8)}
+NAMES = ("zeta9_12", "nu1_5", "L_8", "mixed_6", "k_units_6", "duplicate_6", "nu5_b2_24")
+# name: (subfield, box numerator bound, size)
+GENERATED = {"zeta9_12": ("zeta9", 1, 12), "nu1_5": ("nu:1", 1, 5), "L_8": ("L", 1, 8), "nu5_b2_24": ("nu:5", 2, 24)}
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -40,9 +46,9 @@ def test_diversity_output_matches_golden(capsys, name, fmt):
 
 @pytest.mark.parametrize("name", sorted(GENERATED))
 def test_generate_output_matches_golden(capsys, tmp_path, name):
-    sub, size = GENERATED[name]
+    sub, box, size = GENERATED[name]
     path = tmp_path / f"{name}.json"
-    code = main(["generate", "--subfield", sub, "--box", "1", "--size", str(size), "--out", str(path)])
+    code = main(["generate", "--subfield", sub, "--box", str(box), "--size", str(size), "--out", str(path)])
     capsys.readouterr()
     assert code == 0
     assert path.read_bytes() == (DATA / f"{name}.json").read_bytes()
