@@ -504,11 +504,6 @@ def _table(body, sizes: tuple[int, ...], gamma) -> tuple:
     return len(leaves), degrees, monomials, dense, low
 
 
-def _float_limit(form, sizes: tuple[int, ...], gamma) -> int:
-    """The largest |input| on which `form` takes its float tier, -1 if it has none (see `_table`)."""
-    return _table(form.__wrapped__, sizes, gamma)[-1]
-
-
 def _tabulated(body):
     """`body` (kept as `__wrapped__`) from `_table`, into one array of rows: (outputs, k) in the dtype of
     (n, k) arrays, a tuple for Python numbers.  Three tiers: int64 arrays and tuples of Python ints within the
@@ -523,17 +518,18 @@ def _tabulated(body):
         marked = gamma if isinstance(gamma, _Sizes) else None
         size, degrees, monomials, dense, limit = _table(body, tuple(map(len, args)), marked.gamma if marked else gamma)
         scalar = not isinstance(args[0][0], np.ndarray)
-        if scalar:
+        if scalar:  # decided on the ints themselves: NumPy makes float64 of mixed signs past 2^63
             flat = [v for a in args for v in a]
-            x = np.array(flat, dtype=None if set(map(type, flat)) == {int} else object)
+            fits = not marked and set(map(type, flat)) == {int} and max(map(abs, flat)) <= limit
+            x = np.array(flat, dtype=np.int64 if fits else object)
         else:
             x = np.concatenate(args)
-        if not marked and x.dtype == np.int64 and -limit <= x.min(initial=0) and x.max(initial=0) <= limit:
+            fits = not marked and x.dtype == np.int64 and -limit <= x.min(initial=0) and x.max(initial=0) <= limit
+        if fits:
             f = x.astype(float)
             out = dense @ np.concatenate([functools.reduce(np.multiply, f.take(m, axis=0)) for m in monomials])
             out = out.astype(np.int64)
             return tuple(out.tolist()) if scalar else out
-        x = x.astype(object) if scalar else x
         out = np.zeros((size, *x.shape[1:]), dtype=np.result_type(x, *(d[1] for d in degrees)))
         for index, coefs, starts, outs in degrees:
             term = (abs(coefs) if marked else coefs).reshape(-1, *(1,) * (x.ndim - 1)) * x[index[0]]

@@ -55,7 +55,6 @@ from .algebra import (
     STANDARD_ALGEBRA,
     _dtype,
     _expand3,
-    _float_limit,
     a_embed_coords,
     a_involution_coords,
     a_mul_coords,
@@ -282,9 +281,10 @@ def numeric_embeddings(elements: Sequence[AlgElem]) -> tuple[np.ndarray, np.ndar
 
     F is `LElem.to_complex(0)` of each entry bit for bit: `a_embed_coords`'s
     integers divided correctly rounded, in that method's operation order.
-    Coordinates within the table's float limit take int64 and its float
-    tier, the rest object arrays; entries and denominators below 2^53 are
-    divided in float64, the rest in Python (OverflowError past float range).
+    Coordinates take int64 where `_peak` bounds the embedding, so within
+    the table's float limit its float tier, and object arrays otherwise;
+    entries and denominators below 2^53 are divided in float64, the rest
+    in Python (OverflowError past float range).
     W, which bounds the error in `min_det_report`, sums (|a_m| + |b_m|)|theta|^m
     over the float a_m + b_m*zeta3.
     """
@@ -293,12 +293,12 @@ def numeric_embeddings(elements: Sequence[AlgElem]) -> tuple[np.ndarray, np.ndar
     c = np.empty((54, len(elements)))
     for gamma in set(gammas):
         cols = [i for i, g in enumerate(gammas) if g == gamma]
-        nums, dens = (np.array(v) for v in zip(*(pairs[i] for i in cols)))
-        limit = _float_limit(a_embed_coords, (18,), gamma)
-        fits = nums.dtype == np.int64 and -limit <= nums.min() and nums.max() <= limit
-        entries = a_embed_coords(nums.T if fits else nums.T.astype(object), gamma)
-        dtype = float if max(abs(entries).max(), dens.max()) < 2**53 else object  # both divide correctly rounded
-        c[:, cols] = entries.astype(dtype) / dens.astype(dtype)
+        nums, dens = zip(*(pairs[i] for i in cols))
+        top = max(abs(v) for num in nums for v in num)
+        dtype = _dtype(a_embed_coords, (2 ** top.bit_length(),) * 18, gamma)
+        entries = a_embed_coords(np.array(nums, dtype=dtype).T, gamma)
+        dtype = float if max(abs(entries).max(), *dens) < 2**53 else object  # both divide correctly rounded
+        c[:, cols] = entries.astype(dtype) / np.array(dens, dtype=dtype)
     c = c.T.reshape(-1, 3, 3, 6).copy()
     t, z = THETA_EMBEDDINGS[0], ZETA3_COMPLEX
     mul = lambda ar, ai, br, bi: (ar * br - ai * bi, ar * bi + ai * br)  # CPython's complex product

@@ -722,6 +722,28 @@ def test_float_tier_matches_int64_object_and_body(name, gamma, data):
         assert list(zeroed[1][j]) == ([0] * len(out) if within(c) else list(out))
 
 
+MIXED_PAST_2_63 = (-1, 2**63, 2**64 - 1, 2**63 + 1, 1)  # NumPy makes float64 of these
+
+
+@pytest.mark.parametrize("gamma", TABLE_GAMMAS.values(), ids=TABLE_GAMMAS.keys())
+@pytest.mark.parametrize("name", TABULATED)
+def test_python_ints_of_mixed_sign_past_2_63_stay_exact(name, gamma):
+    assert np.array(MIXED_PAST_2_63).dtype == float
+    form, sizes = getattr(unidiv.algebra, name), TABULATED[name]
+    args = [tuple(MIXED_PAST_2_63[(i + j) % 5] for j in range(n)) for i, n in enumerate(sizes)]
+    got = form(*args, gamma)
+    assert type(got) is tuple and all(type(v) in (int, Fraction) for v in got)
+    assert_same_output(got, form.__wrapped__(*args, gamma))
+
+
+def test_elements_of_mixed_sign_past_2_63_stay_exact():
+    x = AlgElem.from_integral(A, [MIXED_PAST_2_63[j % 5] for j in range(18)], 1)
+    y = AlgElem.from_integral(A, [MIXED_PAST_2_63[j % 4] for j in range(18)], 3)
+    assert x * y == alg_mul_oracle(x, y)
+    assert x * inverse(x) == A.one()
+    assert reduced_norm(x) == -reduced_char_poly(x).coeffs[0]
+
+
 def test_nrd_and_char_closed_forms_match_elements():
     rng = random.Random(53)
     for _ in range(20):

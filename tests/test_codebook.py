@@ -821,9 +821,11 @@ def test_numeric_embeddings_near_2_53_match_lelem_to_complex_bitwise():
         small = [[1] + [rng.randint(-99, 99) for _ in range(17)] for _ in range(6)]
         batches = (
             [AlgElem.from_integral(A, num, top) for num in small],  # denominators at top, on the float tier
-            [AlgElem.from_integral(A, [sign * top], 7) for sign in (1, -1)],  # entries at top, on objects
+            [AlgElem.from_integral(A, [sign * top], 7) for sign in (1, -1)],  # entries at top, divided on objects
+            # NumPy makes float64 of these, and float(2^63 + 385) / 7 is not (2^63 + 385) / 7 rounded
+            [AlgElem.from_integral(A, [-1, 2**63 + 385, top], 7), AlgElem.from_integral(A, [2**63 + 385, -1], 7)],
         )
-        for batch, dtype in zip(batches, (np.int64, object)):
+        for batch, dtype in zip(batches, (np.int64, np.int64, object)):
             with mock.patch.object(unidiv.codebook, "a_embed_coords", spy):
                 values = numeric_embeddings(batch)[0]
             assert spy.call_args.args[0].dtype == dtype
