@@ -21,7 +21,7 @@ def main() -> None:
         found = norm_witness_search(KElem(n), Box(3, 2))
         print(f"  norm(u) = {n}: witness u = {found}")
     print()
-    print(f"{'box':>10} {'candidates':>12} {'zeta3':>8} {'zeta3^2':>8} {'sec':>7}")
+    print(f"{'box':>10} {'candidates':>12} {'zeta3':>8} {'zeta3^2':>8} {'ms':>7}")
     for box in BOXES:
         count = len(box.values()) ** 6 - 1  # nonzero six-tuples
         t0 = time.perf_counter()
@@ -31,7 +31,7 @@ def main() -> None:
         fmt = lambda w: "none" if w is None else str(w)
         print(
             f"  B={box.numerator_bound} D={box.denominator_bound} "
-            f"{count:>12} {fmt(w1):>8} {fmt(w2):>8} {elapsed:>7.1f}"
+            f"{count:>12} {fmt(w1):>8} {fmt(w2):>8} {elapsed * 1e3:>7.1f}"
         )
     print()
     cert = division_certificate(ZETA3)

@@ -34,14 +34,16 @@ The division property is certified by `division_certificate`: gamma is a
 unit of Z[zeta3] that is not a local norm at the prime 2 - zeta3 above 7,
 where L/K is totally and tamely ramified, so it is not a norm from L;
 `min_det_report` requires it.  The bounded exhaustive search
-`norm_witness_search` stays as a cross-check, exact on the integer arrays
-of `box_chunks`, the one box walk (`subfield_candidates` reads it too),
-with the L norm evaluated directly under a pinned bound (`_NORM_MASS`).
+`norm_witness_search` stays as a cross-check on the strata of `box_chunks`,
+the one box walk (`subfield_candidates` reads it too): with the L norm split
+over two coordinate halves, each block of a stratum is one matrix product,
+exact under a pinned bound (`_NORM_MASS`).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,6 +57,7 @@ from .algebra import (
     STANDARD_ALGEBRA,
     _dtype,
     _expand3,
+    _table,
     a_embed_coords,
     a_involution_coords,
     a_mul_coords,
@@ -99,6 +102,21 @@ def _height(f: Fraction) -> int:
     return max(abs(f.numerator), f.denominator)
 
 
+def _strata(box: Box, dtype, arity: int, chunk: Optional[int] = None) -> Iterator[tuple[list, np.ndarray]]:
+    """Per height H, lowest first, the `arity`-tuples of the box's coordinates of height <= H (times `box.scale`,
+    in `Box.values` order) in chunks (default: whole strata), tuple number k holding value number k // n**i % n
+    at coordinate i, as one array per coordinate and whether each tuple has a coordinate at height H."""
+    values = box.values()
+    heights = np.array([_height(v) for v in values])
+    coords = np.array([int(v * box.scale) for v in values], dtype=dtype)
+    for h in sorted(set(heights.tolist()) - {0}):
+        n, top = np.count_nonzero(heights <= h), heights == h
+        for start in range(0, n**arity, chunk or n**arity):
+            k = np.arange(start, min(start + (chunk or n**arity), n**arity))
+            digits = [k // n**i % n for i in range(arity)]
+            yield [coords[d] for d in digits], np.logical_or.reduce([top[d] for d in digits])
+
+
 def box_chunks(box: Box, chunk: int, dtype) -> Iterator[list[np.ndarray]]:
     """All nonzero six-tuples over the box, times `box.scale`, as six integer arrays per chunk.
 
@@ -107,21 +125,9 @@ def box_chunks(box: Box, chunk: int, dtype) -> Iterator[list[np.ndarray]]:
     A chunk holds the height-H tuples among up to `chunk` consecutive ones
     of the stratum's product; it is never empty.
     """
-    values, q = box.values(), box.scale
-    scaled = [int(v * q) for v in values]
-    heights = [_height(v) for v in values]
-    for h in sorted(set(heights) - {0}):
-        # tuple number k of the stratum holds allowed[k // n**i % n] at coordinate i
-        allowed = [i for i, hv in enumerate(heights) if hv <= h]
-        coords = np.array([scaled[i] for i in allowed], dtype=dtype)
-        on_top = np.array([heights[i] == h for i in allowed])
-        n = len(allowed)
-        for start in range(0, n**6, chunk):
-            k = np.arange(start, min(start + chunk, n**6))
-            digits = [k // n**i % n for i in range(6)]
-            keep = np.logical_or.reduce([on_top[d] for d in digits])
-            if keep.any():
-                yield [coords[d[keep]] for d in digits]
+    for cols, keep in _strata(box, dtype, 6, chunk):
+        if keep.any():
+            yield [c[keep] for c in cols]
 
 
 @dataclass(frozen=True, slots=True)
@@ -544,11 +550,34 @@ def min_det_report(elements: Sequence[AlgElem]) -> DiversityReport:
 # ---------------------------------------------------------------------------
 
 
-# Tuples per array pass of the witness search; small enough that freed pages are reused, not refaulted.
-_WITNESS_CHUNK = 1 << 11
 # Every value l_norm_coords forms from integers |a_i| <= m (m >= 1) is at most _NORM_MASS * m^3:
 # traced on polynomials, each intermediate has degree at most 3 and |coefficients| summing to at most 150.
+# Each output of `_norm_split` has a smaller mass, so it bounds the witness search's products too.
 _NORM_MASS = 150
+# Tuples per matrix product of the witness search, in whole rows of a stratum; larger ones gain little.
+_WITNESS_GRID = 1 << 13
+# The 20 monomials of degree <= 3 in three variables, as sorted indices into (v0, v1, v2, 1).
+_HALF = list(itertools.combinations_with_replacement(range(4), 3))
+# l_norm_coords in the signature that `algebra._table` traces.
+_l_norm_form = lambda a, gamma: l_norm_coords(a)
+
+
+@functools.cache
+def _norm_split(dtype=object) -> np.ndarray:
+    """The L norm split over the coordinate halves, from its `_table`: (2, 20, 20) integers c with
+    N(a)[o] = sum over p, q of c[o, q, p] * X_p(a0, a1, a2) * X_q(a3, a4, a5), X over `_HALF`."""
+    _, _, monomials, dense, _ = _table(_l_norm_form, (6,), ())
+    split = np.zeros((2, len(_HALF), len(_HALF)), dtype=np.int64)
+    for column, m in zip(dense.T, (m for group in monomials for m in group.T.tolist())):
+        p, q = ((*part, 3, 3, 3)[:3] for part in ([v for v in m if v < 3], [v - 3 for v in m if v >= 3]))
+        split[:, _HALF.index(q), _HALF.index(p)] = column
+    return split.astype(dtype)
+
+
+def _norm_halves(half: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Monomials X (20, k) of k half-tuples and F = `_norm_split` @ X: F[..., i] @ X[:, j] = N(half i, half j)."""
+    mono = np.array([*half, np.ones_like(half[0])])[np.array(_HALF)].prod(axis=1)
+    return mono, _norm_split(mono.dtype) @ mono
 
 
 def norm_witness_search(target: KElem, box: Box) -> Optional[LElem]:
@@ -561,24 +590,29 @@ def norm_witness_search(target: KElem, box: Box) -> Optional[LElem]:
     The search is exact integer arithmetic throughout.  With Q =
     `box.scale`, a candidate u = a/Q has integer coordinates a, |a_i| <= m
     = B*Q, and N(u) = N(a)/Q^3, so only targets with Q^3*target in
-    Z[zeta3] within _NORM_MASS * m^3, the bound on every value
-    `l_norm_coords` forms, can be hit.  N(a) is evaluated directly as an
-    integer cubic form on the arrays of `box_chunks`, in int64 when that
-    bound fits and on Python integers otherwise.  The returned witness is
-    confirmed with `LElem.norm_to_k`.
+    Z[zeta3] within _NORM_MASS * m^3 can be hit.  N(a) on a block of rows
+    (a3, a4, a5) of a stratum by all its (a0, a1, a2), in the stratum's
+    order row by row, is one product of `_norm_halves`, exact in any
+    summation order as every value it forms is at most _NORM_MASS * m^3:
+    in float64 below 2^53, int64 below 2^63, else on Python integers.  The
+    returned witness is confirmed with `LElem.norm_to_k`.
     """
     q = box.scale
     goal, d = clear_denominators((target.a0 * q**3, target.a1 * q**3))
     bound = _NORM_MASS * (box.numerator_bound * q) ** 3
     if d != 1 or max(map(abs, goal)) > bound:
         return None
-    for a in box_chunks(box, _WITNESS_CHUNK, np.int64 if bound < 2**63 else object):
-        norm = l_norm_coords(a)
-        hits = np.flatnonzero((norm[0] == goal[0]) & (norm[1] == goal[1]))
-        if len(hits):
-            u = LElem.from_six_tuple([Fraction(int(c[hits[0]]), q) for c in a])
-            assert u.norm_to_k() == target, "integer norm disagrees with norm_to_k"
-            return u
+    for half, top in _strata(box, np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object, 3):
+        mono, folded = _norm_halves(half)
+        rows = -(-_WITNESS_GRID // len(top))
+        for y in range(0, len(top), rows):
+            norm = mono[:, y:y + rows].T @ folded
+            hits = np.flatnonzero((norm[0] == goal[0]) & (norm[1] == goal[1]) & (top | top[y:y + rows, None]))
+            if len(hits):
+                dy, x = divmod(int(hits[0]), len(top))
+                u = LElem.from_six_tuple([Fraction(int(c[i]), q) for i in (x, y + dy) for c in half])
+                assert u.norm_to_k() == target, "integer norm disagrees with norm_to_k"
+                return u
     return None
 
 

@@ -12,8 +12,8 @@ and fixes K pointwise.  Complex conjugation acts on the K coefficients
 The product in K, and the product, Galois action, conjugation, norm and
 trace in L, exist once: as the closed forms on rational coordinates at the
 end of this module.  KElem and LElem apply them to their own coordinates,
-the algebra's closed forms build on them, and the witness search applies
-them to integer arrays.  The inverse in L is sigma(a)*sigma^2(a)/N(a).
+the algebra's closed forms build on them, and the witness search splits
+the norm's monomial table.  The inverse in L is sigma(a)*sigma^2(a)/N(a).
 
 All values are immutable and all operations pure, so everything can be
 shared freely across threads.

@@ -8,7 +8,9 @@ LElem arithmetic, `matl_to_complex` its float rendering entry by entry
 coefficients, and `codebook_oracle` over `enumerate_subfield`
 the per-candidate Fraction path that `generate_codebook`'s integer arrays
 replaced.  `iter_box_tuples` is the reference box order that
-`box_chunks` walks on integer arrays, and `pairwise_determinants` the
+`box_chunks` walks on integer arrays, `norm_witness_oracle` the witness
+search as `l_norm_coords` on the chunks of `box_chunks`, the body that
+one matrix product per stratum replaced, and `pairwise_determinants` the
 exact all-pairs determinants that `min_det_report` decides by hashing
 under the division certificate.  `subfield_matrix_oracle` is
 `SubfieldSpec.matrix` by six `AlgElem.scale` calls, where the matrix maps
@@ -43,9 +45,13 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from unidiv.algebra import STANDARD_ALGEBRA, AlgElem, involution, reduced_char_poly, reduced_norm
 from unidiv.cli import _DECIMAL
-from unidiv.fields import K_ONE, K_ZERO, KElem, L_ONE, L_ZERO, LElem, ZETA3
+from unidiv.codebook import _NORM_MASS, box_chunks
+from unidiv.fields import K_ONE, K_ZERO, KElem, L_ONE, L_ZERO, LElem, ZETA3, l_norm_coords
+from unidiv.rationals import clear_denominators
 
 
 def _height(f: Fraction) -> int:
@@ -65,6 +71,22 @@ def iter_box_tuples(box) -> Iterator[tuple[Fraction, ...]]:
             tup = rev[::-1]
             if max(_height(v) for v in tup) == h:
                 yield tup
+
+
+def norm_witness_oracle(target: KElem, box) -> Optional[LElem]:
+    """The first u in `box_chunks` order with N(u) = target, or None: N(a) evaluated directly on
+    chunks of 2,048 integer tuples, in int64 while _NORM_MASS * m^3 fits and on Python integers beyond."""
+    q = box.scale
+    goal, d = clear_denominators((target.a0 * q**3, target.a1 * q**3))
+    bound = _NORM_MASS * (box.numerator_bound * q) ** 3
+    if d != 1 or max(map(abs, goal)) > bound:
+        return None
+    for a in box_chunks(box, 1 << 11, np.int64 if bound < 2**63 else object):
+        norm = l_norm_coords(a)
+        hits = np.flatnonzero((norm[0] == goal[0]) & (norm[1] == goal[1]))
+        if len(hits):
+            return LElem.from_six_tuple([Fraction(int(c[hits[0]]), q) for c in a])
+    return None
 
 
 def parse_element_oracle(data) -> AlgElem:

@@ -25,6 +25,7 @@ from oracles import (
     matl_to_complex,
     matmul3,
     matrix_embed_oracle,
+    norm_witness_oracle,
     pairwise_determinants,
     subfield_matrix_oracle,
 )
@@ -52,6 +53,8 @@ from unidiv.codebook import (
     _NORM_MASS,
     _charpoly3,
     _hilbert90_coords,
+    _norm_halves,
+    _norm_split,
     _numeric_pair_dets,
     _unit_norm_coords,
     Box,
@@ -918,8 +921,9 @@ def test_norm_witness_target_outside_scaled_ring():
 
 def witness_search_dtypes(monkeypatch, target: KElem, box: Box) -> tuple:
     """norm_witness_search(target, box) and the dtypes it walks the box in."""
-    dtypes, walk = [], unidiv.codebook.box_chunks
-    monkeypatch.setattr(unidiv.codebook, "box_chunks", lambda b, c, dtype: dtypes.append(dtype) or walk(b, c, dtype))
+    dtypes, walk = [], unidiv.codebook._strata
+    spy = lambda b, dtype, *rest: dtypes.append(dtype) or walk(b, dtype, *rest)
+    monkeypatch.setattr(unidiv.codebook, "_strata", spy)
     return norm_witness_search(target, box), dtypes
 
 
@@ -933,6 +937,60 @@ def test_norm_witness_int64_at_box_1_13(monkeypatch):
     # Q = lcm(1..13) = 360360 keeps the norm bound within int64
     assert _NORM_MASS * 360360**3 <= 2**63 - 1
     assert witness_search_dtypes(monkeypatch, KElem(1), Box(1, 13)) == (LElem(1), [np.int64])
+
+
+def test_norm_witness_float64_at_box_2_2(monkeypatch):
+    # m = 4 keeps the norm bound below 2^53
+    assert _NORM_MASS * 4**3 < 2**53
+    assert witness_search_dtypes(monkeypatch, KElem(1), Box(2, 2)) == (LElem(1), [np.float64])
+
+
+@pytest.mark.parametrize("box, count", [(Box(2, 2), 8), (Box(3, 2), 2)], ids=["B2D2", "B3D2"])
+def test_norm_witness_search_matches_chunked_oracle(box, count):
+    # norms of tuples drawn from the box, their zeta3 and zeta3^2 multiples, and the controls;
+    # N(0) = 0 is no hit, as the zero tuple lies in no stratum
+    rng = random.Random(17 * box.numerator_bound + box.denominator_bound)
+    values = box.values()
+    targets = [KElem(1), KElem(8), KElem(Fraction(27, 8)), KElem(0)]
+    for _ in range(count):
+        n = LElem.from_six_tuple([rng.choice(values) for _ in range(6)]).norm_to_k()
+        targets += [n, ZETA3 * n, ZETA3 * ZETA3 * n]
+    for target in targets:
+        assert norm_witness_search(target, box) == norm_witness_oracle(target, box)
+
+
+def test_norm_split_mass_is_within_norm_mass():
+    split = _norm_split()
+    assert split.shape == (2, 20, 20) and all(type(c) is int for c in split.flat)
+    assert [sum(abs(c) for c in split[o].flat) for o in (0, 1)] == [105, 126]
+    assert [np.count_nonzero(split[o]) for o in (0, 1)] == [38, 36]
+    assert max(sum(abs(c) for c in split[o].flat) for o in (0, 1)) <= _NORM_MASS
+
+
+M_FLOAT = 39_159  # the largest m with _NORM_MASS * m^3 < 2^53
+M_INT64 = 394_699  # the largest m with _NORM_MASS * m^3 < 2^63
+
+
+@pytest.mark.parametrize(
+    "m, dtype", [(M_FLOAT, np.float64), (M_INT64, np.int64), (M_INT64 + 1, object), (2**64 + 3, object)]
+)
+def test_norm_split_is_exact_at_tier_limits(m, dtype):
+    assert _NORM_MASS * M_FLOAT**3 < 2**53 <= _NORM_MASS * (M_FLOAT + 1) ** 3
+    assert _NORM_MASS * M_INT64**3 < 2**63 <= _NORM_MASS * (M_INT64 + 1) ** 3
+    halves = list(product((-m, 0, m, m - 1), repeat=3))
+    cols = [np.array(c, dtype=dtype) for c in zip(*halves)]
+    mono, folded = _norm_halves(cols)
+    grid = mono.T @ folded
+    assert grid.dtype == dtype and grid.shape == (2, len(halves), len(halves))
+    norms = [[l_norm_coords(list(x + y)) for x in halves] for y in halves]
+    want = [[[n[o] for n in row] for row in norms] for o in (0, 1)]
+    as_ints = lambda g: [[[int(v) for v in row] for row in g[o].tolist()] for o in (0, 1)]
+    assert as_ints(grid) == want
+    # every value the split forms, on the same coordinates as integers that record themselves
+    Recorded.peak = 0
+    mono, folded = _norm_halves([np.vectorize(Recorded, otypes=[object])(c.astype(object)) for c in cols])
+    assert as_ints(mono.T @ folded) == want
+    assert 0.5 * _NORM_MASS * m**3 < Recorded.peak <= _NORM_MASS * m**3
 
 
 class RecordedPoly(_Poly):
