@@ -563,7 +563,7 @@ _l_norm_form = lambda a, gamma: l_norm_coords(a)
 
 
 @functools.cache
-def _norm_split(dtype=object) -> np.ndarray:
+def _norm_split(dtype) -> np.ndarray:
     """The L norm split over the coordinate halves, from its `_table`: (2, 20, 20) integers c with
     N(a)[o] = sum over p, q of c[o, q, p] * X_p(a0, a1, a2) * X_q(a3, a4, a5), X over `_HALF`."""
     _, _, monomials, dense, _ = _table(_l_norm_form, (6,), ())

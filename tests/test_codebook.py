@@ -960,7 +960,7 @@ def test_norm_witness_search_matches_chunked_oracle(box, count):
 
 
 def test_norm_split_mass_is_within_norm_mass():
-    split = _norm_split()
+    split = _norm_split(object)
     assert split.shape == (2, 20, 20) and all(type(c) is int for c in split.flat)
     assert [sum(abs(c) for c in split[o].flat) for o in (0, 1)] == [105, 126]
     assert [np.count_nonzero(split[o]) for o in (0, 1)] == [38, 36]
