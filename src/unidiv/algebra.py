@@ -443,10 +443,9 @@ def worked_example() -> WorkedExample:
 # sizes, gamma) on _Poly variables, giving its monomial table (`_table`),
 # which every call evaluates (`_tabulated`) into one array of rows, one per
 # output: a tuple of Python numbers for AlgElem and the functions above, an
-# (outputs, k) array for the codebook's (n, k) arrays.  Three tiers: float64
+# (outputs, k) array for the codebook's (n, k) arrays.  Two tiers: float64
 # on integers within the table's float limit, where every value formed is
-# an integer below 2^53; else int64 arrays, which callers choose when
-# `_peak`, the same tables on sizes, bounds every value; else object arrays.
+# an integer below 2^53; else object arrays of Python numbers, exact at any size.
 
 
 class _Poly(dict):
@@ -505,77 +504,39 @@ def _table(body, sizes: tuple[int, ...], gamma) -> tuple:
 
 
 def _tabulated(body):
-    """`body` (kept as `__wrapped__`) from `_table`, into one array of rows: (outputs, k) in the dtype of
-    (n, k) arrays, a tuple for Python numbers.  Three tiers: int64 arrays and tuples of Python ints within the
-    float limit take float64, each degree's distinct monomials times the coefficients in one matmul, exact as
-    every value formed is an integer below 2^53; other int64 arrays take int64 and the rest object arrays, per
-    degree coef * x[i] * x[j] ... per term, then one sum per segment.  Given a `_Sizes` gamma it runs that
-    path on sizes with |coefficients| and records its partial products and outputs (see `_peak`)."""
+    """`body` (kept as `__wrapped__`) from `_table`, into one array of rows: (outputs, k) for (n, k) arrays,
+    a tuple for Python numbers.  Two tiers: int64 arrays and tuples of Python ints within the float limit
+    take float64, each degree's distinct monomials times the coefficients in one matmul, exact as every
+    value formed is an integer below 2^53; everything else takes object arrays of Python numbers, per degree
+    coef * x[i] * x[j] ... per term, then one sum per segment, exact at any size."""
 
     @functools.wraps(body)
     def form(*args):
         *args, gamma = args
-        marked = gamma if isinstance(gamma, _Sizes) else None
-        size, degrees, monomials, dense, limit = _table(body, tuple(map(len, args)), marked.gamma if marked else gamma)
+        size, degrees, monomials, dense, limit = _table(body, tuple(map(len, args)), gamma)
         scalar = not isinstance(args[0][0], np.ndarray)
         if scalar:  # decided on the ints themselves: NumPy makes float64 of mixed signs past 2^63
             flat = [v for a in args for v in a]
-            fits = not marked and set(map(type, flat)) == {int} and max(map(abs, flat)) <= limit
+            fits = set(map(type, flat)) == {int} and max(map(abs, flat)) <= limit
             x = np.array(flat, dtype=np.int64 if fits else object)
         else:
             x = np.concatenate(args)
-            fits = not marked and x.dtype == np.int64 and -limit <= x.min(initial=0) and x.max(initial=0) <= limit
+            fits = x.dtype == np.int64 and -limit <= x.min(initial=0) and x.max(initial=0) <= limit
         if fits:
             f = x.astype(float)
             out = dense @ np.concatenate([functools.reduce(np.multiply, f.take(m, axis=0)) for m in monomials])
             out = out.astype(np.int64)
-            return tuple(out.tolist()) if scalar else out
-        out = np.zeros((size, *x.shape[1:]), dtype=np.result_type(x, *(d[1] for d in degrees)))
-        for index, coefs, starts, outs in degrees:
-            term = (abs(coefs) if marked else coefs).reshape(-1, *(1,) * (x.ndim - 1)) * x[index[0]]
-            for i in index[1:]:
-                if marked:
-                    marked.record(term)
-                term *= x[i]
-            out[outs] += np.add.reduceat(term, starts)
-        if marked:
-            marked.record(out)
+        else:
+            x = x.astype(object, copy=False)
+            out = np.zeros((size, *x.shape[1:]), dtype=object)
+            for index, coefs, starts, outs in degrees:
+                term = coefs.reshape(-1, *(1,) * (x.ndim - 1)) * x[index[0]]
+                for i in index[1:]:
+                    term *= x[i]
+                out[outs] += np.add.reduceat(term, starts)
         return tuple(out.tolist()) if scalar else out
 
     return form
-
-
-class _Sizes:
-    """gamma marked for `_peak`, with `peak`, the largest value recorded so far."""
-
-    __slots__ = ("gamma", "peak")
-
-    def __init__(self, gamma):
-        self.gamma, self.peak = gamma, 0
-
-    def record(self, values: np.ndarray) -> None:
-        self.peak = max(self.peak, values.max())
-
-
-@functools.lru_cache(maxsize=512)
-def _peak(formula, sizes: tuple[int, ...], gamma) -> int:
-    """Bound on every integer formula(u, gamma) makes from integers |u_j| <= sizes[j].
-
-    formula must compute through tabulated forms only.  It runs once on the
-    sizes with gamma marked, so each form evaluates its table with
-    |coefficients| on the bounds of its inputs: every term is then
-    non-negative, so a monomial's partial products (recorded; a later
-    factor can be 0) and its form's outputs (recorded) bound every partial
-    product, segment sum and output the evaluation forms on integers.
-    """
-    marked = _Sizes(gamma)
-    formula(list(sizes), marked)
-    return max(marked.peak, *sizes)
-
-
-def _dtype(formula, sizes: tuple[int, ...], gamma) -> type:
-    """int64 if it holds every such integer, else object."""
-    return np.int64 if _peak(formula, sizes, gamma) < 2**63 else object
 
 
 def _parts(flat):

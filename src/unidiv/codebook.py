@@ -14,10 +14,10 @@ to integer coordinates (x does not change) on int64 or object arrays;
 one.  It and `first_non_unitary`, which decides x * involution(x) = 1 in
 one array pass, evaluate the algebra's closed forms from their monomial
 tables, a few array operations per form, each form returning one
-(outputs, k) array of rows that the next takes whole, in int64 when
-`algebra._peak`, the same tables evaluated on sizes, bounds every value,
-and on the tables' exact float64 tier wherever the values lie within a
-table's float limit (object arrays otherwise).
+(outputs, k) array of rows that the next takes whole.  A form has two
+tiers, both exact: the tables' float64 tier on int64 inputs within its
+float limit, and Python integers (object arrays) on everything else; a
+caller only picks int64 for inputs below 2^63.
 `numeric_embeddings` is the one float evaluation of the embedding: every
 numeric matrix (codebooks, `embed`, `verify`, the diversity screen) comes
 from it, bit-identical to `LElem.to_complex`, its integer entries on the
@@ -55,7 +55,6 @@ from .algebra import (
     AlgElem,
     InversionError,
     STANDARD_ALGEBRA,
-    _dtype,
     _expand3,
     _table,
     a_embed_coords,
@@ -84,11 +83,12 @@ class Box:
         if self.numerator_bound < 1 or self.denominator_bound < 1:
             raise ValueError("box bounds must be at least 1")
 
-    def values(self) -> list[Fraction]:
+    @functools.lru_cache(maxsize=32)  # boxes compare by (B, D), so equal boxes share one tuple
+    def values(self) -> tuple[Fraction, ...]:
         """Allowed coordinate values, smallest height first, then by magnitude."""
         b, d = self.numerator_bound, self.denominator_bound
         vals = {Fraction(p, q) for q in range(1, d + 1) for p in range(-b, b + 1)}
-        return sorted(vals, key=lambda f: (_height(f), abs(f), f < 0))
+        return tuple(sorted(vals, key=lambda f: (_height(f), abs(f), f < 0)))
 
     @property
     def scale(self) -> int:
@@ -229,7 +229,7 @@ def first_non_unitary(elements: Sequence[AlgElem]) -> Optional[int]:
     """The least index i with x_i * involution(x_i) != 1, or None.
 
     With x = X/q, X integral, X * involution(X) = q^2 is decided for all
-    elements in one pass on integer arrays (the product's bound covers q^2).
+    elements in one pass on integer arrays, q^2 on Python integers.
     """
     if not elements:
         return None
@@ -239,12 +239,16 @@ def first_non_unitary(elements: Sequence[AlgElem]) -> Optional[int]:
     spec.require_involution()
     gamma = spec.gamma_coords
     nums, dens = zip(*(x.integral() for x in elements))
-    top = max(*dens, *(abs(v) for num in nums for v in num))
-    dtype = _dtype(_unit_norm_coords, (2 ** top.bit_length(),) * 18, gamma)
-    q = np.array(dens, dtype=dtype)
-    prod = _unit_norm_coords(np.array(nums, dtype=dtype).T, gamma)
+    q = np.array(dens, dtype=object)
+    prod = _unit_norm_coords(_int_array(nums).T, gamma)
     bad = np.flatnonzero((prod[0] != q * q) | prod[1:].any(axis=0))
     return int(bad[0]) if len(bad) else None
+
+
+def _int_array(rows) -> np.ndarray:
+    """Rows of Python ints as one array: int64 if every |value| is below 2^63, else object."""
+    top = max((abs(v) for row in rows for v in row), default=0)
+    return np.array(rows, dtype=np.int64 if top < 2**63 else object)
 
 
 def _unit_matrices(units: Sequence[AlgElem]) -> np.ndarray:
@@ -287,10 +291,10 @@ def numeric_embeddings(elements: Sequence[AlgElem]) -> tuple[np.ndarray, np.ndar
 
     F is `LElem.to_complex(0)` of each entry bit for bit: `a_embed_coords`'s
     integers divided correctly rounded, in that method's operation order.
-    Coordinates take int64 where `_peak` bounds the embedding, so within
-    the table's float limit its float tier, and object arrays otherwise;
-    entries and denominators below 2^53 are divided in float64, the rest
-    in Python (OverflowError past float range).
+    The embedding takes its float tier on coordinates within the table's
+    float limit and Python integers otherwise; entries and denominators
+    below 2^53 are divided in float64, the rest in Python (OverflowError
+    past float range).
     W, which bounds the error in `min_det_report`, sums (|a_m| + |b_m|)|theta|^m
     over the float a_m + b_m*zeta3.
     """
@@ -300,9 +304,7 @@ def numeric_embeddings(elements: Sequence[AlgElem]) -> tuple[np.ndarray, np.ndar
     for gamma in set(gammas):
         cols = [i for i, g in enumerate(gammas) if g == gamma]
         nums, dens = zip(*(pairs[i] for i in cols))
-        top = max(abs(v) for num in nums for v in num)
-        dtype = _dtype(a_embed_coords, (2 ** top.bit_length(),) * 18, gamma)
-        entries = a_embed_coords(np.array(nums, dtype=dtype).T, gamma)
+        entries = a_embed_coords(_int_array(nums).T, gamma)
         dtype = float if max(abs(entries).max(), *dens) < 2**53 else object  # both divide correctly rounded
         c[:, cols] = entries.astype(dtype) / np.array(dens, dtype=dtype)
     c = c.T.reshape(-1, 3, 3, 6).copy()
@@ -342,11 +344,12 @@ def subfield_candidates(sub: SubfieldSpec, box: Box) -> Iterator[np.ndarray]:
 
     The tuple c becomes the column (Q*c) @ sub.matrix, a positive integer
     multiple of the element c, Q = `box.scale`.  The dtype is int64 if
-    `_hilbert90_coords` stays within it, object otherwise.
+    `sizes`, which bound every partial sum of that product, stay below 2^63,
+    object otherwise.
     """
     m = sub.matrix
     sizes = tuple(box.numerator_bound * box.scale * sum(map(abs, col)) for col in zip(*m))
-    basis = np.array(m, dtype=_dtype(_hilbert90_coords, sizes, sub.generator.spec.gamma_coords)).T
+    basis = np.array(m, dtype=np.int64 if max(sizes) < 2**63 else object).T
     for chunk in box_chunks(box, _UNIT_CHUNK, basis.dtype):
         yield basis @ np.array(chunk)
 
@@ -355,7 +358,8 @@ def generate_codebook(sub: SubfieldSpec, box: Box, size: int) -> Codebook:
     """The first `size` distinct units u * involution(u)^(-1) over the box.
 
     `_hilbert90_batch` runs on the integer chunks of `subfield_candidates`
-    (int64 or object dtype, as their magnitude bound allows).  A walk over
+    (int64 or object dtype, as their size allows; each form then takes its
+    float tier or Python integers, as its own inputs allow).  A walk over
     each chunk keeps the enumeration order: candidates failing the commute
     check are counted in `precondition_failures`, each unit X/d becomes an
     AlgElem (in lowest terms, so equal units are equal keys) deduplicated on

@@ -29,9 +29,9 @@ tuple arithmetic that `reduce_generator_poly` replaced by object arrays and
 coefficientwise form of involution(x) = x, the criterion-7 oracle that the
 tests compare with the definition.
 
-`Magnitude` is the bound arithmetic that `algebra._peak` replaced: one
-object per value, carried through the same tables; `magnitude_peak` is its
-bound on a formula, the reference for `_peak`.
+`Magnitude` is bound arithmetic: one object per value, carried through a
+formula with |coefficients|; `magnitude_peak` is its bound on every value
+the formula forms, the reference for each table's float limit T.
 
 `solve_k_linear` and `express_in_power_basis` decide membership in a power
 basis by Gaussian elimination over K; `SubfieldSpec` decides involution

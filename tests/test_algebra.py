@@ -30,7 +30,6 @@ from unidiv.algebra import (
     InversionError,
     InvolutionUnavailable,
     STANDARD_ALGEBRA,
-    _dtype,
     a_char_coords,
     a_involution_coords,
     a_mul_coords,
@@ -602,17 +601,6 @@ def test_tabulated_forms_are_all_listed():
     assert forms == set(TABULATED)
 
 
-def int64_limit(form, sizes, gamma) -> int:
-    """The largest m for which _dtype puts form on inputs |v| <= m in int64."""
-    split = lambda u, g: leaves(form(*(u[sum(sizes[:i]):sum(sizes[:i + 1])] for i in range(len(sizes))), g))
-    fits = lambda m: _dtype(split, (m,) * sum(sizes), gamma) is np.int64
-    low, high = 1, 2**63
-    while high - low > 1:
-        mid = (low + high) // 2
-        low, high = (mid, high) if fits(mid) else (low, mid)
-    return low
-
-
 @pytest.mark.parametrize("gamma", TABLE_GAMMAS.values(), ids=TABLE_GAMMAS.keys())
 @pytest.mark.parametrize("name", TABULATED)
 def test_tables_match_closed_form_bodies(name, gamma):
@@ -640,13 +628,13 @@ def test_tables_match_closed_form_bodies(name, gamma):
             _, degrees, *_ = unidiv.algebra._table(body, sizes, gamma)
             assert any(coefs.dtype == object for _, coefs, _, _ in degrees)
         return
-    # int64 inputs at the limit _dtype allows: no overflow
-    m = int64_limit(form, sizes, gamma)
+    # int64 inputs up to the int64 limit, far past the float limit: exact object rows, no overflow
+    m = 2**63 - 1
     for width in (1, 5, 33):
-        args = [np.array([[rng.choice((-m, m, rng.randint(-m, m))) for _ in range(width)] for _ in range(n)])
-                for n in sizes]
+        args = [np.array([[rng.choice((-m, m, rng.randint(-m, m))) for _ in range(width)] for _ in range(n)],
+                         dtype=np.int64) for n in sizes]
         got = form(*args, gamma)
-        assert isinstance(got, np.ndarray) and got.shape == (outputs, width) and got.dtype == np.int64
+        assert isinstance(got, np.ndarray) and got.shape == (outputs, width) and got.dtype == object
         assert_same_output(got, body(*(a.astype(object) for a in args), gamma))
 
 
@@ -707,13 +695,13 @@ def test_float_tier_matches_int64_object_and_body(name, gamma, data):
     want = form(*objects, gamma)
     assert_same_output(want, form.__wrapped__(*objects, gamma))
     got = form(*args, gamma)
-    with tables_edited(lambda t: (*t[:4], -1)):  # no float limit: the sparse int64 path
+    with tables_edited(lambda t: (*t[:4], -1)):  # no float limit: the object path
         sparse = form(*args, gamma)
     with tables_edited(lambda t: (*t[:3], 0 * t[3], t[4])):  # zero coefficients, read by the float tier alone
         zeroed = form(*args, gamma), [form(*c, gamma) for c in columns]
-    assert got.dtype == sparse.dtype == (np.int64 if limit >= 0 else object)
-    assert got.tolist() == sparse.tolist() == want.tolist()
     within = lambda arrays: max(abs(v) for a in arrays for v in np.ravel(a).tolist()) <= limit
+    assert got.dtype == (np.int64 if within(args) else object) and sparse.dtype == object
+    assert got.tolist() == sparse.tolist() == want.tolist()
     assert zeroed[0].tolist() == (np.zeros_like(want) if within(args) else want).tolist()
     for j, c in enumerate(columns):
         out = form(*c, gamma)

@@ -21,7 +21,6 @@ from oracles import (
     enumerate_subfield,
     express_in_power_basis,
     iter_box_tuples,
-    magnitude_peak,
     matl_to_complex,
     matmul3,
     matrix_embed_oracle,
@@ -36,10 +35,7 @@ from unidiv.algebra import (
     InvolutionUnavailable,
     STANDARD_ALGEBRA,
     AlgElem,
-    _dtype,
-    _peak,
     _Poly,
-    a_mul_coords,
     inverse,
     involution,
     reduced_norm,
@@ -52,6 +48,7 @@ from unidiv.codebook import (
     _DET_ERROR,
     _NORM_MASS,
     _charpoly3,
+    _hilbert90_batch,
     _hilbert90_coords,
     _norm_halves,
     _norm_split,
@@ -471,9 +468,12 @@ def test_generate_codebook_matches_fraction_oracle_on_reparametrised_generators(
 
 
 def test_generate_codebook_object_dtype_matches_fraction_oracle():
-    # Q = lcm(1..13) = 360360 puts the unit pipeline's bound past int64
+    # Q = lcm(1..13) = 360360: the candidates fit int64, and the unit forms pass the float limit into objects
     sub = subfield("zeta9")
-    assert next(subfield_candidates(sub, Box(1, 13))).dtype == object
+    u = next(subfield_candidates(sub, Box(1, 13)))
+    assert u.dtype == np.int64
+    _, x, d = _hilbert90_batch(u, sub.generator.spec.gamma_coords)
+    assert x.dtype == d.dtype == object
     assert_matches_fraction_oracle(sub, Box(1, 13), 20)
     assert next(subfield_candidates(sub, Box(1, 1))).dtype == np.int64
     # the tables' bound keeps nu_5, the largest at Box(1, 1), in int64
@@ -482,7 +482,7 @@ def test_generate_codebook_object_dtype_matches_fraction_oracle():
 
 
 def candidate_sizes(sub: SubfieldSpec, box: Box) -> tuple:
-    """The bounds on |u_j| that subfield_candidates gives _peak."""
+    """The bounds on |u_j| that subfield_candidates computes."""
     return tuple(box.numerator_bound * box.scale * sum(abs(r[j]) for r in sub.matrix) for j in range(18))
 
 
@@ -490,50 +490,24 @@ def candidate_sizes(sub: SubfieldSpec, box: Box) -> tuple:
     "box", [Box(1, 1), Box(2, 1), Box(1, 2), Box(1, 13)], ids=["B1D1", "B2D1", "B1D2", "B1D13"]
 )
 @pytest.mark.parametrize("kind, k", CLI_SUBFIELDS, ids=CLI_IDS)
-def test_peak_equals_magnitude_oracle_on_units(kind, k, box):
-    # the tables on sizes bound what the Magnitude arithmetic bounds, so no dtype decision moves
-    sub = subfield(kind, k)
-    sizes, gamma = candidate_sizes(sub, box), sub.generator.spec.gamma_coords
-    assert _peak(_hilbert90_coords, sizes, gamma) == magnitude_peak(_hilbert90_coords, sizes, gamma)
-
-
-@pytest.mark.parametrize(
-    "box", [Box(1, 1), Box(2, 1), Box(1, 2), Box(1, 13)], ids=["B1D1", "B2D1", "B1D2", "B1D13"]
-)
-@pytest.mark.parametrize("kind, k", CLI_SUBFIELDS, ids=CLI_IDS)
 def test_hilbert90_dtype_is_pinned(kind, k, box):
-    # the chain's dtype decision, as pinned before its forms returned flat rows: object only at Box(1, 13)
+    # the candidates' dtype: int64 up to Box(1, 13), object once the sizes pass 2^63 (Q = lcm(1..43) alone does)
     sub = subfield(kind, k)
-    want = object if box == Box(1, 13) else np.int64
-    assert _dtype(_hilbert90_coords, candidate_sizes(sub, box), sub.generator.spec.gamma_coords) is want
-
-
-@pytest.mark.parametrize("bits", [1, 8, 20, 40])
-def test_peak_equals_magnitude_oracle_on_unit_norm(bits):
-    sizes = (2**bits,) * 18
-    assert _peak(_unit_norm_coords, sizes, (0, 1)) == magnitude_peak(_unit_norm_coords, sizes, (0, 1))
-
-
-def test_peak_records_partial_products_before_a_zero_factor():
-    # x * y with y = 0: every output is 0, yet the evaluation forms coef * x_i, |coef| up to 3
-    mul = lambda u, gamma: a_mul_coords(u[:18], u[18:], gamma)
-    sizes = (1000,) * 18 + (0,) * 18
-    assert _peak(mul, sizes, (0, 1)) == magnitude_peak(mul, sizes, (0, 1)) == 3000
+    assert next(subfield_candidates(sub, box)).dtype == np.int64
+    assert max(candidate_sizes(sub, Box(1, 43))) >= 2**63
+    assert next(subfield_candidates(sub, Box(1, 43))).dtype == object
 
 
 @pytest.mark.parametrize("box", [Box(1, 1), Box(2, 1), Box(1, 2)], ids=["B1D1", "B2D1", "B1D2"])
 @pytest.mark.parametrize("kind, k", CLI_SUBFIELDS, ids=CLI_IDS)
 def test_hilbert90_bound_holds_on_chunks(kind, k, box):
+    # the candidates lie within their sizes, and an int64 chunk gives what the same chunk gives on objects
     sub = subfield(kind, k)
-    sizes = candidate_sizes(sub, box)
-    bound = _peak(_hilbert90_coords, sizes, sub.generator.spec.gamma_coords)
-    for n, u in enumerate(subfield_candidates(sub, box)):
-        if n == 8:
-            break
-        u = u.astype(object)
-        assert all(abs(v) <= m for row, m in zip(u, sizes) for v in row)
-        outputs = _hilbert90_coords(u, sub.generator.spec.gamma_coords)
-        assert max(abs(v) for out in outputs for v in np.atleast_1d(out)) <= bound
+    sizes, gamma = candidate_sizes(sub, box), sub.generator.spec.gamma_coords
+    for u in islice(subfield_candidates(sub, box), 8):
+        assert u.dtype == np.int64
+        assert all(abs(v) <= m for row, m in zip(u.tolist(), sizes) for v in row)
+        assert _hilbert90_coords(u, gamma).tolist() == _hilbert90_coords(u.astype(object), gamma).tolist()
 
 
 class Recorded(int):
@@ -557,18 +531,16 @@ class Recorded(int):
     "kind, k", [("zeta9", None), ("nu", 1), ("nu", 5), ("L", None)], ids=["zeta9", "nu1", "nu5", "L"]
 )
 def test_hilbert90_bound_covers_every_product_and_partial_sum(kind, k, box):
-    # the table evaluator on object arrays forms every product and partial sum
-    # that it forms on int64 arrays, in the same order
+    # the int64 chunks' evaluation, each form on its float tier or on Python integers,
+    # equals the evaluation that forms every product and partial sum as a Recorded integer
     sub = subfield(kind, k)
     gamma = sub.generator.spec.gamma_coords
-    bound = _peak(_hilbert90_coords, candidate_sizes(sub, box), gamma)
     for u in islice(subfield_candidates(sub, box), 2):
         Recorded.peak = 0
         exact = _hilbert90_coords(np.vectorize(Recorded, otypes=[object])(u), gamma)
-        assert 0 < Recorded.peak <= bound
+        assert Recorded.peak > 0
         assert u.dtype == np.int64
         fast = _hilbert90_coords(u, gamma)
-        assert all(v.dtype == np.int64 for v in fast)
         assert [v.tolist() for v in fast] == [list(map(int, v)) for v in exact]
 
 
@@ -578,16 +550,17 @@ def test_hilbert90_bound_covers_every_product_and_partial_sum(kind, k, box):
     ids=["nu5-B1D1", "zeta9-B2D1", "L-B1D2"],
 )
 def test_unit_norm_bound_covers_every_product_and_partial_sum(kind, k, box, size):
-    # first_non_unitary's bound, over every value x * involution(x) forms on the units' integers
+    # x * involution(x) on the units' integers is exactly [q^2, 0, ...], as Recorded integers and as
+    # first_non_unitary evaluates it, one int64 array of all the units
     units = generate_codebook(subfield(kind, k), box, size).elements
-    top = max(max(q, *map(abs, num)) for num, q in (x.integral() for x in units))
-    bound = _peak(_unit_norm_coords, (2 ** top.bit_length(),) * 18, (0, 1))
-    for x in units:
-        num, q = x.integral()
+    nums, dens = zip(*(x.integral() for x in units))
+    for num, q in zip(nums, dens):
         Recorded.peak = 0
         prod = _unit_norm_coords([Recorded(v) for v in num], (0, 1))
-        assert 0 < Recorded.peak <= bound and q * q <= bound
+        assert Recorded.peak > 0
         assert [int(v) for v in prod] == [q * q] + [0] * 17
+    prod = _unit_norm_coords(np.array(nums, dtype=np.int64).T, (0, 1))
+    assert prod.tolist() == [[q * q for q in dens]] + [[0] * len(units)] * 17
 
 
 def test_unitarity_bound_holds_on_units():
@@ -595,9 +568,7 @@ def test_unitarity_bound_holds_on_units():
     units += generate_codebook(subfield("zeta9"), Box(2, 1), 200).elements
     for x in units:
         num, q = x.integral()
-        bits = max(q, *map(abs, num)).bit_length()
-        bound = _peak(_unit_norm_coords, (2**bits,) * 18, (0, 1))
-        assert max(map(abs, (q * q, *_unit_norm_coords(num, (0, 1))))) <= bound
+        assert list(_unit_norm_coords(num, (0, 1))) == [q * q] + [0] * 17
 
 
 def test_first_non_unitary_names_the_least_index():
@@ -609,6 +580,13 @@ def test_first_non_unitary_names_the_least_index():
     assert first_non_unitary(bad) == 3
     assert first_non_unitary(bad[4:]) == 3
     assert first_non_unitary([]) is None
+
+
+def test_first_non_unitary_compares_q_squared_exactly():
+    # q = 2^63 - 1 fits int64, but q * q in int64 wraps to exactly 1 = X * involution(X)
+    q = 2**63 - 1
+    assert (q * q) % 2**64 == 1
+    assert first_non_unitary([ONE.scale(Fraction(1, q))]) == 0
 
 
 def test_first_non_unitary_matches_exact_product():

@@ -15,8 +15,13 @@ replaced it:
 
 nu5_b2_24 is `unidiv generate --subfield nu:5 --box 2 --size 24`, written
 before the closed forms gained their float64 tier: its candidates take
-int64 (a 56-bit peak), its unit forms the float tier, and the Nrd rechecks
-of its pair differences object arrays.
+int64, its unit forms the float tier, and the Nrd rechecks of its pair
+differences object arrays.
+
+zeta9_d13_20 is `unidiv generate --subfield zeta9 --denom 13 --size 20`,
+written while the closed forms still had a sparse int64 tier: its
+candidates (Q = 360360) fit int64, and the unit forms pass the float limit
+into Python integers.
 
 Each NAME.json sits next to NAME.diversity.json and NAME.diversity.txt, the
 stdout of `unidiv diversity NAME.json` in JSON and text format.
@@ -29,9 +34,15 @@ import pytest
 from unidiv.cli import main
 
 DATA = Path(__file__).resolve().parent / "data" / "diversity"
-NAMES = ("zeta9_12", "nu1_5", "L_8", "mixed_6", "k_units_6", "duplicate_6", "nu5_b2_24")
-# name: (subfield, box numerator bound, size)
-GENERATED = {"zeta9_12": ("zeta9", 1, 12), "nu1_5": ("nu:1", 1, 5), "L_8": ("L", 1, 8), "nu5_b2_24": ("nu:5", 2, 24)}
+NAMES = ("zeta9_12", "nu1_5", "L_8", "mixed_6", "k_units_6", "duplicate_6", "nu5_b2_24", "zeta9_d13_20")
+# name: (subfield, box numerator bound, size, denominator bound)
+GENERATED = {
+    "zeta9_12": ("zeta9", 1, 12, 1),
+    "nu1_5": ("nu:1", 1, 5, 1),
+    "L_8": ("L", 1, 8, 1),
+    "nu5_b2_24": ("nu:5", 2, 24, 1),
+    "zeta9_d13_20": ("zeta9", 1, 20, 13),
+}
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -46,9 +57,10 @@ def test_diversity_output_matches_golden(capsys, name, fmt):
 
 @pytest.mark.parametrize("name", sorted(GENERATED))
 def test_generate_output_matches_golden(capsys, tmp_path, name):
-    sub, box, size = GENERATED[name]
+    sub, box, size, denom = GENERATED[name]
     path = tmp_path / f"{name}.json"
-    code = main(["generate", "--subfield", sub, "--box", str(box), "--size", str(size), "--out", str(path)])
+    args = ["--subfield", sub, "--box", str(box), "--size", str(size), "--denom", str(denom), "--out", str(path)]
+    code = main(["generate", *args])
     capsys.readouterr()
     assert code == 0
     assert path.read_bytes() == (DATA / f"{name}.json").read_bytes()
