@@ -476,7 +476,7 @@ def test_generate_codebook_object_dtype_matches_fraction_oracle():
     assert x.dtype == d.dtype == object
     assert_matches_fraction_oracle(sub, Box(1, 13), 20)
     assert next(subfield_candidates(sub, Box(1, 1))).dtype == np.int64
-    # the tables' bound keeps nu_5, the largest at Box(1, 1), in int64
+    # nu_5 has the largest candidates at Box(1, 1); they fit int64 too
     assert next(subfield_candidates(subfield("nu", 5), Box(1, 1))).dtype == np.int64
     assert_matches_fraction_oracle(subfield("nu", 5), Box(1, 1), 20)
 

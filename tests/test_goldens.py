@@ -19,9 +19,9 @@ int64, its unit forms the float tier, and the Nrd rechecks of its pair
 differences object arrays.
 
 zeta9_d13_20 is `unidiv generate --subfield zeta9 --denom 13 --size 20`,
-written while the closed forms still had a sparse int64 tier: its
-candidates (Q = 360360) fit int64, and the unit forms pass the float limit
-into Python integers.
+written before the closed forms lost their sparse int64 tier, when its
+candidates took object arrays; they now take int64 (Q = 360360), and the
+unit forms pass the float limit into Python integers.
 
 Each NAME.json sits next to NAME.diversity.json and NAME.diversity.txt, the
 stdout of `unidiv diversity NAME.json` in JSON and text format.
