@@ -440,12 +440,13 @@ def worked_example() -> WorkedExample:
 # x0 + E*x1 + E^2*x2 as 18 coordinates, the six-tuples of x0, x1 and x2,
 # and gamma as its two K coordinates.  Each form is written once, with +, -
 # and * only, as one flat tuple of outputs; its body runs once per (argument
-# sizes, gamma) on _Poly variables, giving its monomial table (`_table`),
-# which every call evaluates (`_tabulated`) into one array of rows, one per
-# output: a tuple of Python numbers for AlgElem and the functions above, an
-# (outputs, k) array for the codebook's (n, k) arrays.  Two tiers: float64
-# on integers within the table's float limit, where every value formed is
-# an integer below 2^53; else object arrays of Python numbers, exact at any size.
+# sizes, gamma) on _Poly variables, giving one coefficient matrix over its
+# distinct monomials (`_table`), which every call evaluates (`_tabulated`)
+# into one array of rows, one per output: a tuple of Python numbers for
+# AlgElem and the functions above, an (outputs, k) array for the codebook's
+# (n, k) arrays.  Both tiers form the same monomials: float64 on integers
+# within the table's float limit, where every value formed is an integer
+# below 2^53; else object arrays of Python numbers, exact at any size.
 
 
 class _Poly(dict):
@@ -475,65 +476,58 @@ def _lift(v) -> _Poly:
 
 @functools.lru_cache(maxsize=128)
 def _table(body, sizes: tuple[int, ...], gamma) -> tuple:
-    """body on `sizes` variables: its number of outputs; per degree, the variables (degree x terms),
-    coefficients, and each segment's start and output row; per degree, the distinct monomials
-    (degree x m); their float64 (outputs x all m) coefficients; and the float limit: the largest t
-    with every output's sum of |c| * t^degree below 2^53 (-1 if a coefficient is not an integer)."""
+    """body on `sizes` variables as one coefficient matrix over its distinct monomials: per degree, the
+    monomials (degree x m); the matrix in float64 (outputs x m); its nonzero entries row by row, by value
+    within a row: their columns, the start of each run of one value and that value (a Python number), and
+    each nonzero row's first run and that row; and the float limit: the largest t with every output's sum
+    of |c| * t^degree below 2^53 (-1 if a coefficient is not an integer)."""
     count = itertools.count()
     leaves = [_lift(v) for v in body(*(tuple(_Poly({(next(count),): 1}) for _ in range(n)) for n in sizes), gamma)]
-    terms = sorted((len(m), k, m, c) for k, leaf in enumerate(leaves) for m, c in leaf.items())
-    degrees = []
-    for _, group in itertools.groupby(terms, key=lambda term: term[0]):
-        _, outs, monomials, coefs = zip(*group)
-        starts = [k for k in range(len(outs)) if k == 0 or outs[k] != outs[k - 1]]
-        coefs = np.array([int(c) if c.denominator == 1 else c for c in coefs])
-        degrees.append((np.array(monomials).T, coefs, np.array(starts), np.array(outs)[starts]))
-    column = {m: j for j, m in enumerate(dict.fromkeys(m for _, _, m, _ in terms))}  # by degree, as terms
-    dense, sums = np.zeros((len(leaves), len(column))), [[0] * (terms[-1][0] + 1) for _ in leaves]
-    for d, k, m, c in terms:
-        dense[k, column[m]] = c
-        sums[k][d] += abs(c)
-    sums = set(map(tuple, sums))
+    monomials = sorted({m for leaf in leaves for m in leaf}, key=lambda m: (len(m), m))
+    column = {m: j for j, m in enumerate(monomials)}
+    outs, coefs, cols = zip(*sorted((k, c, column[m]) for k, leaf in enumerate(leaves) for m, c in leaf.items()))
+    top = len(monomials[-1])
+    sums = {tuple(sum(abs(c) for m, c in leaf.items() if len(m) == d) for d in range(top + 1)) for leaf in leaves}
     below = lambda t: all(sum(s * t**d for d, s in enumerate(out)) < 2**53 for out in sums)
-    low, high = (0, 2**53) if all(d[1].dtype != object for d in degrees) else (-1, 0)
+    low, high = (0, 2**53) if all(c.denominator == 1 for c in coefs) else (-1, 0)
     while high - low > 1:
         mid = (low + high) // 2
         low, high = (mid, high) if below(mid) else (low, mid)
-    monomials = [np.array(list(group)).T for _, group in itertools.groupby(column, key=len)]
-    return len(leaves), degrees, monomials, dense, low
+    dense = np.zeros((len(leaves), len(monomials)))
+    dense[outs, cols] = coefs
+    runs = [k for k in range(len(outs)) if k == 0 or (outs[k], coefs[k]) != (outs[k - 1], coefs[k - 1])]
+    rows = [k for k in range(len(runs)) if k == 0 or outs[runs[k]] != outs[runs[k - 1]]]
+    coefs = np.array([int(coefs[k]) if coefs[k].denominator == 1 else coefs[k] for k in runs], dtype=object)
+    monomials = [np.array(list(group)).T for _, group in itertools.groupby(monomials, key=len)]
+    return monomials, dense, (np.array(cols), np.array(runs), coefs, np.array(rows), np.array(outs)[runs][rows]), low
 
 
 def _tabulated(body):
     """`body` (kept as `__wrapped__`) from `_table`, into one array of rows: (outputs, k) for (n, k) arrays,
-    a tuple for Python numbers.  Two tiers: int64 arrays and tuples of Python ints within the float limit
-    take float64, each degree's distinct monomials times the coefficients in one matmul, exact as every
-    value formed is an integer below 2^53; everything else takes object arrays of Python numbers, per degree
-    coef * x[i] * x[j] ... per term, then one sum per segment, exact at any size."""
+    a tuple for Python numbers.  Both tiers form each distinct monomial once.  int64 arrays and tuples of
+    Python ints within the float limit take float64 and one matmul by the matrix, exact as every value formed
+    is an integer below 2^53; everything else takes object arrays of Python numbers, where each output row
+    sums its coefficients times the sums of their monomials, exact at any size."""
 
     @functools.wraps(body)
     def form(*args):
         *args, gamma = args
-        size, degrees, monomials, dense, limit = _table(body, tuple(map(len, args)), gamma)
+        monomials, dense, (cols, runs, coefs, rows, outs), limit = _table(body, tuple(map(len, args)), gamma)
         scalar = not isinstance(args[0][0], np.ndarray)
         if scalar:  # decided on the ints themselves: NumPy makes float64 of mixed signs past 2^63
-            flat = [v for a in args for v in a]
-            fits = set(map(type, flat)) == {int} and max(map(abs, flat)) <= limit
-            x = np.array(flat, dtype=np.int64 if fits else object)
+            x = [v for a in args for v in a]
+            fits = set(map(type, x)) == {int} and max(map(abs, x)) <= limit
         else:
             x = np.concatenate(args)
             fits = x.dtype == np.int64 and -limit <= x.min(initial=0) and x.max(initial=0) <= limit
+        x = np.asarray(x, dtype=float if fits else object)
+        mono = np.concatenate([functools.reduce(np.multiply, x.take(m, axis=0)) for m in monomials])
         if fits:
-            f = x.astype(float)
-            out = dense @ np.concatenate([functools.reduce(np.multiply, f.take(m, axis=0)) for m in monomials])
-            out = out.astype(np.int64)
+            out = (dense @ mono).astype(np.int64)
         else:
-            x = x.astype(object, copy=False)
-            out = np.zeros((size, *x.shape[1:]), dtype=object)
-            for index, coefs, starts, outs in degrees:
-                term = coefs.reshape(-1, *(1,) * (x.ndim - 1)) * x[index[0]]
-                for i in index[1:]:
-                    term *= x[i]
-                out[outs] += np.add.reduceat(term, starts)
+            out = np.zeros((len(dense), *x.shape[1:]), dtype=object)
+            sums = coefs.reshape(-1, *(1,) * (x.ndim - 1)) * np.add.reduceat(mono[cols], runs)
+            out[outs] = np.add.reduceat(sums, rows)
         return tuple(out.tolist()) if scalar else out
 
     return form

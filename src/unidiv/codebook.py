@@ -107,8 +107,9 @@ def _strata(box: Box, dtype, arity: int, chunk: Optional[int] = None) -> Iterato
     in `Box.values` order) in chunks (default: whole strata), tuple number k holding value number k // n**i % n
     at coordinate i, as one array per coordinate and whether each tuple has a coordinate at height H."""
     values = box.values()
+    scale = box.scale
     heights = np.array([_height(v) for v in values])
-    coords = np.array([int(v * box.scale) for v in values], dtype=dtype)
+    coords = np.array([int(v * scale) for v in values], dtype=dtype)
     for h in sorted(set(heights.tolist()) - {0}):
         n, top = np.count_nonzero(heights <= h), heights == h
         for start in range(0, n**arity, chunk or n**arity):
@@ -205,12 +206,11 @@ _UNIT_CHUNK = 32
 
 
 def _hilbert90_coords(u, gamma):
-    """The rows u*v, v*u, X (18 coordinates each) and d with u * v^(-1) = X/d, v = involution(u):
-    a (55, k) array for an (18, k) array u, a tuple for Python numbers."""
+    """The rows u*v, v*u, X (18 coordinates each) and d with u * v^(-1) = X/d, v = involution(u),
+    as a (55, k) array for an (18, k) integer array u."""
     v = a_involution_coords(u, gamma)
     p = a_mul_coords(u, v, gamma)
-    rows = (p, a_mul_coords(v, u, gamma), a_quotient_coords(u, v, p, gamma))
-    return np.concatenate(rows) if isinstance(p, np.ndarray) else sum(rows, ())
+    return np.concatenate((p, a_mul_coords(v, u, gamma), a_quotient_coords(u, v, p, gamma)))
 
 
 def _hilbert90_batch(u: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -570,7 +570,7 @@ _l_norm_form = lambda a, gamma: l_norm_coords(a)
 def _norm_split(dtype) -> np.ndarray:
     """The L norm split over the coordinate halves, from its `_table`: (2, 20, 20) integers c with
     N(a)[o] = sum over p, q of c[o, q, p] * X_p(a0, a1, a2) * X_q(a3, a4, a5), X over `_HALF`."""
-    _, _, monomials, dense, _ = _table(_l_norm_form, (6,), ())
+    monomials, dense, _, _ = _table(_l_norm_form, (6,), ())
     split = np.zeros((2, len(_HALF), len(_HALF)), dtype=np.int64)
     for column, m in zip(dense.T, (m for group in monomials for m in group.T.tolist())):
         p, q = ((*part, 3, 3, 3)[:3] for part in ([v for v in m if v < 3], [v - 3 for v in m if v >= 3]))

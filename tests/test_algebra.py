@@ -625,8 +625,8 @@ def test_tables_match_closed_form_bodies(name, gamma):
     if any(isinstance(c, Fraction) for c in gamma):
         # a non-integral gamma puts Fractions into the table, so it runs on objects
         if name != "_a_quotient_from":  # the one form that does not read gamma
-            _, degrees, *_ = unidiv.algebra._table(body, sizes, gamma)
-            assert any(coefs.dtype == object for _, coefs, _, _ in degrees)
+            _, _, (_, _, coefs, _, _), limit = unidiv.algebra._table(body, sizes, gamma)
+            assert limit == -1 and any(type(c) is not int for c in coefs)
         return
     # int64 inputs up to the int64 limit, far past the float limit: exact object rows, no overflow
     m = 2**63 - 1
@@ -652,7 +652,7 @@ def tables_edited(edit):
 
 def float_tier_formula(name, gamma):
     """The float tier's arithmetic on flat inputs: each distinct monomial's product, times its coefficients."""
-    _, _, monomials, dense, _ = table(name, gamma)
+    monomials, dense, _, _ = table(name, gamma)
     columns = [m for group in monomials for m in group.T]
 
     def formula(u, g):
@@ -665,8 +665,8 @@ def float_tier_formula(name, gamma):
 @pytest.mark.parametrize("gamma", TABLE_GAMMAS.values(), ids=TABLE_GAMMAS.keys())
 @pytest.mark.parametrize("name", TABULATED)
 def test_float_limit_bounds_the_float_tier_tightly(name, gamma):
-    _, degrees, _, dense, limit = table(name, gamma)
-    if any(coefs.dtype == object for _, coefs, _, _ in degrees):
+    _, dense, (_, _, coefs, _, _), limit = table(name, gamma)
+    if any(type(c) is not int for c in coefs):
         assert limit == -1  # a non-integral coefficient: no float tier
         return
     assert dense.shape[0] == OUTPUTS[name] and dense.nbytes < 50_000
@@ -695,9 +695,9 @@ def test_float_tier_matches_int64_object_and_body(name, gamma, data):
     want = form(*objects, gamma)
     assert_same_output(want, form.__wrapped__(*objects, gamma))
     got = form(*args, gamma)
-    with tables_edited(lambda t: (*t[:4], -1)):  # no float limit: the object path
+    with tables_edited(lambda t: (*t[:3], -1)):  # no float limit: the object path
         sparse = form(*args, gamma)
-    with tables_edited(lambda t: (*t[:3], 0 * t[3], t[4])):  # zero coefficients, read by the float tier alone
+    with tables_edited(lambda t: (t[0], 0 * t[1], *t[2:])):  # zero coefficients, read by the float tier alone
         zeroed = form(*args, gamma), [form(*c, gamma) for c in columns]
     within = lambda arrays: max(abs(v) for a in arrays for v in np.ravel(a).tolist()) <= limit
     assert got.dtype == (np.int64 if within(args) else object) and sparse.dtype == object
@@ -708,6 +708,27 @@ def test_float_tier_matches_int64_object_and_body(name, gamma, data):
         assert type(out) is tuple and list(out) == want[:, j].tolist() == list(form.__wrapped__(*c, gamma))
         assert all(type(v) is int for v in out) or limit < 0
         assert list(zeroed[1][j]) == ([0] * len(out) if within(c) else list(out))
+
+
+def test_outputs_without_terms_are_zero_on_both_tiers():
+    # at gamma = 0 the entries above the diagonal of matrix_embed vanish: 18 outputs with no coefficients
+    form, gamma = unidiv.algebra.a_embed_coords, (0, 0)
+    _, _, (*_, outs), limit = table("a_embed_coords", gamma)
+    zero = [6 * (3 * r + c) + i for r in range(3) for c in range(r + 1, 3) for i in range(6)]
+    assert len(zero) == 18 and not set(zero) & set(outs.tolist()) and limit > 0
+    rng = random.Random(61)
+    big = 10**30
+    inputs = [
+        np.array([[rng.randint(-big, big) for _ in range(5)] for _ in range(18)], dtype=object),
+        np.array([[rng.choice((-limit, limit, rng.randint(-limit, limit))) for _ in range(5)] for _ in range(18)],
+                 dtype=np.int64),
+        tuple(rng.choice((-limit - 1, limit + 1, rng.randint(-big, big))) for _ in range(18)),
+    ]
+    for x in inputs:
+        got = form(x, gamma)
+        assert_same_output(got, form.__wrapped__(x, gamma))
+        assert all(np.all(np.asarray(got[i]) == 0) for i in zero)
+    assert form(inputs[1], gamma).dtype == np.int64  # within the float limit: the float tier
 
 
 MIXED_PAST_2_63 = (-1, 2**63, 2**64 - 1, 2**63 + 1, 1)  # NumPy makes float64 of these
