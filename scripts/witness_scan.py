@@ -5,6 +5,10 @@ Searches coordinate boxes of growing size for field elements whose norm
 down to Q(zeta3) equals zeta3 or zeta3^2.  `division_certificate` proves
 there is none, so the expected outcome is a growing table of "none".
 Positive controls (rational cubes) confirm the search machinery.
+
+The search keeps each box's strata once built, so in the table's timing the
+second target of a box (zeta3^2) reuses the strata the first (zeta3) built,
+and the controls have already built the first stratum of Box(3, 2).
 """
 
 import time

@@ -54,6 +54,7 @@ from unidiv.codebook import (
     _norm_split,
     _numeric_pair_dets,
     _unit_norm_coords,
+    _witness_strata,
     Box,
     DiversityReport,
     PreconditionError,
@@ -898,10 +899,11 @@ def test_norm_witness_target_outside_scaled_ring():
 
 
 def witness_search_dtypes(monkeypatch, target: KElem, box: Box) -> tuple:
-    """norm_witness_search(target, box) and the dtypes it walks the box in."""
+    """norm_witness_search(target, box) and the dtypes it walks the box in, from an empty strata cache."""
     dtypes, walk = [], unidiv.codebook._strata
     spy = lambda b, dtype, *rest: dtypes.append(dtype) or walk(b, dtype, *rest)
     monkeypatch.setattr(unidiv.codebook, "_strata", spy)
+    _witness_strata.cache_clear()
     return norm_witness_search(target, box), dtypes
 
 
@@ -935,6 +937,49 @@ def test_norm_witness_search_matches_chunked_oracle(box, count):
         targets += [n, ZETA3 * n, ZETA3 * ZETA3 * n]
     for target in targets:
         assert norm_witness_search(target, box) == norm_witness_oracle(target, box)
+
+
+@pytest.mark.parametrize(
+    "box", [Box(1, 1), Box(2, 1), Box(1, 2), Box(2, 2)], ids=lambda b: f"B{b.numerator_bound}D{b.denominator_bound}"
+)
+def test_norm_witness_search_same_on_cold_warm_and_partly_built_strata(box):
+    # a hit on KElem(1) stops at u = 1 in stratum 1, leaving the box's later strata unbuilt
+    rng = random.Random(31 * box.numerator_bound + box.denominator_bound)
+    values = box.values()
+    targets = [KElem(8), ZETA3, KElem(Fraction(27, 8))]
+    for _ in range(2):
+        n = LElem.from_six_tuple([rng.choice(values) for _ in range(6)]).norm_to_k()
+        targets += [n, ZETA3 * n]
+    for target in targets:
+        want = norm_witness_oracle(target, box)
+        _witness_strata.cache_clear()
+        assert norm_witness_search(target, box) == want
+        assert norm_witness_search(target, box) == want
+        _witness_strata.cache_clear()
+        assert norm_witness_search(KElem(1), box) == LElem(1)
+        assert len(_witness_strata(box, np.float64)[0]) == 1
+        assert norm_witness_search(target, box) == want
+
+
+def test_norm_witness_stratum_1_hit_builds_one_stratum(monkeypatch):
+    calls, build = [], unidiv.codebook._norm_halves
+    monkeypatch.setattr(unidiv.codebook, "_norm_halves", lambda half: calls.append(half) or build(half))
+    _witness_strata.cache_clear()
+    assert norm_witness_search(KElem(1), Box(1, 16)) == LElem(1)
+    assert len(calls) == 1
+
+
+def test_norm_witness_hit_is_confirmed_apart_from_the_split(monkeypatch):
+    # a constant 1 in the first output's split: every tuple reads N(a)[0] + 1, so u = 1, the first, reads 2
+    wrong = _norm_split(object).copy()
+    wrong[0, -1, -1] += 1
+    monkeypatch.setattr(unidiv.codebook, "_norm_split", lambda dtype: wrong.astype(dtype))
+    _witness_strata.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="integer norm disagrees with the split"):
+            norm_witness_search(KElem(2), Box(1, 1))
+    finally:
+        _witness_strata.cache_clear()
 
 
 def test_norm_split_mass_is_within_norm_mass():
