@@ -7,10 +7,11 @@ involution whose matrix shadow is the conjugate transpose (available
 exactly when z = gamma*conj(gamma) = 1), reduced norms and characteristic
 polynomials, inversion through Cayley-Hamilton, and `_expand3`, the one 3x3
 cofactor expansion, on exact or float arrays.  The product, the
-involution, Nrd, chi and the quotient u * v^(-1) exist once, as closed
-forms on the 18 rational coordinates at the end of this module, each
-evaluated from a monomial table traced from it once per gamma.
-
+involution, the embedding, chi (t, s and Nrd in one table, read by
+`reduced_char_poly`, `reduced_norm` and the quotient) and the quotient
+u * v^(-1) exist once, as closed forms on the 18 rational coordinates at
+the end of this module, each evaluated from a monomial table traced from
+it once per gamma.  Constants are built from their integer coordinates.
 Everything is immutable and pure; an AlgebraSpec can be shared read-only.
 """
 
@@ -82,14 +83,14 @@ class AlgebraSpec:
             raise InvolutionUnavailable(f"involution requires gamma*conj(gamma) = 1, got {self.z}")
 
     def zero(self) -> "AlgElem":
-        return AlgElem(self, L_ZERO, L_ZERO, L_ZERO)
+        return AlgElem.from_integral(self, (), 1)
 
     def one(self) -> "AlgElem":
-        return AlgElem(self, L_ONE, L_ZERO, L_ZERO)
+        return AlgElem.from_integral(self, (1,), 1)
 
     def gen(self) -> "AlgElem":
         """The generator E (E^3 = gamma)."""
-        return AlgElem(self, L_ZERO, L_ONE, L_ZERO)
+        return AlgElem.from_integral(self, (0,) * 6 + (1,), 1)
 
     def from_l(self, value: LElem | Scalar) -> "AlgElem":
         return AlgElem(self, _as_l(value), L_ZERO, L_ZERO)
@@ -307,21 +308,15 @@ def involution(x: AlgElem) -> AlgElem:
 
 
 def reduced_char_poly(x: AlgElem) -> Polynomial:
-    """Monic characteristic polynomial of the embedded matrix, over KElem.
+    """Monic characteristic polynomial X^3 - t*X^2 + s*X - Nrd(x) of the embedded matrix, over KElem.
 
-    With N and Tr the norm and trace of L/K it is
-
-        X^3 - t*X^2 + s*X - Nrd(x),
-        t = Tr(x0),  s = Tr(x0*sigma(x0)) - gamma*Tr(x1*sigma(x2)),
-
-    t being the matrix trace and s the sum of its principal 2x2 minors.
-    Every coefficient lies in K by construction.
+    t is the matrix trace and s the sum of its principal 2x2 minors; all
+    three come from one `a_char_coords` call, and each lies in K by construction.
     """
     a, q = x.integral()
-    t0, t1, s0, s1 = a_char_coords(a, x.spec.gamma_coords)
-    trace = KElem(Fraction(t0, q), Fraction(t1, q))
-    minors = KElem(Fraction(s0, q * q), Fraction(s1, q * q))
-    return Polynomial([-reduced_norm(x), minors, -trace, K_ONE])
+    t0, t1, s0, s1, n0, n1 = a_char_coords(a, x.spec.gamma_coords)
+    return Polynomial([KElem(Fraction(-n0, q**3), Fraction(-n1, q**3)), KElem(Fraction(s0, q * q), Fraction(s1, q * q)),
+                       KElem(Fraction(-t0, q), Fraction(-t1, q)), K_ONE])
 
 
 def char_poly_rational(x: AlgElem) -> Polynomial:
@@ -336,19 +331,19 @@ def char_poly_rational(x: AlgElem) -> Polynomial:
 
 
 def reduced_norm(x: AlgElem) -> KElem:
-    """Determinant of the embedded matrix, an element of K (see `a_nrd_coords`)."""
+    """Determinant of the embedded matrix, an element of K: the last two outputs of `a_char_coords`."""
     a, q = x.integral()
-    return KElem(*(Fraction(v, q**3) for v in a_nrd_coords(a, x.spec.gamma_coords)))
+    return KElem(*(Fraction(v, q**3) for v in a_char_coords(a, x.spec.gamma_coords)[4:]))
 
 
 def inverse(x: AlgElem) -> AlgElem:
     """x^(-1) = q * X/d for x = a/q, a integral, from `a_quotient_coords` with
     u = 1 and p = v = a (Cayley-Hamilton in chi_a).
 
-    The exact postcondition x*y = 1 is asserted.  It is one-sided on
-    purpose: in a finite-dimensional algebra a right inverse is also a left
-    inverse (left multiplication by x is onto, as x*(y*a) = a, hence
-    injective, and x*(y*x - 1) = 0), so checking y*x = 1 adds nothing.
+    The exact postcondition x*y = 1 raises AssertionError, under `python -O`
+    too.  It is one-sided on purpose: in a finite-dimensional algebra a right
+    inverse is also a left inverse (left multiplication by x is onto, as x*(y*a)
+    = a, hence injective, and x*(y*x - 1) = 0), so checking y*x = 1 adds nothing.
     """
     if x.is_zero():
         raise ZeroDivisionError("zero element of the algebra")
@@ -359,7 +354,8 @@ def inverse(x: AlgElem) -> AlgElem:
             "nonzero element with zero reduced norm; gamma does not give a division algebra"
         )
     y = AlgElem.from_integral(x.spec, [q * v for v in num], d)
-    assert x * y == x.spec.one(), "inverse postcondition failed"
+    if x * y != x.spec.one():
+        raise AssertionError("inverse postcondition failed")
     return y
 
 
@@ -583,31 +579,25 @@ def a_involution_coords(x, gamma) -> tuple:
 
 
 @_tabulated
-def a_nrd_coords(x, gamma) -> tuple:
-    """Nrd(x) as its two K coordinates.
+def a_char_coords(x, gamma) -> tuple:
+    """t, s and Nrd(x) of chi(X) = X^3 - t*X^2 + s*X - Nrd(x), each as two K coordinates.
 
     With N and Tr the norm and trace of L/K (Sethuraman, Rajan and
-    Shashidhar, IEEE Trans. IT 49(10), 2003) it is
+    Shashidhar, IEEE Trans. IT 49(10), 2003) they are
 
+        t = Tr(x0),  s = Tr(x0*sigma(x0)) - gamma*Tr(x1*sigma(x2)),
         Nrd(x) = N(x0) + gamma*N(x1) + gamma^2*N(x2)
                  - gamma*Tr(x0*sigma(x1)*sigma^2(x2)).
     """
     a, b, c = _parts(x)
+    s0 = l_trace_coords(l_mul_coords(a, l_sigma_coords(a)))
+    s1 = _k_mul_coords(*gamma, *l_trace_coords(l_mul_coords(b, l_sigma_coords(c))))
     cross = l_mul_coords(l_mul_coords(a, l_sigma_coords(b)), l_sigma_coords(l_sigma_coords(c)))
     n0, n1, n2 = (l_norm_coords(v) for v in (a, b, c))
     tr = l_trace_coords(cross)
     g_n2 = _k_mul_coords(*gamma, *n2)
     inner = _k_mul_coords(*gamma, n1[0] + g_n2[0] - tr[0], n1[1] + g_n2[1] - tr[1])
-    return n0[0] + inner[0], n0[1] + inner[1]
-
-
-@_tabulated
-def a_char_coords(x, gamma) -> tuple:
-    """t + s of chi(X) = X^3 - t*X^2 + s*X - Nrd(x), each as two K coordinates."""
-    a, b, c = _parts(x)
-    s0 = l_trace_coords(l_mul_coords(a, l_sigma_coords(a)))
-    s1 = _k_mul_coords(*gamma, *l_trace_coords(l_mul_coords(b, l_sigma_coords(c))))
-    return l_trace_coords(a) + (s0[0] - s1[0], s0[1] - s1[1])
+    return l_trace_coords(a) + (s0[0] - s1[0], s0[1] - s1[1], n0[0] + inner[0], n0[1] + inner[1])
 
 
 def a_quotient_coords(u, v, p, gamma) -> tuple:
@@ -618,8 +608,8 @@ def a_quotient_coords(u, v, p, gamma) -> tuple:
     is 0 exactly when Nrd(v) = 0.  (Its table whole would hold about half a
     million terms, so it combines those of its parts.)
     """
-    ts = a_char_coords(v, gamma)
-    return _a_quotient_from(u, p, a_mul_coords(p, v, gamma), ts[:2], ts[2:], a_nrd_coords(v, gamma), gamma)
+    chi = a_char_coords(v, gamma)
+    return _a_quotient_from(u, p, a_mul_coords(p, v, gamma), chi[:2], chi[2:4], chi[4:], gamma)
 
 
 @_tabulated

@@ -9,21 +9,23 @@ box and deduplicating yields reproducible codebooks of certified unitary
 nonzero determinant and the family is fully diverse.
 
 Units are built in one place, `_hilbert90_batch`, from candidates scaled
-to integer coordinates (x does not change) on int64 or object arrays;
-`generate_codebook` runs it on chunks and `hilbert90_unit` on a batch of
-one.  It and `first_non_unitary`, which decides x * involution(x) = 1 in
-one array pass, evaluate the algebra's closed forms from their monomial
-tables, a few array operations per form, each form returning one
-(outputs, k) array of rows that the next takes whole.  A form has two
-tiers, both exact: the tables' float64 tier on int64 inputs within its
-float limit, and Python integers (object arrays) on everything else; a
-caller only picks int64 for inputs below 2^63.
-`numeric_embeddings` is the one float evaluation of the embedding: every
-numeric matrix (codebooks, `embed`, `verify`, the diversity screen) comes
-from it, bit-identical to `LElem.to_complex`, its integer entries on the
-float tier and divided in float64 when below 2^53.  `generate_codebook` dedupes
-units on the AlgElem itself; `algebra._expand3`, the one 3x3 cofactor
-expansion, runs on these floats and on the generator table's integers.
+to integer coordinates (x does not change) on int64 or object arrays, in
+five closed-form calls per chunk (u*v and v*u are one product of
+side-by-side columns); `generate_codebook` runs it on chunks and
+`hilbert90_unit` on a batch of one.  Each unit is checked exactly
+(X * involution(X) = d^2, `_non_unitary`) and embedded (`_embedded`) from
+the chunk column X/d that made it, unreduced, never from its AlgElem;
+`first_non_unitary` and `numeric_embeddings` only gather the columns of
+given elements for the same two functions.  Each closed form is evaluated
+from its monomial table in a few array operations, returning one
+(outputs, k) array of rows that the next takes whole, on one of two exact
+tiers: float64 on int64 inputs within the table's float limit, Python
+integers (object arrays) on everything else.  `_embedded` is the one float
+evaluation of the embedding, so every numeric matrix (codebooks, `embed`,
+`verify`, the diversity screen) is bit-identical to `LElem.to_complex` of
+the reduced element: integers divided correctly rounded.
+`algebra._expand3`, the one 3x3 cofactor expansion, runs on these floats
+and on the generator table's integers.
 
 Stability under the involution is one commute check: in a division
 algebra of prime degree 3, any g outside the center K generates a maximal
@@ -69,7 +71,7 @@ from .algebra import (
     reduced_norm,
 )
 from .fields import (
-    KElem, LElem, THETA, THETA_EMBEDDINGS, ZETA3_COMPLEX, l_norm_coords, minimal_polynomial_coeffs
+    KElem, LElem, THETA_EMBEDDINGS, ZETA3_COMPLEX, l_norm_coords, minimal_polynomial_coeffs
 )
 from .polynomials import Polynomial, discriminant_cubic, has_rational_root
 from .rationals import as_rat, clear_denominators, factor_small_int
@@ -105,24 +107,24 @@ def _height(f: Fraction) -> int:
     return max(abs(f.numerator), f.denominator)
 
 
-def _strata(box: Box, dtype, arity: int, chunk: Optional[int] = None) -> Iterator[tuple[list, np.ndarray]]:
+def _strata(box: Box, dtype, arity: int, chunk: Optional[int] = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Per height H, lowest first, the `arity`-tuples of the box's coordinates of height <= H (times `box.scale`,
     in `Box.values` order) in chunks (default: whole strata), tuple number k holding value number k // n**i % n
-    at coordinate i, as one array per coordinate and whether each tuple has a coordinate at height H."""
+    at coordinate i, as one (arity, k) array and whether each tuple has a coordinate at height H."""
     values = box.values()
     scale = box.scale
     heights = np.array([_height(v) for v in values])
     coords = np.array([int(v * scale) for v in values], dtype=dtype)
     for h in sorted(set(heights.tolist()) - {0}):
         n, top = np.count_nonzero(heights <= h), heights == h
+        powers = n ** np.arange(arity)[:, None]
         for start in range(0, n**arity, chunk or n**arity):
-            k = np.arange(start, min(start + (chunk or n**arity), n**arity))
-            digits = [k // n**i % n for i in range(arity)]
-            yield [coords[d] for d in digits], np.logical_or.reduce([top[d] for d in digits])
+            digits = np.arange(start, min(start + (chunk or n**arity), n**arity)) // powers % n
+            yield coords.take(digits), top.take(digits).any(axis=0)
 
 
-def box_chunks(box: Box, chunk: int, dtype) -> Iterator[list[np.ndarray]]:
-    """All nonzero six-tuples over the box, times `box.scale`, as six integer arrays per chunk.
+def box_chunks(box: Box, chunk: int, dtype) -> Iterator[np.ndarray]:
+    """All nonzero six-tuples over the box, times `box.scale`, as one (6, k) integer array per chunk.
 
     Tuples of height H come out before any of height H+1; within a stratum
     the order is lexicographic with the first coordinate varying fastest.
@@ -131,7 +133,7 @@ def box_chunks(box: Box, chunk: int, dtype) -> Iterator[list[np.ndarray]]:
     """
     for cols, keep in _strata(box, dtype, 6, chunk):
         if keep.any():
-            yield [c[keep] for c in cols]
+            yield cols[:, keep]
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,7 +190,7 @@ class SubfieldSpec:
 
 def nu_generator(k: int) -> AlgElem:
     """The involution-fixed generator k*theta + (1+zeta3)*E - E^2."""
-    return STANDARD_ALGEBRA.element(LElem(0, k, 0), LElem(KElem(1, 1)), LElem(KElem(-1)))
+    return AlgElem.from_integral(STANDARD_ALGEBRA, (0, 0, k, 0, 0, 0, 1, 1, 0, 0, 0, 0, -1), 1)
 
 
 def subfield(kind: str, k: Optional[int] = None) -> SubfieldSpec:
@@ -200,7 +202,7 @@ def subfield(kind: str, k: Optional[int] = None) -> SubfieldSpec:
             raise ValueError("the nu subfield needs a positive integer k")
         return SubfieldSpec("nu", k, nu_generator(k), f"K(nu_{k})")
     if kind == "L":
-        return SubfieldSpec("L", None, STANDARD_ALGEBRA.from_l(THETA), "L")
+        return SubfieldSpec("L", None, AlgElem.from_integral(STANDARD_ALGEBRA, (0, 0, 1), 1), "L")
     raise ValueError(f"unknown subfield kind {kind!r}")
 
 
@@ -210,10 +212,10 @@ _UNIT_CHUNK = 32
 
 def _hilbert90_coords(u, gamma):
     """The rows u*v, v*u, X (18 coordinates each) and d with u * v^(-1) = X/d, v = involution(u),
-    as a (55, k) array for an (18, k) integer array u."""
-    v = a_involution_coords(u, gamma)
-    p = a_mul_coords(u, v, gamma)
-    return np.concatenate((p, a_mul_coords(v, u, gamma), a_quotient_coords(u, v, p, gamma)))
+    as a (55, k) array for an (18, k) integer array u; u*v and v*u are one product of side-by-side columns."""
+    v, k = a_involution_coords(u, gamma), u.shape[1]
+    p = a_mul_coords(np.concatenate((u, v), axis=1), np.concatenate((v, u), axis=1), gamma)
+    return np.concatenate((p[:, :k], p[:, k:], a_quotient_coords(u, v, p[:, :k], gamma)))
 
 
 def _hilbert90_batch(u: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -223,42 +225,38 @@ def _hilbert90_batch(u: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarray, np.n
     return (c[:18] == c[18:36]).all(axis=0), c[36:54], c[54]
 
 
-def _unit_norm_coords(x, gamma):
-    """x * involution(x), 18 coordinates."""
-    return a_mul_coords(x, a_involution_coords(x, gamma), gamma)
+def _non_unitary(x: np.ndarray, d: np.ndarray, gamma) -> np.ndarray:
+    """The indices i with X_i * involution(X_i) != d_i^2 (x_i = X_i/d_i not unitary) for the columns X_i of an
+    18 x m integer array, in one pass; X_i/d_i need not be in lowest terms, and d^2 is on Python integers."""
+    prod, d = a_mul_coords(x, a_involution_coords(x, gamma), gamma), d.astype(object)
+    return np.flatnonzero((prod[0] != d * d) | prod[1:].any(axis=0))
+
+
+def _columns(elements: Sequence[AlgElem]) -> tuple[np.ndarray, np.ndarray]:
+    """The elements as columns X_i/d_i: X (18 x m) int64 if every |value| is below 2^63, else object; d object."""
+    nums, dens = zip(*(x.integral() for x in elements))
+    top = max(abs(v) for row in nums for v in row)
+    return np.array(nums, dtype=np.int64 if top < 2**63 else object).T, np.array(dens, dtype=object)
 
 
 def first_non_unitary(elements: Sequence[AlgElem]) -> Optional[int]:
-    """The least index i with x_i * involution(x_i) != 1, or None.
-
-    With x = X/q, X integral, X * involution(X) = q^2 is decided for all
-    elements in one pass on integer arrays, q^2 on Python integers.
-    """
+    """The least index i with x_i * involution(x_i) != 1, or None: `_non_unitary` on the elements' integers."""
     if not elements:
         return None
     spec = elements[0].spec
     if any(x.spec != spec for x in elements):
         raise ValueError("elements live in algebras with different gamma")
     spec.require_involution()
-    gamma = spec.gamma_coords
-    nums, dens = zip(*(x.integral() for x in elements))
-    q = np.array(dens, dtype=object)
-    prod = _unit_norm_coords(_int_array(nums).T, gamma)
-    bad = np.flatnonzero((prod[0] != q * q) | prod[1:].any(axis=0))
+    bad = _non_unitary(*_columns(elements), spec.gamma_coords)
     return int(bad[0]) if len(bad) else None
 
 
-def _int_array(rows) -> np.ndarray:
-    """Rows of Python ints as one array: int64 if every |value| is below 2^63, else object."""
-    top = max((abs(v) for row in rows for v in row), default=0)
-    return np.array(rows, dtype=np.int64 if top < 2**63 else object)
-
-
-def _unit_matrices(units: Sequence[AlgElem]) -> np.ndarray:
-    """The `numeric_embeddings` M of units checked exactly (x * involution(x) = 1);
-    max|M M^dagger - I| > 1e-10 would be an embedding bug."""
-    assert first_non_unitary(units) is None, "unit postcondition failed"
-    m = numeric_embeddings(units)[0]
+def _unit_matrices(x: np.ndarray, d: np.ndarray, gamma) -> np.ndarray:
+    """The numeric matrices of the units X_i/d_i, columns of an 18 x m integer array, checked exactly first
+    (`_non_unitary`; AssertionError, under `python -O` too); max|M M^dagger - I| > 1e-10 would be an embedding bug."""
+    if len(_non_unitary(x, d, gamma)):
+        raise AssertionError("unit postcondition failed")
+    m = _embedded(x, d, gamma)[0]
     defect = np.max(np.abs(m @ m.conj().swapaxes(1, 2) - np.eye(3)), initial=0.0)
     assert defect <= 1e-10, f"numeric unitarity defect {defect}"
     return m
@@ -274,7 +272,7 @@ def hilbert90_unit(u: AlgElem) -> AlgElem:
     Requires u nonzero and u commuting with involution(u); a failed commute
     check raises PreconditionError (a ValueError), while the algebra's
     InvolutionUnavailable passes through.  The exact postcondition
-    x * involution(x) = 1 is asserted.
+    x * involution(x) = 1 is checked on X/d by `_unit_matrices`.
     """
     if u.is_zero():
         raise ValueError("u must be nonzero")
@@ -284,44 +282,46 @@ def hilbert90_unit(u: AlgElem) -> AlgElem:
         raise PreconditionError("precondition failed: u does not commute with involution(u)")
     if d[0] == 0:
         raise InversionError("nonzero element with zero reduced norm; gamma does not give a division algebra")
-    unit = AlgElem.from_integral(u.spec, x[:, 0].tolist(), d[0])
-    _unit_matrices([unit])
-    return unit
+    _unit_matrices(x, d, u.spec.gamma_coords)
+    return AlgElem.from_integral(u.spec, x[:, 0].tolist(), d[0])
 
 
-def numeric_embeddings(elements: Sequence[AlgElem]) -> tuple[np.ndarray, np.ndarray]:
-    """Float matrices F of matrix_embed(x) at embedding 0, shape (n, 3, 3), and W.
-
-    F is `LElem.to_complex(0)` of each entry bit for bit: `a_embed_coords`'s
-    integers divided correctly rounded, in that method's operation order.
-    The embedding takes its float tier on coordinates within the table's
-    float limit and Python integers otherwise; entries and denominators
-    below 2^53 are divided in float64, the rest in Python (OverflowError
-    past float range).
-    W, which bounds the error in `min_det_report`, sums (|a_m| + |b_m|)|theta|^m
-    over the float a_m + b_m*zeta3.
-    """
-    pairs = [x.integral() for x in elements]
-    gammas = [x.spec.gamma_coords for x in elements]
-    c = np.empty((54, len(elements)))
-    for gamma in set(gammas):
-        cols = [i for i, g in enumerate(gammas) if g == gamma]
-        nums, dens = zip(*(pairs[i] for i in cols))
-        entries = a_embed_coords(_int_array(nums).T, gamma)
-        dtype = float if max(abs(entries).max(), *dens) < 2**53 else object  # both divide correctly rounded
-        c[:, cols] = entries.astype(dtype) / np.array(dens, dtype=dtype)
-    c = c.T.reshape(-1, 3, 3, 6).copy()
+def _embedded(x: np.ndarray, d: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """F and W of `numeric_embeddings` for the elements X_i/d_i, columns of an 18 x m integer array, not
+    necessarily in lowest terms: `a_embed_coords`'s entries below 2^53 are divided by d in float64, the rest on
+    Python integers (OverflowError past float range), both correctly rounded, so the floats are the same."""
+    e = a_embed_coords(x, gamma)
+    dtype = float if max(abs(e).max(initial=0), abs(d).max(initial=0)) < 2**53 else object
+    # per entry, in C order: the K coefficients of 1, t and t*t, each as its two coordinates
+    c = np.ascontiguousarray((e.astype(dtype) / d.astype(dtype)).T, dtype=float).reshape(-1, 3, 3, 3, 2)
     t, z = THETA_EMBEDDINGS[0], ZETA3_COMPLEX
     mul = lambda ar, ai, br, bi: (ar * br - ai * bi, ar * bi + ai * br)  # CPython's complex product
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as CPython makes them, silently
-        # KElem.to_complex: complex(a) + complex(b) * zeta3, for the coefficients of 1, t and t*t
-        zb = [mul(c[..., m + 1], 0.0, z.real, z.imag) for m in (0, 2, 4)]
-        k = [(c[..., m] + re, 0.0 + im) for m, (re, im) in zip((0, 2, 4), zb)]
+        # KElem.to_complex: complex(a) + complex(b) * zeta3, for the three coefficients at once
+        re, im = mul(c[..., 1], 0.0, z.real, z.imag)
+        k = (c[..., 0] + re, 0.0 + im)
         # LElem.to_complex: k0 + k1 * t + k2 * (t * t)
-        p1, p2 = mul(*k[1], t, 0.0), mul(*k[2], t * t, 0.0)
-        values = np.stack([k[0][0] + p1[0] + p2[0], k[0][1] + p1[1] + p2[1]], axis=-1).view(complex)[..., 0]
-        a = np.abs(c)
-        sizes = a[..., 0] + a[..., 1] + (a[..., 2] + a[..., 3]) * abs(t) + (a[..., 4] + a[..., 5]) * (t * t)
+        p = mul(k[0][..., 1:], k[1][..., 1:], np.array([t, t * t]), 0.0)
+        parts = [k[i][..., 0] + p[i][..., 0] + p[i][..., 1] for i in (0, 1)]
+        values = np.stack(parts, axis=-1).view(complex)[..., 0]
+        s = np.abs(c).sum(axis=-1)
+        sizes = s[..., 0] + s[..., 1] * abs(t) + s[..., 2] * (t * t)
+    return values, sizes
+
+
+def numeric_embeddings(elements: Sequence[AlgElem]) -> tuple[np.ndarray, np.ndarray]:
+    """Float matrices F of matrix_embed(x) at embedding 0, shape (n, 3, 3), and W (`_embedded`).
+
+    F is `LElem.to_complex(0)` of each entry bit for bit: `a_embed_coords`'s
+    integers divided correctly rounded, in that method's operation order.
+    W, which bounds the error in `min_det_report`, sums (|a_m| + |b_m|)|theta|^m
+    over the float a_m + b_m*zeta3.
+    """
+    gammas = [x.spec.gamma_coords for x in elements]
+    values, sizes = np.empty((len(elements), 3, 3), dtype=complex), np.empty((len(elements), 3, 3))
+    for gamma in set(gammas):
+        cols = [i for i, g in enumerate(gammas) if g == gamma]
+        values[cols], sizes[cols] = _embedded(*_columns([elements[i] for i in cols]), gamma)
     return values, sizes
 
 
@@ -347,14 +347,14 @@ def subfield_candidates(sub: SubfieldSpec, box: Box) -> Iterator[np.ndarray]:
 
     The tuple c becomes the column (Q*c) @ sub.matrix, a positive integer
     multiple of the element c, Q = `box.scale`.  The dtype is int64 if
-    `sizes`, which bound every partial sum of that product, stay below 2^63,
+    `size`, which bounds every partial sum of that product, stays below 2^63,
     object otherwise.
     """
     m = sub.matrix
-    sizes = tuple(box.numerator_bound * box.scale * sum(map(abs, col)) for col in zip(*m))
-    basis = np.array(m, dtype=np.int64 if max(sizes) < 2**63 else object).T
+    size = box.numerator_bound * box.scale * max(sum(map(abs, col)) for col in zip(*m))
+    basis = np.array(m, dtype=np.int64 if size < 2**63 else object).T
     for chunk in box_chunks(box, _UNIT_CHUNK, basis.dtype):
-        yield basis @ np.array(chunk)
+        yield basis @ chunk
 
 
 def generate_codebook(sub: SubfieldSpec, box: Box, size: int) -> Codebook:
@@ -366,35 +366,42 @@ def generate_codebook(sub: SubfieldSpec, box: Box, size: int) -> Codebook:
     each chunk keeps the enumeration order: candidates failing the commute
     check are counted in `precondition_failures`, each unit X/d becomes an
     AlgElem (in lowest terms, so equal units are equal keys) deduplicated on
-    itself, and the walk stops at the candidate completing `size` units,
-    checked exactly in one batch (x * involution(x) = 1) and rendered.  If
-    the box runs out first, the codebook is returned with complete=False.
+    itself, and the walk stops at the candidate completing `size` units.
+    The units are checked exactly in one batch and rendered from the chunk
+    columns X/d that first gave them (`_unit_matrices`).  If the box runs
+    out first, the codebook is returned with complete=False.
     """
     if size < 1:
         raise ValueError("size must be at least 1")
     spec = sub.generator.spec
     seen: dict[AlgElem, None] = {}
+    xs, ds = [], []  # per chunk, the columns X and d that first gave a unit
     failures = scanned = 0
     for u in subfield_candidates(sub, box):
         commute, x, d = _hilbert90_batch(u, spec.gamma_coords)
-        for ok, num, den in zip(commute.tolist(), x.T.tolist(), d.tolist()):
+        fresh = []
+        for i, (ok, num, den) in enumerate(zip(commute.tolist(), x.T.tolist(), d.tolist())):
             scanned += 1
             if not ok:
                 failures += 1
                 continue
-            seen[AlgElem.from_integral(spec, num, den)] = None
+            unit = AlgElem.from_integral(spec, num, den)
+            if unit not in seen:
+                seen[unit] = None
+                fresh.append(i)
             if len(seen) == size:
                 break
+        xs.append(x[:, fresh])
+        ds.append(d[fresh])
         if len(seen) == size:
             break
-    elements = list(seen)
     return Codebook(
         subfield_spec=sub,
         box=box,
         requested=size,
-        elements=elements,
-        matrices=_unit_matrices(elements),
-        complete=len(elements) == size,
+        elements=list(seen),
+        matrices=_unit_matrices(np.concatenate(xs, axis=1), np.concatenate(ds), spec.gamma_coords),
+        complete=len(seen) == size,
         precondition_failures=failures,
         candidates_scanned=scanned,
     )
@@ -631,7 +638,8 @@ def norm_witness_search(target: KElem, box: Box) -> Optional[LElem]:
             if len(hits):
                 dy, x = divmod(int(hits[0]), len(top))
                 a = [int(c[i]) for i in (x, y + dy) for c in half]
-                assert list(l_norm_coords(a)) == goal, "integer norm disagrees with the split"
+                if list(l_norm_coords(a)) != goal:
+                    raise AssertionError("integer norm disagrees with the split")
                 return LElem.from_six_tuple([Fraction(v, q) for v in a])
 
 
@@ -719,9 +727,11 @@ def subfield_table_row(k: int) -> TableRow:
         raise ValueError("k must be between 1 and 5")
     chi = char_poly_rational(nu_generator(k))
     poly = reduce_generator_poly(chi)
-    assert has_rational_root(poly) is None, "reduced polynomial must be irreducible"
+    if has_rational_root(poly) is not None:
+        raise AssertionError("reduced polynomial must be irreducible")
     disc = discriminant_cubic(poly)
-    assert disc.denominator == 1 and disc > 0
+    if disc.denominator != 1 or disc <= 0:
+        raise AssertionError(f"discriminant must be a positive integer, got {disc}")
     head = "theta" if k == 1 else f"{k}*theta"
     return TableRow(
         k=k,

@@ -33,7 +33,6 @@ from unidiv.algebra import (
     a_char_coords,
     a_involution_coords,
     a_mul_coords,
-    a_nrd_coords,
     char_poly_rational,
     from_zeta9,
     inverse,
@@ -550,7 +549,6 @@ def test_closed_forms_on_integer_arrays():
         got = {
             "mul": a_mul_coords(x, y, g),
             "involution": a_involution_coords(x, g),
-            "nrd": a_nrd_coords(x, g),
             "char": a_char_coords(x, g),
         }
         for i, (r, r2) in enumerate(zip(rows, rows2)):
@@ -558,7 +556,6 @@ def test_closed_forms_on_integer_arrays():
             want = {
                 "mul": a_mul_coords(fr, fr2, g),
                 "involution": a_involution_coords(fr, g),
-                "nrd": a_nrd_coords(fr, g),
                 "char": a_char_coords(fr, g),
             }
             for name, values in got.items():
@@ -570,7 +567,6 @@ TABULATED = {
     "a_mul_coords": (18, 18),
     "a_embed_coords": (18,),
     "a_involution_coords": (18,),
-    "a_nrd_coords": (18,),
     "a_char_coords": (18,),
     "_a_quotient_from": (18, 18, 18, 2, 2, 2),
 }
@@ -579,8 +575,7 @@ OUTPUTS = {
     "a_mul_coords": 18,
     "a_embed_coords": 54,
     "a_involution_coords": 18,
-    "a_nrd_coords": 2,
-    "a_char_coords": 4,
+    "a_char_coords": 6,
     "_a_quotient_from": 19,
 }
 TABLE_GAMMAS = {"zeta3": (0, 1), "-zeta3^2": (1, 1), "3/2-zeta3": (Fraction(3, 2), -1)}
@@ -754,10 +749,13 @@ def test_elements_of_mixed_sign_past_2_63_stay_exact():
 
 
 def test_nrd_and_char_closed_forms_match_elements():
+    # t, s and Nrd, the six outputs of the one chi table, against the elements' polynomial and the
+    # trace, minors and determinant of the embedded matrix over L on Fractions
     rng = random.Random(53)
     for _ in range(20):
         x = rand_alg(rng, num=6, den=4)
-        ts = a_char_coords(flat(x), (0, 1))
-        chi = reduced_char_poly(x)
-        assert KElem(*a_nrd_coords(flat(x), (0, 1))) == reduced_norm(x) == -chi.coeffs[0]
-        assert (KElem(*ts[:2]), KElem(*ts[2:])) == (-chi.coeffs[2], chi.coeffs[1])
+        chi = a_char_coords(flat(x), (0, 1))
+        want = char_poly_oracle(x)
+        assert KElem(*chi[4:]) == reduced_norm(x) == -want.coeffs[0] == -reduced_char_poly(x).coeffs[0]
+        assert (KElem(*chi[:2]), KElem(*chi[2:4])) == (-want.coeffs[2], want.coeffs[1])
+        assert reduced_char_poly(x) == want

@@ -1,7 +1,10 @@
 import functools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -48,12 +51,14 @@ from unidiv.codebook import (
     _DET_ERROR,
     _NORM_MASS,
     _charpoly3,
+    _columns,
     _hilbert90_batch,
     _hilbert90_coords,
+    _non_unitary,
     _norm_halves,
     _norm_split,
     _numeric_pair_dets,
-    _unit_norm_coords,
+    _unit_matrices,
     _witness_strata,
     Box,
     DiversityReport,
@@ -291,6 +296,18 @@ def test_nu_generators_are_involution_fixed():
         assert involution(nu) == nu
 
 
+def test_integer_constructors_match_lelem_constructors():
+    # the generators and constants built from their integer coordinates, against the LElem-built values
+    for k in range(1, 6):
+        assert nu_generator(k) == A.element(LElem(0, k, 0), LElem(KElem(1, 1)), LElem(KElem(-1)))
+    assert subfield("L").generator == A.from_l(THETA)
+    for spec in (A, AlgebraSpec(ZETA3 * ZETA3), AlgebraSpec(KElem(2, 1))):
+        assert spec.zero() == AlgElem(spec, LElem(0), LElem(0), LElem(0))
+        assert spec.one() == AlgElem(spec, LElem(1), LElem(0), LElem(0))
+        assert spec.gen() == AlgElem(spec, LElem(0), LElem(1), LElem(0))
+        assert spec.zero().is_zero() and spec.one().is_in_k() and not spec.gen().is_in_k()
+
+
 def test_hilbert90_worked_example():
     w = worked_example()
     x = hilbert90_unit(w.x)
@@ -511,6 +528,11 @@ def test_hilbert90_bound_holds_on_chunks(kind, k, box):
         assert _hilbert90_coords(u, gamma).tolist() == _hilbert90_coords(u.astype(object), gamma).tolist()
 
 
+def unit_norm_coords(x, gamma):
+    """x * involution(x), 18 coordinates: the product that the unit check compares with d^2."""
+    return unidiv.codebook.a_mul_coords(x, unidiv.codebook.a_involution_coords(x, gamma), gamma)
+
+
 class Recorded(int):
     """An integer that records the largest |value| of every sum and product it makes."""
 
@@ -557,10 +579,10 @@ def test_unit_norm_bound_covers_every_product_and_partial_sum(kind, k, box, size
     nums, dens = zip(*(x.integral() for x in units))
     for num, q in zip(nums, dens):
         Recorded.peak = 0
-        prod = _unit_norm_coords([Recorded(v) for v in num], (0, 1))
+        prod = unit_norm_coords([Recorded(v) for v in num], (0, 1))
         assert Recorded.peak > 0
         assert [int(v) for v in prod] == [q * q] + [0] * 17
-    prod = _unit_norm_coords(np.array(nums, dtype=np.int64).T, (0, 1))
+    prod = unit_norm_coords(np.array(nums, dtype=np.int64).T, (0, 1))
     assert prod.tolist() == [[q * q for q in dens]] + [[0] * len(units)] * 17
 
 
@@ -569,7 +591,7 @@ def test_unitarity_bound_holds_on_units():
     units += generate_codebook(subfield("zeta9"), Box(2, 1), 200).elements
     for x in units:
         num, q = x.integral()
-        assert list(_unit_norm_coords(num, (0, 1))) == [q * q] + [0] * 17
+        assert list(unit_norm_coords(num, (0, 1))) == [q * q] + [0] * 17
 
 
 def test_first_non_unitary_names_the_least_index():
@@ -588,6 +610,97 @@ def test_first_non_unitary_compares_q_squared_exactly():
     q = 2**63 - 1
     assert (q * q) % 2**64 == 1
     assert first_non_unitary([ONE.scale(Fraction(1, q))]) == 0
+
+
+def unit_columns(units, m: int) -> tuple:
+    """The units' integers and denominators both times m, unreduced columns as generate_codebook passes them."""
+    x, d = _columns(units)
+    x = x.astype(object) * m
+    return x.astype(np.int64 if np.abs(x).max() < 2**63 else object), d * m
+
+
+def test_unit_matrices_on_unreduced_columns_match_numeric_embeddings_bitwise():
+    units = generate_codebook(subfield("nu", 1), Box(1, 1), 12).elements
+    units += generate_codebook(subfield("L"), Box(1, 2), 40).elements[-6:]
+    units += generate_codebook(subfield("zeta9"), Box(1, 13), 20).elements[-4:]  # entries on Python integers
+    want = numeric_embeddings(units)[0]
+    assert same_bits(want, [matl_to_complex(matrix_embed_oracle(x)) for x in units])
+    gamma = A.gamma_coords
+    limit = unidiv.algebra._table(unidiv.algebra.a_mul_coords.__wrapped__, (18, 18), gamma)[-1]
+    for m in (1, 2, 3, 2**40, 3**40):
+        x, d = unit_columns(units, m)
+        assert x.dtype == (object if m == 3**40 else np.int64)
+        # 2^40: int64 past the product's float limit, so the unit check runs on Python integers;
+        # 3^40: past int64 and 2^53, so the entries are divided in Python, where float64 would round twice
+        assert (np.abs(x).max() > limit) == (m >= 2**40) and (d.max() >= 2**53) == (m == 3**40)
+        assert not len(_non_unitary(x, d, gamma))
+        assert same_bits(_unit_matrices(x, d, gamma), want)
+
+
+def test_column_unit_check_agrees_with_first_non_unitary():
+    units = list(generate_codebook(subfield("nu", 2), Box(1, 1), 10).elements)
+    units[6] = units[6] + ONE
+    assert first_non_unitary(units) == 6
+    for m in (1, 3, 2**40):
+        x, d = unit_columns(units, m)
+        assert _non_unitary(x, d, A.gamma_coords).tolist() == [6]
+        with pytest.raises(AssertionError, match="unit postcondition failed"):
+            _unit_matrices(x, d, A.gamma_coords)
+    x, d = unit_columns(units[:6] + units[7:], 2)
+    assert not len(_non_unitary(x, d, A.gamma_coords)) and first_non_unitary(units[:6] + units[7:]) is None
+
+
+# Under `python -O`, which strips assert statements: each exact check broken by one patch, and its message.
+OPTIMIZED_CHECKS = """
+import sys
+from fractions import Fraction
+from unittest import mock
+import unidiv.algebra as algebra
+import unidiv.codebook as codebook
+from unidiv.fields import KElem
+assert sys.flags.optimize and not __debug__
+A = algebra.STANDARD_ALGEBRA
+involution, quotient = codebook.a_involution_coords, algebra.a_quotient_coords
+wrong = codebook._norm_split(object).copy()
+wrong[0, -1, -1] += 1  # a constant 1 in the norm's first output: u = 1 reads norm 2
+doubled = lambda *a: tuple(2 * v for v in quotient(*a)[:18]) + quotient(*a)[18:]  # y = 2/x, so x*y = 2
+cases = [
+    # involution doubled: the quotient gives x/2 for u = E, whose product with its image is 1/2
+    (mock.patch.object(codebook, "a_involution_coords", lambda x, g: involution(x, g) * 2),
+     lambda: codebook.hilbert90_unit(A.gen())),
+    (mock.patch.object(codebook, "_norm_split", lambda dtype: wrong.astype(dtype)),
+     lambda: codebook.norm_witness_search(KElem(2), codebook.Box(1, 1))),
+    (mock.patch.object(algebra, "a_quotient_coords", doubled), lambda: algebra.inverse(A.gen())),
+    (mock.patch.object(codebook, "has_rational_root", lambda poly: Fraction(1)),
+     lambda: codebook.subfield_table_row(1)),
+    (mock.patch.object(codebook, "discriminant_cubic", lambda poly: Fraction(-1)),
+     lambda: codebook.subfield_table_row(1)),
+]
+for patch, call in cases:
+    codebook._witness_strata.cache_clear()
+    with patch:
+        try:
+            call()
+        except AssertionError as e:
+            print(e)
+        else:
+            print("no AssertionError")
+"""
+
+
+def test_exact_checks_raise_under_python_optimize():
+    # the unit postcondition, the witness hit confirmation, inverse's postcondition and table1's two checks
+    src = str(Path(unidiv.codebook.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "unit postcondition failed",
+        "integer norm disagrees with the split",
+        "inverse postcondition failed",
+        "reduced polynomial must be irreducible",
+        "discriminant must be a positive integer, got -1",
+    ]
 
 
 def test_first_non_unitary_matches_exact_product():
