@@ -308,11 +308,8 @@ def involution(x: AlgElem) -> AlgElem:
 
 
 def reduced_char_poly(x: AlgElem) -> Polynomial:
-    """Monic characteristic polynomial X^3 - t*X^2 + s*X - Nrd(x) of the embedded matrix, over KElem.
-
-    t is the matrix trace and s the sum of its principal 2x2 minors; all
-    three come from one `a_char_coords` call, and each lies in K by construction.
-    """
+    """Monic characteristic polynomial X^3 - t*X^2 + s*X - Nrd(x) of the embedded matrix, over KElem: t is
+    its trace and s the sum of its principal 2x2 minors, all three from one `a_char_coords` call."""
     a, q = x.integral()
     t0, t1, s0, s1, n0, n1 = a_char_coords(a, x.spec.gamma_coords)
     return Polynomial([KElem(Fraction(-n0, q**3), Fraction(-n1, q**3)), KElem(Fraction(s0, q * q), Fraction(s1, q * q)),
@@ -517,7 +514,15 @@ def _tabulated(body):
             x = np.concatenate(args)
             fits = x.dtype == np.int64 and -limit <= x.min(initial=0) and x.max(initial=0) <= limit
         x = np.asarray(x, dtype=float if fits else object)
-        mono = np.concatenate([functools.reduce(np.multiply, x.take(m, axis=0)) for m in monomials])
+        # one work array, the monomials then one gathered row: no other allocation grows with the batch
+        n = dense.shape[1]
+        work = np.empty((n + max(m.shape[1] for m in monomials), *x.shape[1:]), dtype=x.dtype)
+        mono, row, start = work[:n], work[n:], 0
+        for m in monomials:
+            out = x.take(m[0], axis=0, out=mono[start:start + m.shape[1]], mode="clip")
+            for i in m[1:]:
+                np.multiply(out, x.take(i, axis=0, out=row[:len(i)], mode="clip"), out=out)
+            start += m.shape[1]
         if fits:
             out = (dense @ mono).astype(np.int64)
         else:

@@ -21,11 +21,10 @@ from its monomial table in a few array operations, returning one
 (outputs, k) array of rows that the next takes whole, on one of two exact
 tiers: float64 on int64 inputs within the table's float limit, Python
 integers (object arrays) on everything else.  `_embedded` is the one float
-evaluation of the embedding, so every numeric matrix (codebooks, `embed`,
+evaluation of the embedding: every numeric matrix (codebooks, `embed`,
 `verify`, the diversity screen) is bit-identical to `LElem.to_complex` of
-the reduced element: integers divided correctly rounded.
-`algebra._expand3`, the one 3x3 cofactor expansion, runs on these floats
-and on the generator table's integers.
+the reduced element.  `algebra._expand3`, the one 3x3 cofactor expansion,
+runs on these floats and on the generator table's integers.
 
 Stability under the involution is one commute check: in a division
 algebra of prime degree 3, any g outside the center K generates a maximal
@@ -271,8 +270,7 @@ def hilbert90_unit(u: AlgElem) -> AlgElem:
 
     Requires u nonzero and u commuting with involution(u); a failed commute
     check raises PreconditionError (a ValueError), while the algebra's
-    InvolutionUnavailable passes through.  The exact postcondition
-    x * involution(x) = 1 is checked on X/d by `_unit_matrices`.
+    InvolutionUnavailable passes through.  `_unit_matrices` checks x * involution(x) = 1 on X/d.
     """
     if u.is_zero():
         raise ValueError("u must be nonzero")
@@ -310,13 +308,9 @@ def _embedded(x: np.ndarray, d: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarr
 
 
 def numeric_embeddings(elements: Sequence[AlgElem]) -> tuple[np.ndarray, np.ndarray]:
-    """Float matrices F of matrix_embed(x) at embedding 0, shape (n, 3, 3), and W (`_embedded`).
-
-    F is `LElem.to_complex(0)` of each entry bit for bit: `a_embed_coords`'s
-    integers divided correctly rounded, in that method's operation order.
-    W, which bounds the error in `min_det_report`, sums (|a_m| + |b_m|)|theta|^m
-    over the float a_m + b_m*zeta3.
-    """
+    """Float matrices F of matrix_embed(x) at embedding 0, shape (n, 3, 3), and W, from `_embedded`: F is
+    `LElem.to_complex(0)` of each entry bit for bit, and W, which bounds the error in `min_det_report`, sums
+    (|a_m| + |b_m|)|theta|^m over the float a_m + b_m*zeta3."""
     gammas = [x.spec.gamma_coords for x in elements]
     values, sizes = np.empty((len(elements), 3, 3), dtype=complex), np.empty((len(elements), 3, 3))
     for gamma in set(gammas):

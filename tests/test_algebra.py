@@ -3,6 +3,7 @@ import functools
 import inspect
 import operator
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -703,6 +704,27 @@ def test_float_tier_matches_int64_object_and_body(name, gamma, data):
         assert type(out) is tuple and list(out) == want[:, j].tolist() == list(form.__wrapped__(*c, gamma))
         assert all(type(v) is int for v in out) or limit < 0
         assert list(zeroed[1][j]) == ([0] * len(out) if within(c) else list(out))
+
+
+@pytest.mark.parametrize("name", TABULATED)
+def test_float_tier_allocates_one_work_array_per_call(name):
+    # the monomials are formed in one work array, (monomials + the largest degree group) x width, and nothing
+    # else the float tier allocates grows with the width past its inputs and outputs, so a call frees one large
+    # block: several freed at the top of the heap would let the allocator return it to the system every call
+    form, sizes = getattr(unidiv.algebra, name), TABULATED[name]
+    monomials, dense, _, _ = table(name, (0, 1))
+    width = 64
+    args = [np.ones((n, width), dtype=np.int64) for n in sizes]
+    form(*args, (0, 1))
+    tracemalloc.start()
+    try:
+        assert form(*args, (0, 1)).dtype == np.int64
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    work = (dense.shape[1] + max(m.shape[1] for m in monomials)) * width * 8
+    inputs, outputs = 2 * sum(sizes) * width * 8, 2 * dense.shape[0] * width * 8
+    assert work <= peak <= work + inputs + outputs + 16384
 
 
 def test_outputs_without_terms_are_zero_on_both_tiers():
