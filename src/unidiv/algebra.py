@@ -339,8 +339,8 @@ def inverse(x: AlgElem) -> AlgElem:
 
     The exact postcondition x*y = 1 raises AssertionError, under `python -O`
     too.  It is one-sided on purpose: in a finite-dimensional algebra a right
-    inverse is also a left inverse (left multiplication by x is onto, as x*(y*a)
-    = a, hence injective, and x*(y*x - 1) = 0), so checking y*x = 1 adds nothing.
+    inverse is also a left inverse (left multiplication by x is onto, as
+    x*(y*a) = a, hence injective, and x*(y*x - 1) = 0), so y*x = 1 adds nothing.
     """
     if x.is_zero():
         raise ZeroDivisionError("zero element of the algebra")
@@ -514,7 +514,8 @@ def _tabulated(body):
             x = np.concatenate(args)
             fits = x.dtype == np.int64 and -limit <= x.min(initial=0) and x.max(initial=0) <= limit
         x = np.asarray(x, dtype=float if fits else object)
-        # one work array, the monomials then one gathered row: no other allocation grows with the batch
+        # one work array, the monomials then one gathered row, and no other allocation that grows with the batch:
+        # blocks freed together at the top of the heap are returned to the system and faulted back in next call
         n = dense.shape[1]
         work = np.empty((n + max(m.shape[1] for m in monomials), *x.shape[1:]), dtype=x.dtype)
         mono, row, start = work[:n], work[n:], 0
