@@ -622,7 +622,7 @@ def unit_columns(units, m: int) -> tuple:
 def test_unit_matrices_on_unreduced_columns_match_numeric_embeddings_bitwise():
     units = generate_codebook(subfield("nu", 1), Box(1, 1), 12).elements
     units += generate_codebook(subfield("L"), Box(1, 2), 40).elements[-6:]
-    units += generate_codebook(subfield("zeta9"), Box(1, 13), 20).elements[-4:]  # entries on Python integers
+    units += generate_codebook(subfield("zeta9"), Box(1, 13), 20).elements[-4:]
     want = numeric_embeddings(units)[0]
     assert same_bits(want, [matl_to_complex(matrix_embed_oracle(x)) for x in units])
     gamma = A.gamma_coords
@@ -658,7 +658,8 @@ from unittest import mock
 import unidiv.algebra as algebra
 import unidiv.codebook as codebook
 from unidiv.fields import KElem
-assert sys.flags.optimize and not __debug__
+if not sys.flags.optimize or __debug__:
+    raise SystemExit("not running under python -O")
 A = algebra.STANDARD_ALGEBRA
 involution, quotient = codebook.a_involution_coords, algebra.a_quotient_coords
 wrong = codebook._norm_split(object).copy()
@@ -692,7 +693,8 @@ def test_exact_checks_raise_under_python_optimize():
     # the unit postcondition, the witness hit confirmation, inverse's postcondition and table1's two checks
     src = str(Path(unidiv.codebook.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    run = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS], capture_output=True, text=True, env=env)
+    run = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS], capture_output=True, text=True, env=env,
+                         timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == [
         "unit postcondition failed",
