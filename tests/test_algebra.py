@@ -578,7 +578,11 @@ OUTPUTS = {
     "a_involution_coords": 18,
     "a_char_coords": 6,
     "_a_quotient_from": 19,
+    "a_nrd_coords": 2,
 }
+# Outputs tested on their own as rows of a tabulated form: Nrd is the last two outputs of the chi table.
+ROWS = {"a_nrd_coords": ("a_char_coords", slice(4, 6))}
+CASES = [*TABULATED, *ROWS]
 TABLE_GAMMAS = {"zeta3": (0, 1), "-zeta3^2": (1, 1), "3/2-zeta3": (Fraction(3, 2), -1)}
 
 
@@ -592,15 +596,30 @@ def assert_same_output(got, want):
     assert [np.asarray(v).tolist() for v in leaves(got)] == [np.asarray(v).tolist() for v in leaves(want)]
 
 
+def form_of(name):
+    """The tabulated form `name`, or the rows of one that ROWS names, with its body as `__wrapped__`."""
+    if name not in ROWS:
+        return getattr(unidiv.algebra, name)
+    whole, rows = ROWS[name]
+    form = getattr(unidiv.algebra, whole)
+    view = lambda *args: form(*args)[rows]
+    view.__wrapped__ = lambda *args: form.__wrapped__(*args)[rows]
+    return view
+
+
+def sizes_of(name) -> tuple:
+    return TABULATED[ROWS[name][0] if name in ROWS else name]
+
+
 def test_tabulated_forms_are_all_listed():
     forms = {n for n, f in vars(unidiv.algebra).items() if inspect.isfunction(f) and hasattr(f, "__wrapped__")}
     assert forms == set(TABULATED)
 
 
 @pytest.mark.parametrize("gamma", TABLE_GAMMAS.values(), ids=TABLE_GAMMAS.keys())
-@pytest.mark.parametrize("name", TABULATED)
+@pytest.mark.parametrize("name", CASES)
 def test_tables_match_closed_form_bodies(name, gamma):
-    form, sizes, outputs = getattr(unidiv.algebra, name), TABULATED[name], OUTPUTS[name]
+    form, sizes, outputs = form_of(name), sizes_of(name), OUTPUTS[name]
     body = form.__wrapped__
     rng = random.Random(59)
     big = 10**30
@@ -621,7 +640,7 @@ def test_tables_match_closed_form_bodies(name, gamma):
     if any(isinstance(c, Fraction) for c in gamma):
         # a non-integral gamma puts Fractions into the table, so it runs on objects
         if name != "_a_quotient_from":  # the one form that does not read gamma
-            _, _, (_, _, coefs, _, _), limit = unidiv.algebra._table(body, sizes, gamma)
+            _, _, (_, _, coefs, _, _), limit = table(name, gamma)
             assert limit == -1 and any(type(c) is not int for c in coefs)
         return
     # int64 inputs up to the int64 limit, far past the float limit: exact object rows, no overflow
@@ -635,7 +654,11 @@ def test_tables_match_closed_form_bodies(name, gamma):
 
 
 def table(name, gamma) -> tuple:
-    return unidiv.algebra._table(getattr(unidiv.algebra, name).__wrapped__, TABULATED[name], gamma)
+    """The table of a tabulated form; for rows of one, its matrix cut to those rows."""
+    whole, rows = ROWS.get(name, (name, slice(None)))
+    monomials, dense, sparse, limit = unidiv.algebra._table(getattr(unidiv.algebra, whole).__wrapped__,
+                                                            TABULATED[whole], gamma)
+    return monomials, dense[rows], sparse, limit
 
 
 @contextlib.contextmanager
@@ -659,7 +682,7 @@ def float_tier_formula(name, gamma):
 
 
 @pytest.mark.parametrize("gamma", TABLE_GAMMAS.values(), ids=TABLE_GAMMAS.keys())
-@pytest.mark.parametrize("name", TABULATED)
+@pytest.mark.parametrize("name", CASES)
 def test_float_limit_bounds_the_float_tier_tightly(name, gamma):
     _, dense, (_, _, coefs, _, _), limit = table(name, gamma)
     if any(type(c) is not int for c in coefs):
@@ -667,16 +690,16 @@ def test_float_limit_bounds_the_float_tier_tightly(name, gamma):
         return
     assert dense.shape[0] == OUTPUTS[name] and dense.nbytes < 50_000
     # every monomial's partial products, coefficient products and sums in any order, on inputs |v| <= T
-    formula, n = float_tier_formula(name, gamma), sum(TABULATED[name])
+    formula, n = float_tier_formula(name, gamma), sum(sizes_of(name))
     assert magnitude_peak(formula, (limit,) * n, gamma) < 2**53 <= magnitude_peak(formula, (limit + 1,) * n, gamma)
 
 
 @pytest.mark.parametrize("gamma", TABLE_GAMMAS.values(), ids=TABLE_GAMMAS.keys())
-@pytest.mark.parametrize("name", TABULATED)
+@pytest.mark.parametrize("name", CASES)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_float_tier_matches_int64_object_and_body(name, gamma, data):
-    form, sizes, limit = getattr(unidiv.algebra, name), TABULATED[name], table(name, gamma)[-1]
+    form, sizes, limit = form_of(name), sizes_of(name), table(name, gamma)[-1]
     top = limit if limit >= 0 else 2**20  # no float tier: values of any size
     width = data.draw(st.integers(1, 3), label="width")
     value = st.one_of(st.sampled_from([top, -top]), st.integers(-top, top))
@@ -752,10 +775,10 @@ MIXED_PAST_2_63 = (-1, 2**63, 2**64 - 1, 2**63 + 1, 1)  # NumPy makes float64 of
 
 
 @pytest.mark.parametrize("gamma", TABLE_GAMMAS.values(), ids=TABLE_GAMMAS.keys())
-@pytest.mark.parametrize("name", TABULATED)
+@pytest.mark.parametrize("name", CASES)
 def test_python_ints_of_mixed_sign_past_2_63_stay_exact(name, gamma):
     assert np.array(MIXED_PAST_2_63).dtype == float
-    form, sizes = getattr(unidiv.algebra, name), TABULATED[name]
+    form, sizes = form_of(name), sizes_of(name)
     args = [tuple(MIXED_PAST_2_63[(i + j) % 5] for j in range(n)) for i, n in enumerate(sizes)]
     got = form(*args, gamma)
     assert type(got) is tuple and all(type(v) in (int, Fraction) for v in got)
