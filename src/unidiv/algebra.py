@@ -11,8 +11,9 @@ involution, the embedding, chi (t, s and Nrd in one table, read by
 `reduced_char_poly`, `reduced_norm` and the quotient) and the quotient
 u * v^(-1) exist once, as closed forms on the 18 rational coordinates at
 the end of this module, each evaluated from a monomial table traced from
-it once per gamma.  Constants are built from their integer coordinates.
-Everything is immutable and pure; an AlgebraSpec can be shared read-only.
+it once per gamma; one more table joins x * involution(x) and the
+embedding, traced from those bodies.  Constants are built from their integer
+coordinates.  Everything is immutable and pure; an AlgebraSpec can be shared read-only.
 """
 
 from __future__ import annotations
@@ -582,6 +583,14 @@ def a_involution_coords(x, gamma) -> tuple:
     g = (gamma[0] - gamma[1], -gamma[1])
     c0, c1, c2 = (l_conj_coords(v) for v in _parts(x))
     return c0 + _l_scale(g, l_sigma_coords(c2)) + _l_scale(g, l_sigma_coords(l_sigma_coords(c1)))
+
+
+@_tabulated
+def a_unit_embed_coords(x, gamma) -> tuple:
+    """x * involution(x) (18 coordinates, [1, 0, ...] exactly when x is unitary), then the 54 entries of
+    `matrix_embed(x)`: one table traced from the product, involution and embedding bodies."""
+    mul, star, embed = (f.__wrapped__ for f in (a_mul_coords, a_involution_coords, a_embed_coords))
+    return mul(x, star(x, gamma), gamma) + embed(x, gamma)
 
 
 @_tabulated

@@ -33,6 +33,7 @@ from .codebook import (
     Box,
     Codebook,
     DiversityReport,
+    family_report,
     first_non_unitary,
     generate_codebook,
     hilbert90_unit,
@@ -133,10 +134,15 @@ def serialize_element(x: AlgElem) -> dict:
 
 
 def parse_element(data) -> AlgElem:
-    """The element of an object record holding x0, x1, x2 as lists of six coordinates.
+    """The element of an object record holding x0, x1, x2 as lists of six coordinates: `_integral` into
+    `AlgElem.from_integral`, with no Fraction or field element built."""
+    return AlgElem.from_integral(STANDARD_ALGEBRA, *_integral(data))
 
-    `rat_pair` reads each coordinate as integers (p, q); the 18 go to `AlgElem.from_integral` over
-    their lcm, with no Fraction or field element built.  ValueError or TypeError for any other shape.
+
+def _integral(data) -> tuple[list[int], int]:
+    """The 18 coordinates of an element record as integers over their lcm q, and q.
+
+    `rat_pair` reads each coordinate as integers (p, q).  ValueError or TypeError for any other shape.
     """
     if not isinstance(data, dict):
         raise TypeError("element record is not a JSON object")
@@ -151,7 +157,7 @@ def parse_element(data) -> AlgElem:
             raise ValueError("expected six rational coordinates")
         pairs += part
     q = math.lcm(*(d for _, d in pairs))
-    return AlgElem.from_integral(STANDARD_ALGEBRA, [p * (q // d) for p, d in pairs], q)
+    return [p * (q // d) for p, d in pairs], q
 
 
 def codebook_to_dict(cb: Codebook, report: Optional[DiversityReport]) -> dict:
@@ -420,15 +426,14 @@ def cmd_diversity(args: argparse.Namespace) -> int:
     if data.get("gamma") != "zeta3":
         raise InputError("unsupported gamma (expected \"zeta3\")")
     try:
-        elements = [parse_element(rec) for rec in data["elements"]]
+        elements = [_integral(rec) for rec in data["elements"]]
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"malformed codebook: {exc}")
     if len(elements) < 2:
         raise InputError("need at least two elements")
-    bad = first_non_unitary(elements)
+    bad, report = family_report(elements, STANDARD_ALGEBRA)
     if bad is not None:
         raise InputError(f"element {bad} is not unitary")
-    report = min_det_report(elements)
     if not report.exact_nonzero:
         i, j = report.pair
         raise InputError(f"zero difference at pair ({i}, {j})")

@@ -8,23 +8,20 @@ box and deduplicating yields reproducible codebooks of certified unitary
 3x3 matrices; since the algebra is division, pairwise differences have
 nonzero determinant and the family is fully diverse.
 
-Units are built in one place, `_hilbert90_batch`, from candidates scaled
-to integer coordinates (x does not change) on int64 or object arrays, in
-five closed-form calls per chunk (u*v and v*u are one product of
-side-by-side columns); `generate_codebook` runs it on chunks and
-`hilbert90_unit` on a batch of one.  Each unit is checked exactly
-(X * involution(X) = d^2, `_non_unitary`) and embedded (`_embedded`) from
-the chunk column X/d that made it, unreduced, never from its AlgElem;
-`first_non_unitary` and `numeric_embeddings` only gather the columns of
-given elements for the same two functions.  Each closed form is evaluated
-from its monomial table in a few array operations, returning one
-(outputs, k) array of rows that the next takes whole, on one of two exact
-tiers: float64 on int64 inputs within the table's float limit, Python
-integers (object arrays) on everything else.  `_embedded` is the one float
-evaluation of the embedding: every numeric matrix (codebooks, `embed`,
-`verify`, the diversity screen) is bit-identical to `LElem.to_complex` of
-the reduced element.  `algebra._expand3`, the one 3x3 cofactor expansion,
-runs on these floats and on the generator table's integers.
+Exact work runs on integer columns X_i/d_i (18 x m, int64 or object; X/d
+need not be in lowest terms), each closed form one (outputs, m) array of
+rows per call, on one of two exact tiers: float64 on int64 inputs within the
+table's float limit, Python integers on everything else.  Units are built
+in one place, `_hilbert90_batch`, in five calls per candidate chunk (u*v
+and v*u are one product of side-by-side columns).  One `a_unit_embed_coords`
+call (`_unit_rows`) checks units exactly, X * involution(X) = d^2, and gives
+the entries that `_embedded`, the one float evaluation of the embedding,
+divides by d: every numeric matrix is bit-identical to `LElem.to_complex` of
+the reduced element.  `generate_codebook` and `hilbert90_unit` run it on the
+chunk columns that made each unit, `family_report` (`unidiv diversity`) on
+the parsed file, `first_non_unitary` on given elements.  `algebra._expand3`,
+the one 3x3 cofactor expansion, runs on the floats and on the generator
+table's integers.
 
 Stability under the involution is one commute check: in a division
 algebra of prime degree 3, any g outside the center K generates a maximal
@@ -61,13 +58,14 @@ from .algebra import (
     STANDARD_ALGEBRA,
     _expand3,
     _table,
+    a_char_coords,
     a_embed_coords,
     a_involution_coords,
     a_mul_coords,
     a_quotient_coords,
+    a_unit_embed_coords,
     char_poly_rational,
     involution,
-    reduced_norm,
 )
 from .fields import (
     KElem, LElem, THETA_EMBEDDINGS, ZETA3_COMPLEX, l_norm_coords, minimal_polynomial_coeffs
@@ -224,38 +222,48 @@ def _hilbert90_batch(u: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarray, np.n
     return (c[:18] == c[18:36]).all(axis=0), c[36:54], c[54]
 
 
-def _non_unitary(x: np.ndarray, d: np.ndarray, gamma) -> np.ndarray:
-    """The indices i with X_i * involution(X_i) != d_i^2 (x_i = X_i/d_i not unitary) for the columns X_i of an
-    18 x m integer array, in one pass; X_i/d_i need not be in lowest terms, and d^2 is on Python integers."""
-    prod, d = a_mul_coords(x, a_involution_coords(x, gamma), gamma), d.astype(object)
-    return np.flatnonzero((prod[0] != d * d) | prod[1:].any(axis=0))
+def _unit_rows(x: np.ndarray, d: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """One `a_unit_embed_coords` call on the elements X_i/d_i, columns of an 18 x m integer array over positive d,
+    not necessarily in lowest terms: the indices i with X_i * involution(X_i) != d_i^2 (x_i not unitary; d^2 on
+    Python integers), and the 54 rows of the embedding's entries, which `_embedded` divides by d."""
+    rows, d = a_unit_embed_coords(x, gamma), d.astype(object)
+    return np.flatnonzero((rows[0] != d * d) | rows[1:18].any(axis=0)), rows[18:]
 
 
-def _columns(elements: Sequence[AlgElem]) -> tuple[np.ndarray, np.ndarray]:
-    """The elements as columns X_i/d_i: X (18 x m) int64 if every |value| is below 2^63, else object; d object."""
-    nums, dens = zip(*(x.integral() for x in elements))
-    top = max(abs(v) for row in nums for v in row)
-    return np.array(nums, dtype=np.int64 if top < 2**63 else object).T, np.array(dens, dtype=object)
+def _exact(a) -> np.ndarray:
+    """Integers (nested sequences or an object array) as int64 if all fit, else as objects: exact either way."""
+    try:
+        return np.array(a, dtype=np.int64)
+    except OverflowError:
+        return np.array(a, dtype=object)
+
+
+def _columns(integrals: Sequence[tuple[Sequence[int], int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Elements given as (18 integers, positive denominator) as columns X_i/d_i: X (18 x m, `_exact`), d object."""
+    nums, dens = zip(*integrals)
+    return _exact(nums).T, np.array(dens, dtype=object)
 
 
 def first_non_unitary(elements: Sequence[AlgElem]) -> Optional[int]:
-    """The least index i with x_i * involution(x_i) != 1, or None: `_non_unitary` on the elements' integers."""
+    """The least index i with x_i * involution(x_i) != 1, or None: `_unit_rows` on the elements' integers."""
     if not elements:
         return None
     spec = elements[0].spec
     if any(x.spec != spec for x in elements):
         raise ValueError("elements live in algebras with different gamma")
     spec.require_involution()
-    bad = _non_unitary(*_columns(elements), spec.gamma_coords)
+    bad = _unit_rows(*_columns([x.integral() for x in elements]), spec.gamma_coords)[0]
     return int(bad[0]) if len(bad) else None
 
 
 def _unit_matrices(x: np.ndarray, d: np.ndarray, gamma) -> np.ndarray:
-    """The numeric matrices of the units X_i/d_i, columns of an 18 x m integer array, checked exactly first
-    (`_non_unitary`; AssertionError, under `python -O` too); max|M M^dagger - I| > 1e-10 would be an embedding bug."""
-    if len(_non_unitary(x, d, gamma)):
+    """The numeric matrices of the units X_i/d_i, columns of an 18 x m integer array, checked exactly first, both
+    from one `_unit_rows` call (AssertionError, under `python -O` too); max|M M^dagger - I| > 1e-10 would be an
+    embedding bug."""
+    bad, e = _unit_rows(x, d, gamma)
+    if len(bad):
         raise AssertionError("unit postcondition failed")
-    m = _embedded(x, d, gamma)[0]
+    m = _embedded(e, d)[0]
     defect = np.max(np.abs(m @ m.conj().swapaxes(1, 2) - np.eye(3)), initial=0.0)
     assert defect <= 1e-10, f"numeric unitarity defect {defect}"
     return m
@@ -284,11 +292,10 @@ def hilbert90_unit(u: AlgElem) -> AlgElem:
     return AlgElem.from_integral(u.spec, x[:, 0].tolist(), d[0])
 
 
-def _embedded(x: np.ndarray, d: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarray]:
-    """F and W of `numeric_embeddings` for the elements X_i/d_i, columns of an 18 x m integer array, not
-    necessarily in lowest terms: `a_embed_coords`'s entries below 2^53 are divided by d in float64, the rest on
-    Python integers (OverflowError past float range), both correctly rounded, so the floats are the same."""
-    e = a_embed_coords(x, gamma)
+def _embedded(e: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F and W of `numeric_embeddings` for the elements X_i/d_i, from the (54, m) entries e of the embedding of X:
+    X/d need not be in lowest terms, as entries below 2^53 are divided by d in float64 and the rest on Python
+    integers (OverflowError past float range), both correctly rounded, so the floats are the same."""
     dtype = float if max(abs(e).max(initial=0), abs(d).max(initial=0)) < 2**53 else object
     # per entry, in C order: the K coefficients of 1, t and t*t, each as its two coordinates
     c = np.ascontiguousarray((e.astype(dtype) / d.astype(dtype)).T, dtype=float).reshape(-1, 3, 3, 3, 2)
@@ -315,7 +322,8 @@ def numeric_embeddings(elements: Sequence[AlgElem]) -> tuple[np.ndarray, np.ndar
     values, sizes = np.empty((len(elements), 3, 3), dtype=complex), np.empty((len(elements), 3, 3))
     for gamma in set(gammas):
         cols = [i for i, g in enumerate(gammas) if g == gamma]
-        values[cols], sizes[cols] = _embedded(*_columns([elements[i] for i in cols]), gamma)
+        x, d = _columns([elements[i].integral() for i in cols])
+        values[cols], sizes[cols] = _embedded(a_embed_coords(x, gamma), d)
     return values, sizes
 
 
@@ -478,10 +486,10 @@ _PAIR_CHUNK = 1 << 14
 _DET_ERROR = 512 * 2.0**-53
 
 
-def _numeric_pair_dets(elements: Sequence[AlgElem]) -> tuple[np.ndarray, ...]:
-    """Pairs (i, j), i < j, in order, with numeric |det(x_i - x_j)| and its error bound."""
-    mats, sizes = numeric_embeddings(elements)
-    left, right = np.triu_indices(len(elements), 1)
+def _numeric_pair_dets(mats: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Pairs (i, j), i < j, in order, with numeric |det(x_i - x_j)| and its error bound, from F and W."""
+    r = np.arange(len(mats))
+    left, right = np.nonzero(r[:, None] < r)
     numeric = np.empty(len(left))
     bound = np.empty(len(left))
     for start in range(0, len(left), _PAIR_CHUNK):
@@ -497,7 +505,7 @@ def min_det_report(elements: Sequence[AlgElem]) -> DiversityReport:
     gamma must have a `division_certificate` (ValueError otherwise, as in
     `SubfieldSpec`): in a division algebra det(x_i - x_j) = 0 exactly when
     x_i = x_j, so step 1 finds the first zero pair (least i, then least j)
-    by hashing the elements, in O(M).
+    by hashing the elements in lowest terms, in O(M).
 
     Step 2 finds the minimum of |det| screened numerically: det(F_i - F_j)
     is expanded for every pair as one array computation on the F and W of
@@ -522,32 +530,63 @@ def min_det_report(elements: Sequence[AlgElem]) -> DiversityReport:
     in all under 72u * per(T), so 512u leaves a factor 7 for the rounding
     of T and per(T) themselves.  A pair can hold the minimum only if
     n - b <= min(n' + b') over all pairs, i.e. n lies within the two bounds
-    of the numeric minimum; exactly those pairs are recomputed with
-    `reduced_norm`.  `min_abs_det`, `pair` (the first minimum in pair
-    order) and `zeta` come from these exact values alone, so the report
-    equals an exact all-pairs pass.
+    of the numeric minimum; exactly those pairs are recomputed, in one
+    `a_char_coords` call on X_i*d_j - X_j*d_i: Nrd(x_i - x_j) * (d_i*d_j)^3.
+    `min_abs_det`, `pair` (the first minimum in pair order) and `zeta` come
+    from these exact values alone, so the report equals an exact all-pairs pass.
     """
     if len(elements) < 2:
         raise ValueError("need at least two elements")
     spec = elements[0].spec
     if any(x.spec != spec for x in elements):
         raise ValueError("elements live in algebras with different gamma")
+    x, d = _columns([x.integral() for x in elements])
+    return _min_det(x, d, a_embed_coords(x, spec.gamma_coords), spec)
+
+
+def family_report(integrals: Sequence[tuple], spec) -> tuple[Optional[int], Optional[DiversityReport]]:
+    """`first_non_unitary` and, when it is None, `min_det_report`, for elements of spec given as (18 integers,
+    positive denominator), not necessarily in lowest terms: one `a_unit_embed_coords` call checks every element
+    and gives the rows of the float screen, and one `a_char_coords` call rechecks the screened pairs."""
+    if len(integrals) < 2:
+        raise ValueError("need at least two elements")
+    spec.require_involution()
+    x, d = _columns(integrals)
+    bad, e = _unit_rows(x, d, spec.gamma_coords)
+    if len(bad):
+        return int(bad[0]), None
+    return None, _min_det(x, d, e, spec)
+
+
+def _pair_norms(x: np.ndarray, d: np.ndarray, i: np.ndarray, j: np.ndarray, gamma) -> tuple[list, list, list]:
+    """Nrd(x_i - x_j) = (N0 + N1*zeta3)/D for the pairs of index arrays i and j, as lists N0, N1 and D = (d_i*d_j)^3:
+    one `a_char_coords` call on the unreduced differences X_i*d_j - X_j*d_i, as Nrd is homogeneous of degree 3."""
+    diff = x[:, i].astype(object) * d[j] - x[:, j].astype(object) * d[i]
+    return *a_char_coords(_exact(diff), gamma)[4:].tolist(), ((d[i] * d[j]) ** 3).tolist()
+
+
+def _min_det(x: np.ndarray, d: np.ndarray, e: np.ndarray, spec) -> DiversityReport:
+    """`min_det_report` on the elements X_i/d_i of spec (`_columns`), given the (54, m) entries e of their
+    embeddings: each column in lowest terms is its hash key."""
     if division_certificate(spec.gamma) is None:
         raise ValueError(f"min_det_report needs a division certificate for gamma = {spec.gamma}")
-    first: dict[AlgElem, int] = {}
-    for j, x in enumerate(elements):
-        first.setdefault(x, j)
-    duplicates = [(first[x], j) for j, x in enumerate(elements) if first[x] != j]
+    first: dict[tuple, int] = {}
+    duplicates = []
+    for j, (col, q) in enumerate(zip(x.T.tolist(), d.tolist())):
+        g = math.gcd(q, *col)
+        if (i := first.setdefault((*(v // g for v in col), q // g), j)) != j:
+            duplicates.append((i, j))
     if duplicates:
         return DiversityReport(zeta=0.0, pair=min(duplicates), min_abs_det=0.0, exact_nonzero=False)
 
-    left, right, numeric, bound = _numeric_pair_dets(elements)
+    left, right, numeric, bound = _numeric_pair_dets(*_embedded(e, d))
+    screened = np.flatnonzero(numeric - bound <= np.min(numeric + bound))
+    i, j = left[screened], right[screened]
     best: Optional[tuple[float, tuple[int, int]]] = None
-    for k in np.flatnonzero(numeric - bound <= np.min(numeric + bound)):
-        i, j = int(left[k]), int(right[k])
-        mod = abs(reduced_norm(elements[i] - elements[j]).to_complex())
+    for pair, n0, n1, q in zip(zip(i.tolist(), j.tolist()), *_pair_norms(x, d, i, j, spec.gamma_coords)):
+        mod = abs(KElem(Fraction(n0, q), Fraction(n1, q)).to_complex())
         if best is None or mod < best[0]:
-            best = (mod, (i, j))
+            best = (mod, pair)
     assert best is not None
     zeta = 0.5 * best[0] ** (1.0 / 3.0)
     return DiversityReport(zeta=zeta, pair=best[1], min_abs_det=best[0], exact_nonzero=True)

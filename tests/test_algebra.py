@@ -569,6 +569,7 @@ TABULATED = {
     "a_embed_coords": (18,),
     "a_involution_coords": (18,),
     "a_char_coords": (18,),
+    "a_unit_embed_coords": (18,),
     "_a_quotient_from": (18, 18, 18, 2, 2, 2),
 }
 # The number of outputs of each, pinned: the rows of its one array of outputs.
@@ -577,6 +578,7 @@ OUTPUTS = {
     "a_embed_coords": 54,
     "a_involution_coords": 18,
     "a_char_coords": 6,
+    "a_unit_embed_coords": 72,
     "_a_quotient_from": 19,
     "a_nrd_coords": 2,
 }
@@ -688,7 +690,8 @@ def test_float_limit_bounds_the_float_tier_tightly(name, gamma):
     if any(type(c) is not int for c in coefs):
         assert limit == -1  # a non-integral coefficient: no float tier
         return
-    assert dense.shape[0] == OUTPUTS[name] and dense.nbytes < 50_000
+    # each matrix stays small; the unit form's, 72 x 189, is the one past 50 KB (108,864 bytes)
+    assert dense.shape[0] == OUTPUTS[name] and dense.nbytes < (110_000 if name == "a_unit_embed_coords" else 50_000)
     # every monomial's partial products, coefficient products and sums in any order, on inputs |v| <= T
     formula, n = float_tier_formula(name, gamma), sum(sizes_of(name))
     assert magnitude_peak(formula, (limit,) * n, gamma) < 2**53 <= magnitude_peak(formula, (limit + 1,) * n, gamma)
@@ -791,6 +794,24 @@ def test_elements_of_mixed_sign_past_2_63_stay_exact():
     assert x * y == alg_mul_oracle(x, y)
     assert x * inverse(x) == A.one()
     assert reduced_norm(x) == -reduced_char_poly(x).coeffs[0]
+
+
+def test_unit_embed_form_is_the_product_with_the_involution_then_the_embedding():
+    # its 72 rows are a_mul_coords(x, a_involution_coords(x)) then a_embed_coords(x), on every tier
+    g = (0, 1)
+    limit = table("a_unit_embed_coords", g)[-1]
+    rng = random.Random(67)
+    inputs = [
+        np.array([[rng.choice((-limit, limit, rng.randint(-limit, limit))) for _ in range(7)] for _ in range(18)],
+                 dtype=np.int64),  # within the float limit
+        np.array([[rng.choice((-limit - 1, limit + 1, rng.randint(-2**62, 2**62))) for _ in range(7)]
+                  for _ in range(18)], dtype=np.int64),  # past it
+        np.array([[rng.randint(-10**30, 10**30) for _ in range(7)] for _ in range(18)], dtype=object),
+    ]
+    for x, dtype in zip(inputs, (np.int64, object, object)):
+        got = unidiv.algebra.a_unit_embed_coords(x, g)
+        want = np.concatenate([a_mul_coords(x, a_involution_coords(x, g), g), unidiv.algebra.a_embed_coords(x, g)])
+        assert got.shape == (72, 7) and got.dtype == dtype and got.tolist() == want.tolist()
 
 
 def test_nrd_and_char_closed_forms_match_elements():

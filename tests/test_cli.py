@@ -186,6 +186,17 @@ def test_diversity_non_unitary_element(capsys, tmp_path):
     assert "element 1 is not unitary" in out
 
 
+def test_diversity_reports_a_non_unitary_element_before_a_duplicate(capsys, tmp_path):
+    # the unit check runs on every element before the pairs: a duplicated pair ahead of a non-unitary
+    # element, or behind it, still gives the non-unitary one
+    one = {key: ["1" if key == "x0" and i == 0 else "0" for i in range(6)] for key in ("x0", "x1", "x2")}
+    bad = {key: [str(2 * int(v)) for v in vals] for key, vals in one.items()}
+    for elements, index in (([one, one, bad], 2), ([bad, one, one], 0), ([one, bad, one], 1)):
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps({"gamma": "zeta3", "elements": elements}))
+        assert run(capsys, "diversity", str(path)) == (1, f"error: element {index} is not unitary\n")
+
+
 def test_diversity_scalar_pair(capsys, tmp_path):
     minus_one = {
         "x0": ["-1", "0", "0", "0", "0", "0"],

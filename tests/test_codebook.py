@@ -54,11 +54,12 @@ from unidiv.codebook import (
     _columns,
     _hilbert90_batch,
     _hilbert90_coords,
-    _non_unitary,
     _norm_halves,
     _norm_split,
     _numeric_pair_dets,
+    _pair_norms,
     _unit_matrices,
+    _unit_rows,
     _witness_strata,
     Box,
     DiversityReport,
@@ -66,6 +67,7 @@ from unidiv.codebook import (
     SubfieldSpec,
     box_chunks,
     division_certificate,
+    family_report,
     first_non_unitary,
     generate_codebook,
     hilbert90_unit,
@@ -614,7 +616,7 @@ def test_first_non_unitary_compares_q_squared_exactly():
 
 def unit_columns(units, m: int) -> tuple:
     """The units' integers and denominators both times m, unreduced columns as generate_codebook passes them."""
-    x, d = _columns(units)
+    x, d = _columns([x.integral() for x in units])
     x = x.astype(object) * m
     return x.astype(np.int64 if np.abs(x).max() < 2**63 else object), d * m
 
@@ -633,7 +635,7 @@ def test_unit_matrices_on_unreduced_columns_match_numeric_embeddings_bitwise():
         # 2^40: int64 past the product's float limit, so the unit check runs on Python integers;
         # 3^40: past int64 and 2^53, so the entries are divided in Python, where float64 would round twice
         assert (np.abs(x).max() > limit) == (m >= 2**40) and (d.max() >= 2**53) == (m == 3**40)
-        assert not len(_non_unitary(x, d, gamma))
+        assert not len(_unit_rows(x, d, gamma)[0])
         assert same_bits(_unit_matrices(x, d, gamma), want)
 
 
@@ -643,11 +645,11 @@ def test_column_unit_check_agrees_with_first_non_unitary():
     assert first_non_unitary(units) == 6
     for m in (1, 3, 2**40):
         x, d = unit_columns(units, m)
-        assert _non_unitary(x, d, A.gamma_coords).tolist() == [6]
+        assert _unit_rows(x, d, A.gamma_coords)[0].tolist() == [6]
         with pytest.raises(AssertionError, match="unit postcondition failed"):
             _unit_matrices(x, d, A.gamma_coords)
     x, d = unit_columns(units[:6] + units[7:], 2)
-    assert not len(_non_unitary(x, d, A.gamma_coords)) and first_non_unitary(units[:6] + units[7:]) is None
+    assert not len(_unit_rows(x, d, A.gamma_coords)[0]) and first_non_unitary(units[:6] + units[7:]) is None
 
 
 # Under `python -O`, which strips assert statements: each exact check broken by one patch, and its message.
@@ -751,6 +753,41 @@ def test_diversity_zero_detected_exactly():
     assert not rep.exact_nonzero
     assert rep.zeta == 0.0
     assert rep.pair == (0, 2)
+
+
+def test_pair_norms_match_reduced_norm_on_every_pair_of_a_pool():
+    # the batched recheck on unreduced columns (integers and denominators both times m) is reduced_norm(x_i - x_j)
+    # on every pair, with difference coordinates within Nrd's float limit, past it, and past 2^63
+    units = [ONE.scale(s * z) for s in (1, -1) for z in (KElem(1), ZETA3, ZETA3 * ZETA3)]
+    small = list(codebook_elements("nu", 1, 12)) + [u * A.gen() for u in units]
+    pool = small + generate_codebook(subfield("L"), Box(1, 2), 40).elements[-6:]
+    pool += generate_codebook(subfield("zeta9"), Box(1, 13), 20).elements[-4:]
+    assert len(set(pool)) == len(pool) == 28
+    limit = unidiv.algebra._table(unidiv.algebra.a_char_coords.__wrapped__, (18,), A.gamma_coords)[-1]
+    assert limit == 22_211
+    for family, m, (low, high) in ((small, 1, (0, limit)), (pool, 1, (limit, 2**63)),
+                                   (pool, 2**20, (limit, 2**63)), (pool, 3**40, (2**63, math.inf))):
+        x, d = unit_columns(family, m)
+        r = np.arange(len(family))
+        i, j = np.nonzero(r[:, None] < r)
+        top = np.abs(x[:, i].astype(object) * d[j] - x[:, j].astype(object) * d[i]).max()
+        assert low < top < high
+        n0, n1, q = _pair_norms(x, d, i, j, A.gamma_coords)
+        want = [reduced_norm(family[a] - family[b]) for a, b in zip(i.tolist(), j.tolist())]
+        assert [KElem(Fraction(a, c), Fraction(b, c)) for a, b, c in zip(n0, n1, q)] == want
+        # and the report of those unreduced columns is the Fraction all-pairs oracle's
+        report = oracle_min_det_report(family)
+        assert family_report(list(zip(x.T.tolist(), d.tolist())), A) == (None, report) and report.exact_nonzero
+
+
+def test_family_report_checks_units_then_pairs_as_the_element_functions_do():
+    units = list(codebook_elements("nu", 2, 10))
+    for family in (units, units[:4] + [units[4].scale(2)] + units[5:], units + units[3:4], units[:3] + [ONE]):
+        integrals = [x.integral() for x in family]
+        bad = first_non_unitary(family)
+        assert family_report(integrals, A) == (bad, None if bad is not None else min_det_report(family))
+    with pytest.raises(ValueError, match="at least two"):
+        family_report([ONE.integral()], A)
 
 
 def test_pairwise_determinants_lie_in_k():
@@ -938,7 +975,7 @@ def test_numeric_embeddings_of_no_elements():
 def assert_numeric_determinants_within_bound(elements):
     """Every pair's screened |det| lies within its rounding bound of the exact one."""
     size = len(elements)
-    left, right, numeric, bound = _numeric_pair_dets(elements)
+    left, right, numeric, bound = _numeric_pair_dets(*numeric_embeddings(elements))
     assert len(left) == size * (size - 1) // 2
     for i, j, n, b in zip(left, right, numeric, bound):
         exact = reduced_norm(elements[i] - elements[j])
