@@ -540,7 +540,7 @@ def min_det_report(elements: Sequence[AlgElem]) -> DiversityReport:
     spec = elements[0].spec
     if any(x.spec != spec for x in elements):
         raise ValueError("elements live in algebras with different gamma")
-    x, d = _columns([x.integral() for x in elements])
+    x, d = _columns([e.integral() for e in elements])
     return _min_det(x, d, a_embed_coords(x, spec.gamma_coords), spec)
 
 
