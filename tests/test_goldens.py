@@ -28,7 +28,10 @@ candidates took object arrays; they now take int64 (Q = 360360), and the
 unit forms pass the float limit into Python integers.
 
 Each NAME.json sits next to NAME.diversity.json and NAME.diversity.txt, the
-stdout of `unidiv diversity NAME.json` in JSON and text format.
+stdout of `unidiv diversity NAME.json` in JSON and text format.  The five
+generated goldens also have NAME.generate.txt, the stdout of the `unidiv
+generate` run that wrote them, without its first line, `wrote <path>`; it
+was written before the codebook stopped counting precondition failures.
 """
 
 from pathlib import Path
@@ -67,6 +70,9 @@ def test_generate_output_matches_golden(capsys, tmp_path, name):
     path = tmp_path / f"{name}.json"
     args = ["--subfield", sub, "--box", str(box), "--size", str(size), "--denom", str(denom), "--out", str(path)]
     code = main(["generate", *args])
-    capsys.readouterr()
+    out = capsys.readouterr().out
     assert code == 0
     assert path.read_bytes() == (DATA / f"{name}.json").read_bytes()
+    # the stdout after its "wrote <path>" line, which names the output path
+    assert out.splitlines()[0] == f"wrote {path}"
+    assert out.splitlines()[1:] == (DATA / f"{name}.generate.txt").read_text().splitlines()
