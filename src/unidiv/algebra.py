@@ -458,7 +458,7 @@ def _table(body, sizes: tuple[int, ...], gamma) -> tuple:
     monomials (degree x m); the matrix in float64 (outputs x m); its nonzero entries row by row, by value
     within a row: their columns, the start of each run of one value and that value (a Python number), and
     each nonzero row's first run and that row; and the float limit: the largest t with every output's sum
-    of |c| * t^degree below 2^53 (-1 if a coefficient is not an integer)."""
+    of |c| * t^degree below 2^53 (-1 if a coefficient is not an integer), so under 2^ceil(53/the highest degree)."""
     count = itertools.count()
     leaves = [_lift(v) for v in body(*(tuple(_Poly({(next(count),): 1}) for _ in range(n)) for n in sizes), gamma)]
     monomials = sorted({m for leaf in leaves for m in leaf}, key=lambda m: (len(m), m))
