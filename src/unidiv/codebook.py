@@ -31,7 +31,9 @@ involution(g) lies in K[g] exactly when it commutes with g.
 The division property is certified by `division_certificate`: gamma is a
 unit of Z[zeta3] that is not a local norm at the prime 2 - zeta3 above 7,
 where L/K is totally and tamely ramified, so it is not a norm from L;
-`min_det_report` requires it.  The bounded exhaustive search
+`SubfieldSpec` requires it.  `min_det_report` needs no certificate: the
+exact recheck of its screened pairs decides zero and nonzero for any gamma.
+The bounded exhaustive search
 `norm_witness_search` stays as a cross-check on the strata of `box_chunks`,
 the one box walk (`subfield_candidates` reads it too): with the L norm split
 over two coordinate halves, each block of a stratum is one matrix product,
@@ -484,20 +486,16 @@ def _numeric_pair_dets(mats: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray,
     bound = np.empty(len(left))
     for start in range(0, len(left), _PAIR_CHUNK):
         i, j = left[start:start + _PAIR_CHUNK], right[start:start + _PAIR_CHUNK]
-        numeric[start:start + len(i)] = np.abs(_expand3(mats[i] - mats[j], -1))
-        bound[start:start + len(i)] = _DET_ERROR * _expand3(sizes[i] + sizes[j], 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan stay silent; `_min_det` rejects them
+            numeric[start:start + len(i)] = np.abs(_expand3(mats[i] - mats[j], -1))
+            bound[start:start + len(i)] = _DET_ERROR * _expand3(sizes[i] + sizes[j], 1)
     return left, right, numeric, bound
 
 
 def min_det_report(elements: Sequence[AlgElem]) -> DiversityReport:
-    """Exact zero/nonzero decision, then the minimum |det| over all pairs.
+    """The first zero pair, else the minimum |det|, over all pairs, decided exactly for any gamma.
 
-    gamma must have a `division_certificate` (ValueError otherwise, as in
-    `SubfieldSpec`): in a division algebra det(x_i - x_j) = 0 exactly when
-    x_i = x_j, so step 1 finds the first zero pair (least i, then least j)
-    by hashing the elements in lowest terms, in O(M).
-
-    Step 2 finds the minimum of |det| screened numerically: det(F_i - F_j)
+    The minimum of |det| is screened numerically: det(F_i - F_j)
     is expanded for every pair as one array computation on the F and W of
     `numeric_embeddings`.  Writing u = 2^-53, K_m = |a_m| + |b_m| for an
     exact entry's coordinates a_m + b_m*zeta3 of theta^m (gamma enters
@@ -522,8 +520,11 @@ def min_det_report(elements: Sequence[AlgElem]) -> DiversityReport:
     n - b <= min(n' + b') over all pairs, i.e. n lies within the two bounds
     of the numeric minimum; exactly those pairs are recomputed, in one
     `a_char_coords` call on X_i*d_j - X_j*d_i: Nrd(x_i - x_j) * (d_i*d_j)^3.
-    `min_abs_det`, `pair` (the first minimum in pair order) and `zeta` come
-    from these exact values alone, so the report equals an exact all-pairs pass.
+    A zero pair (e = 0) is always among them, as its n - b <= 0.  `pair` (the
+    first zero pair, else the first minimum, in pair order), `exact_nonzero`,
+    `min_abs_det` and `zeta` come from these exact values alone, so the report
+    equals an exact all-pairs pass.  OverflowError if a numeric |det| or its
+    bound is past float range, where the screen would prove nothing.
     """
     if len(elements) < 2:
         raise ValueError("need at least two elements")
@@ -531,7 +532,7 @@ def min_det_report(elements: Sequence[AlgElem]) -> DiversityReport:
     if any(x.spec != spec for x in elements):
         raise ValueError("elements live in algebras with different gamma")
     x, d = _columns([e.integral() for e in elements])
-    return _min_det(x, d, a_embed_coords(x, spec.gamma_coords), spec)
+    return _min_det(x, d, a_embed_coords(x, spec.gamma_coords), spec.gamma_coords)
 
 
 def family_report(integrals: Sequence[tuple], spec) -> tuple[Optional[int], Optional[DiversityReport]]:
@@ -545,7 +546,7 @@ def family_report(integrals: Sequence[tuple], spec) -> tuple[Optional[int], Opti
     bad, e = _unit_rows(x, d, spec.gamma_coords)
     if len(bad):
         return int(bad[0]), None
-    return None, _min_det(x, d, e, spec)
+    return None, _min_det(x, d, e, spec.gamma_coords)
 
 
 def _pair_norms(x: np.ndarray, d: np.ndarray, i: np.ndarray, j: np.ndarray, gamma) -> tuple[list, list, list]:
@@ -555,31 +556,20 @@ def _pair_norms(x: np.ndarray, d: np.ndarray, i: np.ndarray, j: np.ndarray, gamm
     return *a_char_coords(_exact(diff), gamma)[4:].tolist(), ((d[i] * d[j]) ** 3).tolist()
 
 
-def _min_det(x: np.ndarray, d: np.ndarray, e: np.ndarray, spec) -> DiversityReport:
-    """`min_det_report` on the elements X_i/d_i of spec (`_columns`), given the (54, m) entries e of their
-    embeddings: each column in lowest terms is its hash key."""
-    if division_certificate(spec.gamma) is None:
-        raise ValueError(f"min_det_report needs a division certificate for gamma = {spec.gamma}")
-    first: dict[tuple, int] = {}
-    duplicates = []
-    for j, (col, q) in enumerate(zip(x.T.tolist(), d.tolist())):
-        g = math.gcd(q, *col)
-        if (i := first.setdefault((*(v // g for v in col), q // g), j)) != j:
-            duplicates.append((i, j))
-    if duplicates:
-        return DiversityReport(zeta=0.0, pair=min(duplicates), min_abs_det=0.0, exact_nonzero=False)
-
+def _min_det(x: np.ndarray, d: np.ndarray, e: np.ndarray, gamma) -> DiversityReport:
+    """`min_det_report` on the elements X_i/d_i (`_columns`) over gamma's coordinates, given the (54, m) entries e
+    of their embeddings: the screened pairs' exact values decide zero and the minimum alike."""
     left, right, numeric, bound = _numeric_pair_dets(*_embedded(e, d))
+    if not np.isfinite(numeric + bound).all():
+        raise OverflowError("a numeric |det(x_i - x_j)| or its error bound is past float range")
     screened = np.flatnonzero(numeric - bound <= np.min(numeric + bound))
     i, j = left[screened], right[screened]
-    best: Optional[tuple[float, tuple[int, int]]] = None
-    for pair, n0, n1, q in zip(zip(i.tolist(), j.tolist()), *_pair_norms(x, d, i, j, spec.gamma_coords)):
-        mod = abs(KElem(Fraction(n0, q), Fraction(n1, q)).to_complex())
-        if best is None or mod < best[0]:
-            best = (mod, pair)
-    assert best is not None
-    zeta = 0.5 * best[0] ** (1.0 / 3.0)
-    return DiversityReport(zeta=zeta, pair=best[1], min_abs_det=best[0], exact_nonzero=True)
+    # the least (exactly nonzero, modulus) in pair order: the first zero pair, else the first minimum
+    (nonzero, mod), pair = min(
+        ((n0 != 0 or n1 != 0, abs(KElem(Fraction(n0, q), Fraction(n1, q)).to_complex())), pair)
+        for pair, n0, n1, q in zip(zip(i.tolist(), j.tolist()), *_pair_norms(x, d, i, j, gamma))
+    )
+    return DiversityReport(zeta=0.5 * mod ** (1.0 / 3.0), pair=pair, min_abs_det=mod, exact_nonzero=nonzero)
 
 
 # ---------------------------------------------------------------------------

@@ -53,31 +53,22 @@ def clear_denominators(values) -> tuple[list[int], int]:
 def factor_small_int(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 by trial division, increasing primes.
 
-    Returns [] for n = 1.  Meant for the small discriminants produced here;
-    anything in comfortable trial-division range (say below 2**64) works.
+    Returns [] for n = 1.  Meant for the small discriminants produced here
+    (below 10**6); every trial divisor up to sqrt(n) is tried, so its cost
+    grows as sqrt(n).
     """
     if n < 1:
         raise ValueError("factor_small_int requires n >= 1")
     out: list[tuple[int, int]] = []
-    for p in _trial_divisors():
-        if p * p > n:
-            break
+    p = 2
+    while p * p <= n:
         if n % p == 0:
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
             out.append((p, e))
+        p += 1
     if n > 1:
         out.append((n, 1))
     return out
-
-
-def _trial_divisors():
-    yield 2
-    yield 3
-    d = 5
-    while True:
-        yield d
-        yield d + 2
-        d += 6

@@ -11,8 +11,8 @@ replaced.  `iter_box_tuples` is the reference box order that
 `box_chunks` walks on integer arrays, `norm_witness_oracle` the witness
 search as `l_norm_coords` on the chunks of `box_chunks`, the body that
 one matrix product per stratum replaced, and `pairwise_determinants` the
-exact all-pairs determinants that `min_det_report` decides by hashing
-under the division certificate.  `subfield_matrix_oracle` is
+exact all-pairs determinants that `min_det_report` reproduces from its
+screened pairs, for any gamma.  `subfield_matrix_oracle` is
 `SubfieldSpec.matrix` by six `AlgElem.scale` calls, where the matrix maps
 each row's K coordinate pairs to the zeta3 row on integers.
 

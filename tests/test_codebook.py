@@ -50,6 +50,7 @@ from unidiv.cli import parse_element
 from unidiv.codebook import (
     _DET_ERROR,
     _NORM_MASS,
+    _PAIR_CHUNK,
     _charpoly3,
     _columns,
     _hilbert90_batch,
@@ -893,30 +894,59 @@ def test_min_det_report_matches_exact_oracle_on_tie_heavy_families():
         assert min_det_report(family) == oracle_min_det_report(family)
 
 
-def test_min_det_report_split_algebra_zero_pair():
-    # gamma = 1 is a norm, so A is split: 1 - E != 0 but det(1 - E) = 1 - gamma = 0.
-    # Hashing cannot see that zero pair, so min_det_report refuses gamma without
-    # a certificate; the exact all-pairs oracle still finds it.
-    split = AlgebraSpec(KElem(1))
-    assert division_certificate(split.gamma) is None
-    family = [split.one(), split.gen(), split.one().scale(-1)]
-    with pytest.raises(ValueError, match="division certificate"):
-        min_det_report(family)
-    zero = DiversityReport(zeta=0.0, pair=(0, 1), min_abs_det=0.0, exact_nonzero=False)
-    assert oracle_min_det_report(family) == zero
+@pytest.mark.parametrize(
+    "gamma", [KElem(1), KElem(-1), KElem(2), ZETA3, ZETA3 * ZETA3], ids=["1", "-1", "2", "zeta3", "zeta3^2"]
+)
+def test_min_det_report_matches_exact_oracle_for_any_gamma(gamma):
+    # gamma = 1 and -1 are norms (of 1 and -1), so A is split and distinct elements can differ by a zero
+    # divisor: det(a + b*E) = a^3 + b^3*gamma for a, b in K.  gamma = 2 has no certificate either.
+    spec = AlgebraSpec(gamma)
+    units = [spec.one().scale(s * z) for s in (1, -1) for z in (KElem(1), ZETA3, ZETA3 * ZETA3)]
+    pool = units + [u * spec.gen() for u in units]
+    rng = random.Random(11)
+    distinct_zero = 0
+    for _ in range(40):
+        size = rng.randint(2, 8)
+        family = rng.sample(pool, size) if rng.random() < 0.5 else [rng.choice(pool) for _ in range(size)]
+        report = min_det_report(family)
+        assert report == oracle_min_det_report(family)
+        distinct_zero += not report.exact_nonzero and len(set(family)) == len(family)
+    split = gamma in (KElem(1), KElem(-1))
+    assert (distinct_zero > 0) == split
+    # det(1 - gamma*E) = 1 - gamma^4 is zero exactly when gamma^2 = 1: then pair (0, 1), although 1 != gamma*E,
+    # comes before the duplicate at pair (1, 4)
+    e = spec.gen().scale(gamma)
+    family = [spec.one(), e, spec.one().scale(-1), spec.one().scale(ZETA3), e]
+    zero = DiversityReport(zeta=0.0, pair=(0, 1) if split else (1, 4), min_abs_det=0.0, exact_nonzero=False)
+    assert min_det_report(family) == oracle_min_det_report(family) == zero
 
 
-def test_min_det_report_inconclusive_gamma_without_zero_pair():
-    # gamma = 2 has no certificate either, although this family has no zero pair
-    spec = AlgebraSpec(KElem(2))
-    family = [spec.one(), spec.one().scale(-1), spec.one().scale(ZETA3), spec.gen()]
-    with pytest.raises(ValueError, match="division certificate"):
-        min_det_report(family)
-    assert oracle_min_det_report(family).exact_nonzero
-    # over the certified gamma = zeta3^2 the same family takes the screened minimum
-    spec = AlgebraSpec(ZETA3 * ZETA3)
-    family = [spec.one(), spec.one().scale(-1), spec.one().scale(ZETA3), spec.gen()]
-    assert min_det_report(family) == oracle_min_det_report(family)
+def test_min_det_report_across_a_pair_chunk_boundary():
+    units = list(codebook_elements("zeta9", None, 182))
+    x, d = _columns([u.integral() for u in units])
+    r = np.arange(len(units))
+    i, j = np.nonzero(r[:, None] < r)
+    norms = zip(*_pair_norms(x, d, i, j, A.gamma_coords))
+    mods = [abs(KElem(Fraction(a, q), Fraction(b, q)).to_complex()) for a, b, q in norms]
+    k = mods.index(min(mods))  # the first minimum, over all 16,471 pairs
+    pair = (int(i[k]), int(j[k]))
+    assert min_det_report(units) == DiversityReport(0.5 * mods[k] ** (1.0 / 3.0), pair, mods[k], True)
+    # with a copy of unit 170, M = 183 gives 16,653 pairs, and the copy's pair (170, 182) is in the second chunk
+    family = units + [units[170]]
+    r = np.arange(len(family))
+    i, j = np.nonzero(r[:, None] < r)
+    assert len(i) > _PAIR_CHUNK <= list(zip(i.tolist(), j.tolist())).index((170, 182))
+    assert min_det_report(family) == DiversityReport(zeta=0.0, pair=(170, 182), min_abs_det=0.0, exact_nonzero=False)
+
+
+def test_min_det_report_raises_overflow_past_float_range():
+    # entries of 6e307 overflow the float expansion of det: the screen would prove nothing, so no pair is dropped
+    big = AlgElem.from_integral(A, [6 * 10**307] + [0] * 17, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for family in ([big, big.scale(2), ONE], [big, ONE], [big, ONE, A.gen()]):
+            with pytest.raises(OverflowError, match="past float range"):
+                min_det_report(family)
 
 
 @pytest.mark.parametrize("gamma", [ZETA3, ZETA3 * ZETA3], ids=["zeta3", "zeta3^2"])
