@@ -33,13 +33,13 @@ unit of Z[zeta3] that is not a local norm at the prime 2 - zeta3 above 7,
 where L/K is totally and tamely ramified, so it is not a norm from L;
 `SubfieldSpec` requires it.  `min_det_report` needs no certificate: the
 exact recheck of its screened pairs decides zero and nonzero for any gamma.
-The bounded exhaustive search
-`norm_witness_search` stays as a cross-check on the strata of `box_chunks`,
-the one box walk (`subfield_candidates` reads it too): with the L norm split
-over two coordinate halves, each block of a stratum is one matrix product,
-exact under a pinned bound (`_NORM_MASS`).  A stratum's halves and monomials
-are built when a search first reaches it and kept per (box, dtype) for the 8
-keys used last (a whole Box(3, 2) holds 0.86 MB); hits are confirmed on integers.
+The bounded exhaustive search `norm_witness_search` stays as a cross-check
+on the strata of `box_chunks`, the one box walk (`subfield_candidates` reads
+it too): with the L norm split over two coordinate halves, each block of a
+stratum is one matrix product, exact under a pinned bound (`_NORM_MASS`).  A
+stratum's halves and monomials are built when a search first reaches it and
+kept per (box, dtype) for the 8 keys used last (a whole Box(3, 2) holds
+0.86 MB); hits are confirmed on integers.
 """
 
 from __future__ import annotations
@@ -495,9 +495,8 @@ def _numeric_pair_dets(mats: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray,
 def min_det_report(elements: Sequence[AlgElem]) -> DiversityReport:
     """The first zero pair, else the minimum |det|, over all pairs, decided exactly for any gamma.
 
-    The minimum of |det| is screened numerically: det(F_i - F_j)
-    is expanded for every pair as one array computation on the F and W of
-    `numeric_embeddings`.  Writing u = 2^-53, K_m = |a_m| + |b_m| for an
+    |det| is screened numerically: det(F_i - F_j) is expanded for every
+    pair as one array computation on the F and W of `numeric_embeddings`.  Writing u = 2^-53, K_m = |a_m| + |b_m| for an
     exact entry's coordinates a_m + b_m*zeta3 of theta^m (gamma enters
     exactly) and T = W_i + W_j, the numeric |det| n of a pair is within
     b = 512u * per(T) (per: the permanent) of its exact |det| e, and of the
