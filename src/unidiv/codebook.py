@@ -13,15 +13,15 @@ need not be in lowest terms), each closed form one (outputs, m) array of
 rows per call, on one of two exact tiers: float64 on int64 inputs within the
 table's float limit, Python integers on everything else.  Units are built
 in one place, `_hilbert90_batch`, in five calls per chunk and no commute
-check (`SubfieldSpec` proved it once).  One `a_unit_embed_coords`
-call (`_unit_rows`) checks units exactly, X * involution(X) = d^2, and gives
-the entries that `_embedded`, the one float evaluation of the embedding,
-divides by d: every numeric matrix is bit-identical to `LElem.to_complex` of
-the reduced element.  `generate_codebook` and `hilbert90_unit` run it on the
-chunk columns that made each unit, `family_report` (`unidiv diversity`) on
-the parsed file, `first_non_unitary` on given elements.  `algebra._expand3`,
-the one 3x3 cofactor expansion, runs on the floats and on the generator
-table's integers.
+check (`SubfieldSpec` proved it once), on half the box (`subfield_candidates`
+skips -u).  One `a_unit_embed_coords` call (`_unit_rows`) checks units
+exactly, X * involution(X) = d^2, and gives the entries that `_embedded`, the
+one float evaluation of the embedding, divides by d: every numeric matrix is
+bit-identical to `LElem.to_complex` of the reduced element.
+`generate_codebook` and `hilbert90_unit` run it on the chunk columns that
+made each unit, `family_report` (`unidiv diversity`) on the parsed file,
+`first_non_unitary` on given elements.  `algebra._expand3`, the one 3x3
+cofactor expansion, runs on the floats and on the generator table's integers.
 
 Stability under the involution is one commute check: in a division
 algebra of prime degree 3, any g outside the center K generates a maximal
@@ -101,21 +101,27 @@ class Box:
 
 
 def _height(f: Fraction) -> int:
-    if f == 0:
-        return 0
-    return max(abs(f.numerator), f.denominator)
+    return max(abs(f.numerator), f.denominator) if f else 0
+
+
+@functools.lru_cache(maxsize=32)  # like Box.values: equal boxes share one entry per dtype
+def _box_arrays(box: Box, dtype: np.dtype) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+    """The box's values times `box.scale`, and per height H > 0, lowest first, the number n of values of height
+    <= H (a prefix of `Box.values`) and which have height H, as read-only arrays: built once for every walk."""
+    values, scale = box.values(), box.scale
+    heights = np.array([_height(v) for v in values])
+    levels = sorted(set(heights.tolist()) - {0})
+    coords, tops = np.array([int(v * scale) for v in values], dtype=dtype), heights == np.array(levels)[:, None]
+    coords.flags.writeable = tops.flags.writeable = False
+    return coords, [(int(np.count_nonzero(heights <= h)), top) for h, top in zip(levels, tops)]
 
 
 def _strata(box: Box, dtype, arity: int, chunk: Optional[int] = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Per height H, lowest first, the `arity`-tuples of the box's coordinates of height <= H (times `box.scale`,
     in `Box.values` order) in chunks (default: whole strata), tuple number k holding value number k // n**i % n
-    at coordinate i, as one (arity, k) array and whether each tuple has a coordinate at height H."""
-    values = box.values()
-    scale = box.scale
-    heights = np.array([_height(v) for v in values])
-    coords = np.array([int(v * scale) for v in values], dtype=dtype)
-    for h in sorted(set(heights.tolist()) - {0}):
-        n, top = np.count_nonzero(heights <= h), heights == h
+    at coordinate i, as one (arity, k) array and whether each tuple has a coordinate at height H (`_box_arrays`)."""
+    coords, strata = _box_arrays(box, np.dtype(dtype))
+    for n, top in strata:
         powers = n ** np.arange(arity)[:, None]
         for start in range(0, n**arity, chunk or n**arity):
             digits = np.arange(start, min(start + (chunk or n**arity), n**arity)) // powers % n
@@ -146,7 +152,7 @@ class SubfieldSpec:
     `division_certificate`, without which K[g] need not be a field (for
     gamma = 1, (1 - E)(1 + E + E^2) = 0); g commutes with involution(g),
     which under the certificate (double centralizer) puts involution(g)
-    in K[g], so the involution maps K[g] onto itself.
+    in K[g], so the involution maps K[g] onto itself (one `a_mul_coords` call).
 
     The rows of `matrix` are q times 1, zeta3, g, zeta3*g, g^2 and
     zeta3*g^2, q their least common denominator (so matrix[0][0] = q), and
@@ -165,8 +171,9 @@ class SubfieldSpec:
             raise ValueError("generator must lie outside the center K")
         if division_certificate(g.spec.gamma) is None:
             raise ValueError(f"subfield {self.label} needs a division certificate for gamma = {g.spec.gamma}")
-        ag = involution(g)
-        if g * ag != ag * g:
+        u, gamma = _exact([g.integral()[0]]).T, g.spec.gamma_coords  # g times its denominator: commutes alike
+        v = a_involution_coords(u, gamma)
+        if (np.diff(a_mul_coords(np.hstack((u, v)), np.hstack((v, u)), gamma), axis=1) != 0).any():
             raise ValueError(f"subfield {self.label} is not stable under the involution")
 
     @property
@@ -338,19 +345,25 @@ class Codebook:
         return len(self.elements)
 
 
-def subfield_candidates(sub: SubfieldSpec, box: Box) -> Iterator[np.ndarray]:
-    """The candidates in `box_chunks` order, as 18 x k integer arrays, k <= _UNIT_CHUNK.
+def subfield_candidates(sub: SubfieldSpec, box: Box) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per chunk of `box_chunks`, the candidates whose last nonzero coordinate is positive and their walk positions.
 
     The tuple c becomes the column (Q*c) @ sub.matrix, a positive integer
     multiple of the element c, Q = `box.scale`.  The dtype is int64 if
     `size`, which bounds every partial sum of that product, stays below 2^63,
-    object otherwise.
+    object otherwise.  -c gives the unit of c and is walked after it, since
+    `Box.values` puts each v just before -v and the last coordinate is the
+    walk's most significant digit.
     """
     m = sub.matrix
     size = box.numerator_bound * box.scale * max(sum(map(abs, col)) for col in zip(*m))
     basis = np.array(m, dtype=np.int64 if size < 2**63 else object).T
+    walked = 0
     for chunk in box_chunks(box, _UNIT_CHUNK, basis.dtype):
-        yield basis @ chunk
+        kept = np.flatnonzero(chunk[5 - np.argmax(chunk[::-1] != 0, axis=0), np.arange(chunk.shape[1])] > 0)
+        if len(kept):
+            yield basis @ chunk[:, kept], walked + kept
+        walked += chunk.shape[1]
 
 
 def generate_codebook(sub: SubfieldSpec, box: Box, size: int) -> Codebook:
@@ -358,33 +371,33 @@ def generate_codebook(sub: SubfieldSpec, box: Box, size: int) -> Codebook:
 
     `_hilbert90_batch` runs on the integer chunks of `subfield_candidates`
     (int64 or object dtype, as their size allows; each form then takes its
-    float tier or Python integers, as its own inputs allow).  A walk over
-    each chunk keeps the enumeration order: each unit X/d becomes an AlgElem
-    (in lowest terms, so equal units are equal keys) deduplicated on itself,
-    and the walk stops at the candidate completing `size` units.  The units
-    are checked exactly in one batch, x * involution(x) = 1, and rendered
-    from the chunk columns X/d that first gave them (`_unit_matrices`); as
-    x * involution(x) = u*v^(-1)*u^(-1)*v for v = involution(u), that check
-    also catches a candidate not commuting with v, which `SubfieldSpec` rules
-    out once.  If the box runs out first, the codebook is returned with
-    complete=False.
+    float tier or Python integers, as its own inputs allow): half the box,
+    as -c is skipped.  A walk over each chunk keeps the enumeration order:
+    each unit X/d becomes an AlgElem (in lowest terms, so equal units, as of
+    c and 2c, are equal keys) deduplicated on itself, and the walk stops at
+    the candidate completing `size` units, its walk position + 1 being
+    `candidates_scanned`.  The units are checked exactly in one batch,
+    x * involution(x) = 1, and rendered from the chunk columns X/d that first
+    gave them (`_unit_matrices`), which also catches a candidate not
+    commuting with v = involution(u), as x * involution(x) =
+    u*v^(-1)*u^(-1)*v.  If the box runs out first, complete=False.
     """
     if size < 1:
         raise ValueError("size must be at least 1")
     spec = sub.generator.spec
     seen: dict[AlgElem, None] = {}
     xs, ds = [], []  # per chunk, the columns X and d that first gave a unit
-    scanned = 0
-    for u in subfield_candidates(sub, box):
+    scanned = len(box.values()) ** 6 - 1  # every nonzero tuple, unless the walk stops early
+    for u, walked in subfield_candidates(sub, box):
         x, d = _hilbert90_batch(u, spec.gamma_coords)
         fresh = []
         for i, (num, den) in enumerate(zip(x.T.tolist(), d.tolist())):
-            scanned += 1
             unit = AlgElem.from_integral(spec, num, den)
             if unit not in seen:
                 seen[unit] = None
                 fresh.append(i)
             if len(seen) == size:
+                scanned = int(walked[i]) + 1
                 break
         xs.append(x[:, fresh])
         ds.append(d[fresh])
@@ -476,6 +489,8 @@ def division_certificate(gamma: KElem) -> Optional[DivisionCertificate]:
 _PAIR_CHUNK = 1 << 14
 # Per-pair rounding bound factor, in units of per(T); see min_det_report.
 _DET_ERROR = 512 * 2.0**-53
+# abs(KElem(n0/q, n1/q).to_complex()) for q > 0, bit for bit and OverflowError alike: both divide correctly rounded.
+_k_modulus = lambda n0, n1, q: abs(complex(n0 / q) + complex(n1 / q) * ZETA3_COMPLEX)
 
 
 def _numeric_pair_dets(mats: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -565,7 +580,7 @@ def _min_det(x: np.ndarray, d: np.ndarray, e: np.ndarray, gamma) -> DiversityRep
     i, j = left[screened], right[screened]
     # the least (exactly nonzero, modulus) in pair order: the first zero pair, else the first minimum
     (nonzero, mod), pair = min(
-        ((n0 != 0 or n1 != 0, abs(KElem(Fraction(n0, q), Fraction(n1, q)).to_complex())), pair)
+        ((n0 != 0 or n1 != 0, _k_modulus(n0, n1, q)), pair)
         for pair, n0, n1, q in zip(zip(i.tolist(), j.tolist()), *_pair_norms(x, d, i, j, gamma))
     )
     return DiversityReport(zeta=0.5 * mod ** (1.0 / 3.0), pair=pair, min_abs_det=mod, exact_nonzero=nonzero)

@@ -51,9 +51,11 @@ from unidiv.codebook import (
     _DET_ERROR,
     _NORM_MASS,
     _PAIR_CHUNK,
+    _box_arrays,
     _charpoly3,
     _columns,
     _hilbert90_batch,
+    _k_modulus,
     _norm_halves,
     _norm_split,
     _numeric_pair_dets,
@@ -62,6 +64,7 @@ from unidiv.codebook import (
     _unit_rows,
     _witness_strata,
     Box,
+    Codebook,
     DiversityReport,
     PreconditionError,
     SubfieldSpec,
@@ -387,7 +390,7 @@ def test_generate_codebook_rejects_a_noncommuting_candidate(monkeypatch):
     stream = [bad, *islice(enumerate_subfield(sub, Box(1, 1)), 20), bad]
     # the chunks generate_codebook reads: candidates as integer columns
     columns = np.array([u.integral()[0] for u in stream], dtype=object).T
-    chunks = [columns[:, :8], columns[:, 8:]]
+    chunks = [(columns[:, :8], np.arange(8)), (columns[:, 8:], np.arange(8, len(stream)))]
     monkeypatch.setattr(unidiv.codebook, "subfield_candidates", lambda sub, box: iter(chunks))
     with pytest.raises(AssertionError, match="^unit postcondition failed$"):
         generate_codebook(sub, Box(1, 1), 100)
@@ -508,21 +511,21 @@ def test_generate_codebook_matches_fraction_oracle_on_reparametrised_generators(
 def test_generate_codebook_object_dtype_matches_fraction_oracle():
     # Q = lcm(1..13) = 360360: the candidates fit int64, and the unit forms pass the float limit into objects
     sub = subfield("zeta9")
-    u = next(subfield_candidates(sub, Box(1, 13)))
+    u, _ = next(subfield_candidates(sub, Box(1, 13)))
     assert u.dtype == np.int64
     x, d = _hilbert90_batch(u, sub.generator.spec.gamma_coords)
     assert x.dtype == d.dtype == object
     assert_matches_fraction_oracle(sub, Box(1, 13), 20)
-    assert next(subfield_candidates(sub, Box(1, 1))).dtype == np.int64
+    assert next(subfield_candidates(sub, Box(1, 1)))[0].dtype == np.int64
     # nu_5 has the largest candidates at Box(1, 1); they fit int64 too
-    assert next(subfield_candidates(subfield("nu", 5), Box(1, 1))).dtype == np.int64
+    assert next(subfield_candidates(subfield("nu", 5), Box(1, 1)))[0].dtype == np.int64
     assert_matches_fraction_oracle(subfield("nu", 5), Box(1, 1), 20)
 
 
 def test_hilbert90_batch_forms_each_product_on_the_chunk_columns(monkeypatch):
     # one involution, u*v and p*v on the k candidates of a chunk: no v*u beside u*v, no commute mask
     sub, widths = subfield("nu", 2), []
-    chunks, gamma = list(islice(subfield_candidates(sub, Box(1, 1)), 3)), sub.generator.spec.gamma_coords
+    chunks, gamma = [u for u, _ in islice(subfield_candidates(sub, Box(1, 1)), 3)], sub.generator.spec.gamma_coords
     for module in (unidiv.codebook, unidiv.algebra):
         form = module.a_mul_coords
         counted = lambda x, y, gamma, form=form: widths.append((x.shape[1], y.shape[1])) or form(x, y, gamma)
@@ -533,6 +536,73 @@ def test_hilbert90_batch_forms_each_product_on_the_chunk_columns(monkeypatch):
         x, d = _hilbert90_batch(u, gamma)
         assert widths == [(u.shape[1], u.shape[1])] * 2
         assert x.shape == u.shape and d.shape == u.shape[1:]
+
+
+def hilbert90_columns(monkeypatch, sub: SubfieldSpec, box: Box, size: int) -> tuple[Codebook, np.ndarray]:
+    """generate_codebook(sub, box, size) and the candidate columns it passes to _hilbert90_batch, in order."""
+    calls, batch = [], unidiv.codebook._hilbert90_batch
+    monkeypatch.setattr(unidiv.codebook, "_hilbert90_batch", lambda u, gamma: calls.append(u) or batch(u, gamma))
+    return generate_codebook(sub, box, size), np.concatenate(calls, axis=1)
+
+
+@pytest.mark.parametrize("box, tuples", [(Box(1, 1), 3**6 - 1), (Box(1, 2), 5**6 - 1)], ids=["B1D1", "B1D2"])
+@pytest.mark.parametrize("kind, k", [("zeta9", None), ("nu", 2), ("L", None)], ids=["zeta9", "nu2", "L"])
+def test_exhausted_walk_sends_half_the_box_through_hilbert90(monkeypatch, kind, k, box, tuples):
+    # -c gives the unit of c and is walked after it, so only the tuples whose last nonzero coordinate is
+    # positive reach _hilbert90_batch, as (Q*c) @ matrix in walk order; candidates_scanned counts every tuple
+    sub = subfield(kind, k)
+    cb, columns = hilbert90_columns(monkeypatch, sub, box, 10**6)
+    assert not cb.complete and cb.candidates_scanned == tuples
+    assert columns.shape == (18, tuples // 2)
+    walk = np.concatenate(list(box_chunks(box, 1 << 11, np.int64)), axis=1)
+    positive = [next(v for v in reversed(c) if v) > 0 for c in walk.T.tolist()]
+    assert sum(positive) == tuples // 2
+    assert columns.tolist() == (np.array(sub.matrix, dtype=np.int64).T @ walk[:, positive]).tolist()
+    passed = {tuple(c) for c in columns.T.tolist()}
+    assert not passed & {tuple(-v for v in c) for c in passed}
+
+
+def test_box_1_1_sends_364_columns_through_hilbert90(monkeypatch):
+    cb, columns = hilbert90_columns(monkeypatch, subfield("zeta9"), Box(1, 1), 10**6)
+    assert columns.shape[1] == 364 and cb.candidates_scanned == 728 and len(cb) == 182
+
+
+def test_box_arrays_are_built_once_and_read_only():
+    _box_arrays.cache_clear()
+    coords, strata = _box_arrays(Box(2, 2), np.dtype(np.int64))
+    walks = [np.concatenate(list(box_chunks(Box(2, 2), 64, np.int64)), axis=1) for _ in range(2)]
+    assert _box_arrays.cache_info()[:2] == (2, 1)  # both walks hit the entry the first call built
+    assert np.array_equal(*walks) and walks[0].shape == (6, 7**6 - 1)
+    assert coords.tolist() == [int(v * 2) for v in Box(2, 2).values()]
+    assert [n for n, _ in strata] == [3, 7]
+    for a in (coords, *(top for _, top in strata)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+def test_subfield_spec_checks_stability_in_one_product(monkeypatch):
+    # the commute test is one a_mul_coords call on the columns of g and involution(g) side by side, and no
+    # AlgElem product; a generator scaled by 2^70 has integers past int64, so its call runs on Python integers
+    calls, form = [], unidiv.codebook.a_mul_coords
+    counted = lambda x, y, gamma: calls.append((x.dtype, x.shape, y.shape)) or form(x, y, gamma)
+    big, bad = nu_generator(2).scale(2**70), (A.from_l(THETA) + A.gen()).scale(2**70)
+    monkeypatch.setattr(unidiv.codebook, "a_mul_coords", counted)
+    monkeypatch.setattr(AlgElem, "__mul__", lambda x, y: pytest.fail("AlgElem product"))
+    SubfieldSpec("nu", 2, nu_generator(2), "K(nu_2)")
+    sub = SubfieldSpec("nu", 2, big, "K(nu_2), 2^70 g")
+    with pytest.raises(ValueError, match=r"^subfield K\[theta\+E\] is not stable under the involution$"):
+        SubfieldSpec("theta+E", None, bad, "K[theta+E]")
+    assert calls == [(np.int64, (18, 2), (18, 2)), *[(object, (18, 2), (18, 2))] * 2]
+    monkeypatch.undo()
+    assert sub.matrix == subfield_matrix_oracle(sub)
+    assert sub.matrix[2] == [v * 2**70 for v in subfield("nu", 2).matrix[2]]
+
+
+def test_subfield_spec_equality_and_hash_read_its_four_fields():
+    a, b = subfield("nu", 2), subfield("nu", 2)
+    assert a == b and hash(a) == hash(b) == hash(("nu", 2, a.generator, "K(nu_2)")) and a is not b
+    assert a != subfield("nu", 3) and a != SubfieldSpec("nu", 2, a.generator, "other")
+    assert SubfieldSpec.__slots__ == ("kind", "k", "generator", "label") and not hasattr(a, "__dict__")
 
 
 def candidate_sizes(sub: SubfieldSpec, box: Box) -> tuple:
@@ -547,9 +617,9 @@ def candidate_sizes(sub: SubfieldSpec, box: Box) -> tuple:
 def test_hilbert90_dtype_is_pinned(kind, k, box):
     # the candidates' dtype: int64 up to Box(1, 13), object once the sizes pass 2^63 (Q = lcm(1..43) alone does)
     sub = subfield(kind, k)
-    assert next(subfield_candidates(sub, box)).dtype == np.int64
+    assert next(subfield_candidates(sub, box))[0].dtype == np.int64
     assert max(candidate_sizes(sub, Box(1, 43))) >= 2**63
-    assert next(subfield_candidates(sub, Box(1, 43))).dtype == object
+    assert next(subfield_candidates(sub, Box(1, 43)))[0].dtype == object
 
 
 @pytest.mark.parametrize("box", [Box(1, 1), Box(2, 1), Box(1, 2)], ids=["B1D1", "B2D1", "B1D2"])
@@ -558,7 +628,7 @@ def test_hilbert90_bound_holds_on_chunks(kind, k, box):
     # the candidates lie within their sizes, and an int64 chunk gives what the same chunk gives on objects
     sub = subfield(kind, k)
     sizes, gamma = candidate_sizes(sub, box), sub.generator.spec.gamma_coords
-    for u in islice(subfield_candidates(sub, box), 8):
+    for u, _ in islice(subfield_candidates(sub, box), 8):
         assert u.dtype == np.int64
         assert all(abs(v) <= m for row, m in zip(u.tolist(), sizes) for v in row)
         x, d = _hilbert90_batch(u, gamma)
@@ -596,7 +666,7 @@ def test_hilbert90_bound_covers_every_product_and_partial_sum(kind, k, box):
     # equals the evaluation that forms every product and partial sum as a Recorded integer
     sub = subfield(kind, k)
     gamma = sub.generator.spec.gamma_coords
-    for u in islice(subfield_candidates(sub, box), 2):
+    for u, _ in islice(subfield_candidates(sub, box), 2):
         Recorded.peak = 0
         exact_x, exact_d = _hilbert90_batch(np.vectorize(Recorded, otypes=[object])(u), gamma)
         assert Recorded.peak > 0
@@ -790,6 +860,29 @@ def test_diversity_zero_detected_exactly():
     assert not rep.exact_nonzero
     assert rep.zeta == 0.0
     assert rep.pair == (0, 2)
+
+
+def test_k_modulus_matches_kelem_to_complex_bit_for_bit():
+    # _min_det's modulus of (N0 + N1*zeta3)/q from the integers equals the float of the reduced KElem, signed zeros
+    # and unreduced quotients included, and raises OverflowError exactly where the KElem path does
+    rng = random.Random(25)
+    cases = [(0, 0, 1), (0, 0, 7**30), (5, 0, 3), (0, -5, 3), (-1, 1, 1), (6, -9, 12), (-(10**400), 10**400, 3**700),
+             (-1, 0, 10**400), (0, -1, 10**400), (10**400, 0, 1), (0, -(10**400), 3), (10**308, 10**308, 1)]
+    for _ in range(3000):
+        n0, n1 = (rng.choice((1, -1)) * rng.randrange(10 ** rng.choice((1, 20, 320, 1000))) for _ in "01")
+        cases.append((n0, n1, rng.randrange(1, 10 ** rng.choice((1, 20, 320, 1000)))))
+    overflows = 0
+    for n0, n1, q in cases:
+        try:
+            want = abs(KElem(Fraction(n0, q), Fraction(n1, q)).to_complex())
+        except OverflowError:
+            overflows += 1
+            with pytest.raises(OverflowError):
+                _k_modulus(n0, n1, q)
+            continue
+        assert _k_modulus(n0, n1, q).hex() == want.hex()
+    assert 3 <= overflows < len(cases) // 2
+    assert _k_modulus(0, 0, 5) == 0.0 and _k_modulus(-3, 0, 3) == _k_modulus(3, 0, 3) == 1.0
 
 
 def test_pair_norms_match_reduced_norm_on_every_pair_of_a_pool():
