@@ -562,11 +562,6 @@ def test_exhausted_walk_sends_half_the_box_through_hilbert90(monkeypatch, kind, 
     assert not passed & {tuple(-v for v in c) for c in passed}
 
 
-def test_box_1_1_sends_364_columns_through_hilbert90(monkeypatch):
-    cb, columns = hilbert90_columns(monkeypatch, subfield("zeta9"), Box(1, 1), 10**6)
-    assert columns.shape[1] == 364 and cb.candidates_scanned == 728 and len(cb) == 182
-
-
 def test_box_arrays_are_built_once_and_read_only():
     _box_arrays.cache_clear()
     coords, strata = _box_arrays(Box(2, 2), np.dtype(np.int64))
