@@ -31,7 +31,6 @@ from .fields import (
     K_ONE,
     KElem,
     L_ONE,
-    L_ZERO,
     LElem,
     ZETA3,
     _as_k,
@@ -83,21 +82,12 @@ class AlgebraSpec:
         if not self.supports_involution:
             raise InvolutionUnavailable(f"involution requires gamma*conj(gamma) = 1, got {self.z}")
 
-    def zero(self) -> "AlgElem":
-        return AlgElem.from_integral(self, (), 1)
-
     def one(self) -> "AlgElem":
         return AlgElem.from_integral(self, (1,), 1)
 
     def gen(self) -> "AlgElem":
         """The generator E (E^3 = gamma)."""
         return AlgElem.from_integral(self, (0,) * 6 + (1,), 1)
-
-    def from_l(self, value: LElem | Scalar) -> "AlgElem":
-        return AlgElem(self, _as_l(value), L_ZERO, L_ZERO)
-
-    def element(self, x0, x1, x2) -> "AlgElem":
-        return AlgElem(self, _as_l(x0), _as_l(x1), _as_l(x2))
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraSpec):
@@ -109,14 +99,6 @@ class AlgebraSpec:
 
     def __repr__(self):
         return f"AlgebraSpec(gamma={self.gamma})"
-
-
-def _as_l(value) -> LElem:
-    if isinstance(value, LElem):
-        return value
-    if isinstance(value, (KElem, int, Fraction)):
-        return LElem(value)
-    raise TypeError(f"cannot interpret {value!r} as an element of L")
 
 
 class AlgElem:

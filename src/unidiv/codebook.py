@@ -8,25 +8,26 @@ box and deduplicating yields reproducible codebooks of certified unitary
 3x3 matrices; since the algebra is division, pairwise differences have
 nonzero determinant and the family is fully diverse.
 
-Exact work runs on integer columns X_i/d_i (18 x m, int64 or object; X/d
-need not be in lowest terms), each closed form one (outputs, m) array of
-rows per call, on one of two exact tiers: float64 on int64 inputs within the
-table's float limit, Python integers on everything else.  Units are built
-in one place, `_hilbert90_batch`, in five calls per chunk and no commute
-check (`SubfieldSpec` proved it once), on half the box (`subfield_candidates`
-skips -u).  One `a_unit_embed_coords` call (`_unit_rows`) checks units
-exactly, X * involution(X) = d^2, and gives the entries that `_embedded`, the
-one float evaluation of the embedding, divides by d: every numeric matrix is
-bit-identical to `LElem.to_complex` of the reduced element.
-`generate_codebook` and `hilbert90_unit` run it on the chunk columns that
-made each unit, `family_report` (`unidiv diversity`) on the parsed file,
+Exact work runs on integer columns X_i/d_i (18 x m, int64 or object; X/d need
+not be in lowest terms), each closed form one (outputs, m) array of rows per
+call, on one of two exact tiers: float64 on int64 inputs within the table's
+float limit, Python integers otherwise; AlgElems enter by `_family` alone.
+Units are built in one place, `_hilbert90_batch`, in five calls per chunk and
+no commute check (`SubfieldSpec` proved it once), on half the box
+(`subfield_candidates` skips -u).  One `a_unit_embed_coords` call
+(`_unit_rows`) checks units exactly, X * involution(X) = d^2, and gives the
+entries that `_embedded`, the one float evaluation of the embedding, divides by
+d: every numeric matrix is bit-identical to `LElem.to_complex` of the reduced
+element.  `generate_codebook` and `hilbert90_unit` run it on the chunk columns
+that made each unit, `family_report` (`unidiv diversity`) on the parsed file,
 `first_non_unitary` on given elements.  `algebra._expand3`, the one 3x3
-cofactor expansion, runs on the floats and on the generator table's integers.
+cofactor expansion, runs on the floats and the generator table's integers.
 
-Stability under the involution is one commute check: in a division
-algebra of prime degree 3, any g outside the center K generates a maximal
-subfield K[g], its own centralizer by the double centralizer theorem, so
-involution(g) lies in K[g] exactly when it commutes with g.
+Stability under the involution is one commute check, one product
+(`_commutes_with_involution`): in a division algebra of prime degree 3, any
+g outside the center K generates a maximal subfield K[g], its own
+centralizer by the double centralizer theorem, so involution(g) lies in
+K[g] exactly when it commutes with g.
 
 The division property is certified by `division_certificate`: gamma is a
 unit of Z[zeta3] that is not a local norm at the prime 2 - zeta3 above 7,
@@ -67,7 +68,6 @@ from .algebra import (
     a_quotient_coords,
     a_unit_embed_coords,
     char_poly_rational,
-    involution,
 )
 from .fields import (
     KElem, LElem, THETA_EMBEDDINGS, ZETA3_COMPLEX, l_norm_coords, minimal_polynomial_coeffs
@@ -152,7 +152,7 @@ class SubfieldSpec:
     `division_certificate`, without which K[g] need not be a field (for
     gamma = 1, (1 - E)(1 + E + E^2) = 0); g commutes with involution(g),
     which under the certificate (double centralizer) puts involution(g)
-    in K[g], so the involution maps K[g] onto itself (one `a_mul_coords` call).
+    in K[g], so the involution maps K[g] onto itself (`_commutes_with_involution`).
 
     The rows of `matrix` are q times 1, zeta3, g, zeta3*g, g^2 and
     zeta3*g^2, q their least common denominator (so matrix[0][0] = q), and
@@ -171,9 +171,8 @@ class SubfieldSpec:
             raise ValueError("generator must lie outside the center K")
         if division_certificate(g.spec.gamma) is None:
             raise ValueError(f"subfield {self.label} needs a division certificate for gamma = {g.spec.gamma}")
-        u, gamma = _exact([g.integral()[0]]).T, g.spec.gamma_coords  # g times its denominator: commutes alike
-        v = a_involution_coords(u, gamma)
-        if (np.diff(a_mul_coords(np.hstack((u, v)), np.hstack((v, u)), gamma), axis=1) != 0).any():
+        u, _, gamma = _family([g])  # g times its denominator: commutes alike
+        if not _commutes_with_involution(u, gamma):
             raise ValueError(f"subfield {self.label} is not stable under the involution")
 
     @property
@@ -246,15 +245,27 @@ def _columns(integrals: Sequence[tuple[Sequence[int], int]]) -> tuple[np.ndarray
     return _exact(nums).T, np.array(dens, dtype=object)
 
 
-def first_non_unitary(elements: Sequence[AlgElem]) -> Optional[int]:
-    """The least index i with x_i * involution(x_i) != 1, or None: `_unit_rows` on the elements' integers."""
-    if not elements:
-        return None
+def _family(elements: Sequence[AlgElem]) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
+    """A nonempty family's `_columns` X/d and its gamma's coordinates; ValueError if it spans two algebras."""
     spec = elements[0].spec
     if any(x.spec != spec for x in elements):
         raise ValueError("elements live in algebras with different gamma")
-    spec.require_involution()
-    bad = _unit_rows(*_columns([x.integral() for x in elements]), spec.gamma_coords)[0]
+    return *_columns([x.integral() for x in elements]), spec.gamma_coords
+
+
+def _commutes_with_involution(u: np.ndarray, gamma) -> bool:
+    """Whether the 18 x 1 integer column u commutes with v = involution(u): one `a_mul_coords` call on (u, v; v, u)."""
+    v = a_involution_coords(u, gamma)
+    return not np.diff(a_mul_coords(np.hstack((u, v)), np.hstack((v, u)), gamma), axis=1).any()
+
+
+def first_non_unitary(elements: Sequence[AlgElem]) -> Optional[int]:
+    """The least index i with x_i * involution(x_i) != 1, or None: `_unit_rows` on the `_family` columns."""
+    if not elements:
+        return None
+    x, d, gamma = _family(elements)
+    elements[0].spec.require_involution()
+    bad = _unit_rows(x, d, gamma)[0]
     return int(bad[0]) if len(bad) else None
 
 
@@ -276,22 +287,23 @@ class PreconditionError(ValueError):
 
 
 def hilbert90_unit(u: AlgElem) -> AlgElem:
-    """The unitary element u * involution(u)^(-1): `_hilbert90_batch` on a batch of one.
+    """The unitary element u * involution(u)^(-1): `_hilbert90_batch` on the `_family` column of u.
 
     Requires u nonzero and u commuting with involution(u), which, as u need not come from a `SubfieldSpec`, is
-    checked here on AlgElems: a failure raises PreconditionError (a ValueError), while the algebra's
-    InvolutionUnavailable passes through first.  `_unit_matrices` checks x * involution(x) = 1 on X/d.
+    checked here as there (`_commutes_with_involution`): a failure raises PreconditionError (a ValueError), after
+    the algebra's InvolutionUnavailable.  `_unit_matrices` checks x * involution(x) = 1 on X/d.
     """
     if u.is_zero():
         raise ValueError("u must be nonzero")
-    v = involution(u)
-    if u * v != v * u:
+    u.spec.require_involution()
+    c, _, gamma = _family([u])
+    if not _commutes_with_involution(c, gamma):
         raise PreconditionError("precondition failed: u does not commute with involution(u)")
-    x, d = _hilbert90_batch(np.array(u.integral()[0], dtype=object)[:, None], u.spec.gamma_coords)
+    x, d = _hilbert90_batch(c, gamma)
     if d[0] == 0:
         raise InversionError("nonzero element with zero reduced norm; gamma does not give a division algebra")
-    _unit_matrices(x, d, u.spec.gamma_coords)
-    return AlgElem.from_integral(u.spec, x[:, 0].tolist(), d[0])
+    _unit_matrices(x, d, gamma)
+    return AlgElem.from_integral(u.spec, x[:, 0].tolist(), int(d[0]))
 
 
 def _embedded(e: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,14 +331,11 @@ def _embedded(e: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def numeric_embeddings(elements: Sequence[AlgElem]) -> tuple[np.ndarray, np.ndarray]:
     """Float matrices F of matrix_embed(x) at embedding 0, shape (n, 3, 3), and W, from `_embedded`: F is
     `LElem.to_complex(0)` of each entry bit for bit, and W, which bounds the error in `min_det_report`, sums
-    (|a_m| + |b_m|)|theta|^m over the float a_m + b_m*zeta3."""
-    gammas = [x.spec.gamma_coords for x in elements]
-    values, sizes = np.empty((len(elements), 3, 3), dtype=complex), np.empty((len(elements), 3, 3))
-    for gamma in set(gammas):
-        cols = [i for i, g in enumerate(gammas) if g == gamma]
-        x, d = _columns([elements[i].integral() for i in cols])
-        values[cols], sizes[cols] = _embedded(a_embed_coords(x, gamma), d)
-    return values, sizes
+    (|a_m| + |b_m|)|theta|^m over the float a_m + b_m*zeta3.  The elements are one `_family`."""
+    if not elements:
+        return np.empty((0, 3, 3), dtype=complex), np.empty((0, 3, 3))
+    x, d, gamma = _family(elements)
+    return _embedded(a_embed_coords(x, gamma), d)
 
 
 @dataclass(eq=False, slots=True)
@@ -542,11 +551,8 @@ def min_det_report(elements: Sequence[AlgElem]) -> DiversityReport:
     """
     if len(elements) < 2:
         raise ValueError("need at least two elements")
-    spec = elements[0].spec
-    if any(x.spec != spec for x in elements):
-        raise ValueError("elements live in algebras with different gamma")
-    x, d = _columns([e.integral() for e in elements])
-    return _min_det(x, d, a_embed_coords(x, spec.gamma_coords), spec.gamma_coords)
+    x, d, gamma = _family(elements)
+    return _min_det(x, d, a_embed_coords(x, gamma), gamma)
 
 
 def family_report(integrals: Sequence[tuple], spec) -> tuple[Optional[int], Optional[DiversityReport]]:

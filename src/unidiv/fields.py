@@ -159,9 +159,6 @@ class LElem:
             return LElem(value)
         return None
 
-    def coeffs(self) -> tuple[KElem, KElem, KElem]:
-        return (self.c0, self.c1, self.c2)
-
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:

@@ -33,6 +33,8 @@ tests compare with the definition.
 formula with |coefficients|; `magnitude_peak` is its bound on every value
 the formula forms, the reference for each table's float limit T.
 
+`from_l` builds the element with x0 in L (or K) and x1 = x2 = 0.
+
 `solve_k_linear` and `express_in_power_basis` decide membership in a power
 basis by Gaussian elimination over K; `SubfieldSpec` decides involution
 stability by a commute check instead, and the tests compare the two.  The
@@ -47,7 +49,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from unidiv.algebra import STANDARD_ALGEBRA, AlgElem, involution, reduced_char_poly, reduced_norm
+from unidiv.algebra import STANDARD_ALGEBRA, AlgebraSpec, AlgElem, involution, reduced_char_poly, reduced_norm
 from unidiv.cli import _DECIMAL
 from unidiv.codebook import _NORM_MASS, box_chunks
 from unidiv.fields import K_ONE, K_ZERO, KElem, L_ONE, L_ZERO, LElem, ZETA3, l_norm_coords
@@ -159,10 +161,15 @@ def charpoly3_oracle(m) -> tuple[int, int, int]:
     return (-tr, s, -det)
 
 
+def from_l(spec: AlgebraSpec, value) -> AlgElem:
+    """value (in L, or a K scalar) as the element value + E*0 + E^2*0 of spec."""
+    return AlgElem(spec, value if isinstance(value, LElem) else LElem(value), L_ZERO, L_ZERO)
+
+
 def real_imag_parts(a: LElem) -> tuple[LElem, LElem]:
     """Split a as v + zeta3*w with v, w in the real subfield Q(theta)."""
-    v = LElem(*(KElem(c.a0) for c in a.coeffs()))
-    w = LElem(*(KElem(c.a1) for c in a.coeffs()))
+    v = LElem(*(KElem(c.a0) for c in (a.c0, a.c1, a.c2)))
+    w = LElem(*(KElem(c.a1) for c in (a.c0, a.c1, a.c2)))
     return v, w
 
 
@@ -242,7 +249,7 @@ def enumerate_subfield(sub, box):
     g = sub.generator
     basis = (g.spec.one(), g, g * g)
     for tup in iter_box_tuples(box):
-        acc = g.spec.zero()
+        acc = from_l(g.spec, 0)
         for i, b in enumerate(basis):
             acc = acc + b.scale(KElem(tup[2 * i], tup[2 * i + 1]))
         yield acc
@@ -303,7 +310,7 @@ def solve_k_linear(
 
 def _k_coords(x: AlgElem) -> list[KElem]:
     """The nine K coordinates, L coefficients flattened in order."""
-    return [c for part in x.coords() for c in part.coeffs()]
+    return [c for part in x.coords() for c in (part.c0, part.c1, part.c2)]
 
 
 def express_in_power_basis(x: AlgElem, g: AlgElem) -> Optional[tuple[KElem, KElem, KElem]]:

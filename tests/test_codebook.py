@@ -23,6 +23,7 @@ from oracles import (
     codebook_oracle,
     enumerate_subfield,
     express_in_power_basis,
+    from_l,
     iter_box_tuples,
     matl_to_complex,
     matmul3,
@@ -207,7 +208,7 @@ def stability_cases():
         for a in (1, -1, 2):
             for b in (1, -1, 2):
                 cases.append((f"{name}[{a}+{b}g]", g.scale(b) + ONE.scale(a)))
-    theta, e, z = A.from_l(THETA), A.gen(), A.from_l(LElem(ZETA3))
+    theta, e, z = from_l(A, THETA), A.gen(), from_l(A, LElem(ZETA3))
     cases += [
         ("theta+E", theta + e),
         ("theta*E", theta * e),
@@ -240,7 +241,7 @@ STABLE_CASES = [(n, g) for n, g in STABILITY_CASES if n not in ("theta+E", "thet
 def test_subfield_matrix_and_element_match_algelem_products(g):
     sub = SubfieldSpec("test", None, g, "test")
     spec = g.spec
-    powers, z = [spec.one(), g, g * g], spec.from_l(ZETA3)
+    powers, z = [spec.one(), g, g * g], from_l(spec, ZETA3)
     # the rows of sub.matrix are q times 1, zeta3, g, zeta3*g, g^2, zeta3*g^2, q their least denominator
     basis = [b * w for b in powers for w in (spec.one(), z)]
     m = sub.matrix
@@ -251,7 +252,7 @@ def test_subfield_matrix_and_element_match_algelem_products(g):
     rng = random.Random(67)
     for den in range(1, 7):
         c = [Fraction(rng.randint(-9, 9), den) for _ in range(6)]
-        want = sum((spec.from_l(KElem(c[2 * i], c[2 * i + 1])) * powers[i] for i in range(3)), spec.zero())
+        want = sum((from_l(spec, KElem(c[2 * i], c[2 * i + 1])) * powers[i] for i in range(3)), from_l(spec, 0))
         assert sub.element(c) == want
         assert sub.element([str(v) for v in c]) == want
 
@@ -292,7 +293,7 @@ def test_subfield_spec_rejects_uncertified_gamma():
 
 def test_subfield_spec_rejects_unstable_generator():
     with pytest.raises(ValueError, match="not stable under the involution"):
-        SubfieldSpec("theta+E", None, A.from_l(THETA) + A.gen(), "K[theta+E]")
+        SubfieldSpec("theta+E", None, from_l(A, THETA) + A.gen(), "K[theta+E]")
 
 
 def test_nu_generators_are_involution_fixed():
@@ -304,13 +305,13 @@ def test_nu_generators_are_involution_fixed():
 def test_integer_constructors_match_lelem_constructors():
     # the generators and constants built from their integer coordinates, against the LElem-built values
     for k in range(1, 6):
-        assert nu_generator(k) == A.element(LElem(0, k, 0), LElem(KElem(1, 1)), LElem(KElem(-1)))
-    assert subfield("L").generator == A.from_l(THETA)
+        assert nu_generator(k) == AlgElem(A, LElem(0, k, 0), LElem(KElem(1, 1)), LElem(KElem(-1)))
+    assert subfield("L").generator == from_l(A, THETA)
     for spec in (A, AlgebraSpec(ZETA3 * ZETA3), AlgebraSpec(KElem(2, 1))):
-        assert spec.zero() == AlgElem(spec, LElem(0), LElem(0), LElem(0))
+        assert AlgElem.from_integral(spec, (), 1) == AlgElem(spec, LElem(0), LElem(0), LElem(0))
         assert spec.one() == AlgElem(spec, LElem(1), LElem(0), LElem(0))
         assert spec.gen() == AlgElem(spec, LElem(0), LElem(1), LElem(0))
-        assert spec.zero().is_zero() and spec.one().is_in_k() and not spec.gen().is_in_k()
+        assert AlgElem.from_integral(spec, (), 1).is_zero() and spec.one().is_in_k() and not spec.gen().is_in_k()
 
 
 def test_hilbert90_worked_example():
@@ -328,19 +329,19 @@ def test_hilbert90_gen():
 
 
 def test_hilbert90_fixed_input_gives_identity():
-    u = A.element(LElem(0, 2, 0), LElem(KElem(1, 1)), LElem(KElem(-1)))
+    u = AlgElem(A, LElem(0, 2, 0), LElem(KElem(1, 1)), LElem(KElem(-1)))
     assert involution(u) == u
     assert hilbert90_unit(u) == ONE
 
 
 def test_hilbert90_rejects_zero():
     with pytest.raises(ValueError):
-        hilbert90_unit(A.zero())
+        hilbert90_unit(from_l(A, 0))
 
 
 def test_hilbert90_rejects_noncommuting():
     # theta + E does not commute with its involution image
-    u = A.element(LElem(0, 1, 0), LElem(1), LElem(0))
+    u = AlgElem(A, LElem(0, 1, 0), LElem(1), LElem(0))
     au = involution(u)
     assert u * au != au * u
     with pytest.raises(PreconditionError, match="commute"):
@@ -382,11 +383,27 @@ def test_hilbert90_names_zero_divisor():
         hilbert90_unit(u)
 
 
+def test_hilbert90_takes_the_family_column_and_makes_no_algelem_product(monkeypatch):
+    # the commute check is SubfieldSpec's one product: no AlgElem product runs; the worked example goes in as an
+    # int64 column, the same u times 2^70 as an object column, and each unit is u * involution(u)^(-1)
+    u = worked_example().x
+    cases = [u, u.scale(2**70)]
+    want = [x * inverse(involution(x)) for x in cases]
+    sent, batch = [], unidiv.codebook._hilbert90_batch
+    monkeypatch.setattr(unidiv.codebook, "_hilbert90_batch", lambda c, gamma: sent.append(c.dtype) or batch(c, gamma))
+    monkeypatch.setattr(AlgElem, "__mul__", lambda x, y: pytest.fail("AlgElem product"))
+    got = [hilbert90_unit(x) for x in cases]
+    monkeypatch.undo()
+    assert sent == [np.int64, object]
+    assert got == want
+    assert max(abs(v) for v in cases[1].integral()[0]) > 2**63
+
+
 def test_generate_codebook_rejects_a_noncommuting_candidate(monkeypatch):
     # a candidate outside every involution-stable subfield cannot come from a SubfieldSpec; injected, it
     # gives a non-unitary x that equals no unit before it, so the exact unit check on the emitted units fails
     sub = subfield("zeta9")
-    bad = A.element(LElem(0, 1, 0), LElem(1), LElem(0))
+    bad = AlgElem(A, LElem(0, 1, 0), LElem(1), LElem(0))
     stream = [bad, *islice(enumerate_subfield(sub, Box(1, 1)), 20), bad]
     # the chunks generate_codebook reads: candidates as integer columns
     columns = np.array([u.integral()[0] for u in stream], dtype=object).T
@@ -580,7 +597,7 @@ def test_subfield_spec_checks_stability_in_one_product(monkeypatch):
     # AlgElem product; a generator scaled by 2^70 has integers past int64, so its call runs on Python integers
     calls, form = [], unidiv.codebook.a_mul_coords
     counted = lambda x, y, gamma: calls.append((x.dtype, x.shape, y.shape)) or form(x, y, gamma)
-    big, bad = nu_generator(2).scale(2**70), (A.from_l(THETA) + A.gen()).scale(2**70)
+    big, bad = nu_generator(2).scale(2**70), (from_l(A, THETA) + A.gen()).scale(2**70)
     monkeypatch.setattr(unidiv.codebook, "a_mul_coords", counted)
     monkeypatch.setattr(AlgElem, "__mul__", lambda x, y: pytest.fail("AlgElem product"))
     SubfieldSpec("nu", 2, nu_generator(2), "K(nu_2)")
@@ -1124,6 +1141,14 @@ def test_numeric_embeddings_of_no_elements():
     values, sizes = numeric_embeddings([])
     assert values.shape == sizes.shape == (0, 3, 3)
     assert values.dtype == complex
+
+
+def test_every_family_entry_point_refuses_mixed_gamma():
+    # AlgElems reach the closed forms through one boundary, which refuses a family over zeta3 and zeta3^2
+    mixed = [A.gen(), AlgebraSpec(ZETA3 * ZETA3).gen()]
+    for call in (first_non_unitary, min_det_report, numeric_embeddings):
+        with pytest.raises(ValueError, match="^elements live in algebras with different gamma$"):
+            call(mixed)
 
 
 def assert_numeric_determinants_within_bound(elements):

@@ -171,7 +171,7 @@ def sigma_by_matrix(a: LElem, power: int) -> LElem:
     """The generic K-linear loop that LElem.sigma's closed forms replaced."""
     out = a
     for _ in range(power % 3):
-        c = out.coeffs()
+        c = (out.c0, out.c1, out.c2)
         images = []
         for col in range(3):
             acc = K_ZERO
