@@ -641,20 +641,20 @@ def norm_witness_search(target: KElem, box: Box) -> Optional[LElem]:
     box is exhausted.  A witness for gamma or gamma^2 would contradict
     `division_certificate`, so the search cross-checks it.
 
-    The search is exact integer arithmetic throughout.  With Q =
-    `box.scale`, a candidate u = a/Q has integer coordinates a, |a_i| <= m
-    = B*Q, and N(u) = N(a)/Q^3, so only targets with Q^3*target in
-    Z[zeta3] within _NORM_MASS * m^3 can be hit.  N(a) on a block of rows
-    (a3, a4, a5) of a stratum by all its (a0, a1, a2), in the stratum's
-    order row by row, is one product of `_norm_halves`, exact in any
-    summation order as every value it forms is at most _NORM_MASS * m^3:
+    The search is exact integer arithmetic.  With Q = `box.scale`, a candidate
+    u = a/Q has integer coordinates a, |a_i| <= m = B*Q, and N(u) = N(a)/Q^3,
+    so only targets whose goal Q^3*target, formed from their integer numerators
+    and denominators, lies in Z[zeta3] within _NORM_MASS * m^3 can be hit.
+    N(a) on a block of rows (a3, a4, a5) of a stratum by all its (a0, a1, a2),
+    in the stratum's order row by row, is one product of `_norm_halves`, exact
+    in any summation order as every value it forms is at most _NORM_MASS * m^3:
     in float64 below 2^53, int64 below 2^63, else on Python integers.  The
     hit's integers a are confirmed with `l_norm_coords`, apart from the split.
     """
     q = box.scale
-    goal, d = clear_denominators((target.a0 * q**3, target.a1 * q**3))
+    (g0, r0), (g1, r1) = (divmod(c.numerator * q**3, c.denominator) for c in (target.a0, target.a1))
     bound = _NORM_MASS * (box.numerator_bound * q) ** 3
-    if d != 1 or max(map(abs, goal)) > bound:
+    if r0 or r1 or max(abs(g0), abs(g1)) > bound:
         return None
     built, rest, lock = _witness_strata(box, np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object)
     for n in itertools.count():
@@ -667,11 +667,11 @@ def norm_witness_search(target: KElem, box: Box) -> Optional[LElem]:
         rows = -(-_WITNESS_GRID // len(top))
         for y in range(0, len(top), rows):
             norm = mono[:, y:y + rows].T @ folded
-            hits = np.flatnonzero((norm[0] == goal[0]) & (norm[1] == goal[1]) & (top | top[y:y + rows, None]))
+            hits = np.flatnonzero((norm[0] == g0) & (norm[1] == g1) & (top | top[y:y + rows, None]))
             if len(hits):
                 dy, x = divmod(int(hits[0]), len(top))
                 a = [int(c[i]) for i in (x, y + dy) for c in half]
-                if list(l_norm_coords(a)) != goal:
+                if l_norm_coords(a) != (g0, g1):
                     raise AssertionError("integer norm disagrees with the split")
                 return LElem.from_six_tuple([Fraction(v, q) for v in a])
 

@@ -282,8 +282,9 @@ THETA_SQ = LElem(0, 0, 1)
 # These are the only implementation of the products, the Galois action,
 # the conjugation, the norm and the trace: KElem and LElem call them on
 # Fractions, the algebra's closed forms on the polynomials that trace their
-# tables, and the witness search on integer arrays.  So they must use only
-# +, - and *; on integer inputs every value stays an integer.
+# tables, the witness search on integer arrays and its hit on Python ints.
+# So they use only +, - and * (integers stay integers), in straight-line code:
+# on Python ints, per-call lists and loops would cost more than the arithmetic.
 
 
 def _k_mul_coords(x0, x1, y0, y1):
@@ -294,20 +295,20 @@ def _k_mul_coords(x0, x1, y0, y1):
 
 def l_mul_coords(a: Sequence, b: Sequence) -> tuple:
     """Product in L, reduced by theta^3 = 1+2*theta-theta^2 and theta^4 = -1-theta+3*theta^2."""
-    prods = [
-        [_k_mul_coords(a[2 * i], a[2 * i + 1], b[2 * j], b[2 * j + 1]) for j in range(3)]
-        for i in range(3)
-    ]
-    out = []
-    for part in (0, 1):
-        # t[d]: the theta^d coefficient of the unreduced product
-        t = [
-            sum(prods[i][d - i][part] for i in range(max(0, d - 2), min(d, 2) + 1))
-            for d in range(5)
-        ]
-        out.append((t[0] + t[3] - t[4], t[1] + 2 * t[3] - t[4], t[2] - t[3] + 3 * t[4]))
-    (x0, x1, x2), (y0, y1, y2) = out
-    return x0, y0, x1, y1, x2, y2
+    (a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5) = a, b
+    # xij + yij*zeta3: the K product of a's theta^i and b's theta^j coefficients
+    x00, y00 = _k_mul_coords(a0, a1, b0, b1)
+    x01, y01 = _k_mul_coords(a0, a1, b2, b3)
+    x02, y02 = _k_mul_coords(a0, a1, b4, b5)
+    x10, y10 = _k_mul_coords(a2, a3, b0, b1)
+    x11, y11 = _k_mul_coords(a2, a3, b2, b3)
+    x12, y12 = _k_mul_coords(a2, a3, b4, b5)
+    x20, y20 = _k_mul_coords(a4, a5, b0, b1)
+    x21, y21 = _k_mul_coords(a4, a5, b2, b3)
+    x22, y22 = _k_mul_coords(a4, a5, b4, b5)
+    x3, y3 = x12 + x21, y12 + y21  # theta^3's coefficient unreduced; theta^4's is x22 + y22*zeta3
+    return (x00 + x3 - x22, y00 + y3 - y22, x01 + x10 + 2 * x3 - x22, y01 + y10 + 2 * y3 - y22,
+            x02 + x11 + x20 - x3 + 3 * x22, y02 + y11 + y20 - y3 + 3 * y22)
 
 
 def l_sigma_coords(a: Sequence) -> tuple:
@@ -325,8 +326,7 @@ def l_conj_coords(a: Sequence) -> tuple:
 def l_norm_coords(a: Sequence) -> tuple:
     """N_{L/K}(a) = a * sigma(a) * sigma^2(a) as its two K coordinates."""
     s = l_sigma_coords(a)
-    n = l_mul_coords(l_mul_coords(a, s), l_sigma_coords(s))
-    return n[0], n[1]
+    return l_mul_coords(l_mul_coords(a, s), l_sigma_coords(s))[:2]
 
 
 def l_trace_coords(a: Sequence) -> tuple:

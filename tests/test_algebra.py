@@ -25,7 +25,10 @@ from oracles import (
     rows_conj_transpose,
     rows_mul,
 )
+from test_fields import l_mul_oracle
 import unidiv.algebra
+import unidiv.codebook
+import unidiv.fields
 from unidiv.algebra import (
     AlgebraSpec,
     AlgElem,
@@ -610,6 +613,38 @@ def sizes_of(name) -> tuple:
 def test_tabulated_forms_are_all_listed():
     forms = {n for n, f in vars(unidiv.algebra).items() if inspect.isfunction(f) and hasattr(f, "__wrapped__")}
     assert forms == set(TABULATED)
+
+
+def traced_tables() -> list:
+    """Every tabulated form's table at each of TABLE_GAMMAS, then the witness search's norm split in each
+    dtype, all traced afresh: the caches are cleared before and after."""
+    caches = (unidiv.algebra._table, unidiv.codebook._norm_split, unidiv.codebook._witness_strata)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        tables = [unidiv.algebra._table(getattr(unidiv.algebra, name).__wrapped__, sizes, gamma)
+                  for name, sizes in TABULATED.items() for gamma in TABLE_GAMMAS.values()]
+        return tables + [unidiv.codebook._norm_split(dtype) for dtype in (np.float64, np.int64, object)]
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+
+
+def test_tables_are_the_same_traced_through_the_schoolbook_l_product():
+    # the straight-line L product forms the same polynomials as the schoolbook oracle, so every table, and
+    # every golden read from one, is pinned to it
+    fast = traced_tables()
+    with mock.patch.object(unidiv.fields, "l_mul_coords", l_mul_oracle), \
+            mock.patch.object(unidiv.algebra, "l_mul_coords", l_mul_oracle):
+        slow = traced_tables()
+    assert len(fast) == len(slow) == 3 * len(TABULATED) + 3
+    for (monomials, dense, sparse, limit), (m, d, s, t) in zip(fast[:-3], slow[:-3]):
+        assert [g.tolist() for g in monomials] == [g.tolist() for g in m]
+        assert dense.tolist() == d.tolist()
+        assert [p.tolist() for p in sparse] == [p.tolist() for p in s]
+        assert limit == t
+    for split, oracle_split in zip(fast[-3:], slow[-3:]):
+        assert split.dtype == oracle_split.dtype and split.tolist() == oracle_split.tolist()
 
 
 @pytest.mark.parametrize("gamma", TABLE_GAMMAS.values(), ids=TABLE_GAMMAS.keys())

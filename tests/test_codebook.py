@@ -1229,6 +1229,37 @@ def test_norm_witness_target_outside_scaled_ring():
     assert oracle_first_witnesses(Box(1, 1)).get(target) is None
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_norm_witness_integer_goal_of_a_negative_numerator(sign):
+    # Q = 2 on Box(1, 2): the goal of -1/8 is -1 * 8 // 8 = -1, a floor division of a negative numerator
+    target, box = KElem(Fraction(sign, 8)), Box(1, 2)
+    want = LElem(Fraction(sign, 2))
+    assert norm_witness_search(target, box) == oracle_first_witnesses(box).get(target) == want
+    assert norm_witness_oracle(target, box) == want
+
+
+@pytest.mark.parametrize(
+    "target, box",
+    [(KElem(Fraction(1, 16)), Box(1, 2)), (KElem(1, Fraction(-1, 16)), Box(1, 2)), (KElem(Fraction(1, 3)), Box(1, 1))],
+    ids=["1/16-B1D2", "zeta3/16-B1D2", "1/3-B1D1"],
+)
+def test_norm_witness_goal_outside_z_zeta3_walks_nothing(monkeypatch, target, box):
+    # Q^3 * target is not integral (Q^3 = 8 and 1), so no u/Q in the box has that norm and no stratum is read
+    assert norm_witness_oracle(target, box) is None
+    monkeypatch.setattr(unidiv.codebook, "_witness_strata", lambda *key: pytest.fail("walked the box"))
+    assert norm_witness_search(target, box) is None
+
+
+def test_norm_witness_hit_is_confirmed_once_on_python_ints(monkeypatch):
+    box = Box(2, 1)
+    assert norm_witness_search(ZETA3, box) is None  # a miss reads every stratum, so none is built under the spy
+    calls, confirm = [], unidiv.codebook.l_norm_coords
+    monkeypatch.setattr(unidiv.codebook, "l_norm_coords", lambda a: calls.append(a) or confirm(a))
+    assert norm_witness_search(ZETA3 * ZETA3, box) is None and calls == []
+    assert norm_witness_search(KElem(8), box) == LElem(2) == norm_witness_oracle(KElem(8), box)
+    assert calls == [[2, 0, 0, 0, 0, 0]] and all(type(v) is int for v in calls[0])
+
+
 def witness_search_dtypes(monkeypatch, target: KElem, box: Box) -> tuple:
     """norm_witness_search(target, box) and the dtypes it walks the box in, from an empty strata cache."""
     dtypes, walk = [], unidiv.codebook._strata

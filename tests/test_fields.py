@@ -263,6 +263,22 @@ def test_trace_closed_form_on_integer_arrays():
         assert (int(traces[0][i]), int(traces[1][i])) == (t.a0, t.a1)
 
 
+def test_l_product_matches_oracle_on_python_ints_and_columns():
+    # the witness search confirms its hit on Python ints, and runs Box(1, 16) on object columns
+    rng = random.Random(11)
+    big = lambda: rng.choice((2**64 + 1, -(2**64) - 3, rng.randint(-(2**90), 2**90), rng.randint(-50, 50)))
+    for _ in range(60):
+        x, y = [big() for _ in range(6)], [big() for _ in range(6)]
+        got = l_mul_coords(x, y)
+        assert got == l_mul_oracle(x, y) and all(type(v) is int for v in got)
+    for dtype, m in ((np.int64, 2**28), (object, 2**70)):
+        xs, ys = ([[rng.randint(-m, m) for _ in range(6)] for _ in range(40)] for _ in range(2))
+        got = l_mul_coords(*([np.array(col, dtype=dtype) for col in zip(*rows)] for rows in (xs, ys)))
+        assert all(v.dtype == dtype for v in got)
+        want = zip(*(l_mul_oracle(x, y) for x, y in zip(xs, ys)))
+        assert [v.tolist() for v in got] == [[int(c) for c in row] for row in want]
+
+
 def test_coordinate_closed_forms_on_integer_arrays():
     rng = random.Random(3)
     rows = [[rng.randint(-50, 50) for _ in range(6)] for _ in range(40)]
