@@ -1241,7 +1241,7 @@ def test_norm_witness_integer_goal_of_a_negative_numerator(sign):
 @pytest.mark.parametrize(
     "target, box",
     [(KElem(Fraction(1, 16)), Box(1, 2)), (KElem(1, Fraction(-1, 16)), Box(1, 2)), (KElem(Fraction(1, 3)), Box(1, 1))],
-    ids=["1/16-B1D2", "zeta3/16-B1D2", "1/3-B1D1"],
+    ids=["1over16-B1D2", "zeta3over16-B1D2", "1over3-B1D1"],
 )
 def test_norm_witness_goal_outside_z_zeta3_walks_nothing(monkeypatch, target, box):
     # Q^3 * target is not integral (Q^3 = 8 and 1), so no u/Q in the box has that norm and no stratum is read
