@@ -76,23 +76,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="unidiv",
         description="Exact unitary families from a cubic cyclic division algebra.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument(
-        "--ascii", action="store_true", help="plain ASCII symbol names in text output"
-    )
+    formats = argparse.ArgumentParser(add_help=False)
+    formats.add_argument("--format", choices=("text", "json"), default="text")
+    symbols = argparse.ArgumentParser(add_help=False, parents=[formats])
+    symbols.add_argument("--ascii", action="store_true", help="plain ASCII symbol names in text output")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser(
-        "verify", parents=[common], help="re-run the built-in worked example"
+        "verify", parents=[symbols], help="re-run the built-in worked example"
     )
     p_verify.add_argument("--golden", help="JSON file overriding the built-in golden values")
 
     sub.add_parser(
-        "table1", parents=[common], help="reduced minimal polynomials of the nu subfields"
+        "table1", parents=[symbols], help="reduced minimal polynomials of the nu subfields"
     )
 
-    p_gen = sub.add_parser("generate", parents=[common], help="generate a unitary codebook")
+    p_gen = sub.add_parser("generate", help="generate a unitary codebook")
     p_gen.add_argument("--subfield", default="zeta9", help="zeta9, nu:<k>, or L")
     p_gen.add_argument("--box", type=_positive_int, default=1, help="numerator bound")
     p_gen.add_argument("--denom", type=_positive_int, default=1, help="denominator bound")
@@ -100,11 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", required=True, help="output JSON path")
 
     p_div = sub.add_parser(
-        "diversity", parents=[common], help="recompute the diversity report of a codebook file"
+        "diversity", parents=[formats], help="recompute the diversity report of a codebook file"
     )
     p_div.add_argument("path", help="codebook JSON path")
 
-    p_embed = sub.add_parser("embed", parents=[common], help="matrix embedding of one element")
+    p_embed = sub.add_parser("embed", parents=[symbols], help="matrix embedding of one element")
     group = p_embed.add_mutually_exclusive_group(required=True)
     group.add_argument("--zeta9", help="six comma-separated p/q coefficients of 1..z9^5")
     group.add_argument("--element", help="JSON file with x0/x1/x2 six-tuples")

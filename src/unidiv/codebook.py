@@ -39,8 +39,8 @@ on the strata of `box_chunks`, the one box walk (`subfield_candidates` reads
 it too): with the L norm split over two coordinate halves, each block of a
 stratum is one matrix product, exact under a pinned bound (`_NORM_MASS`).  A
 stratum's halves and monomials are built when a search first reaches it and
-kept per (box, dtype) for the 8 keys used last (a whole Box(3, 2) holds
-0.86 MB); hits are confirmed on integers.
+kept, never changed, as one entry per (box, dtype, stratum) for the 32 used
+last (a whole Box(3, 2) holds 0.86 MB); hits are confirmed on integers.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -627,11 +626,12 @@ def _norm_halves(half: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return mono, _norm_split(mono.dtype) @ mono
 
 
-@functools.lru_cache(maxsize=8)  # a whole Box(3, 2) takes 0.86 MB
-def _witness_strata(box: Box, dtype) -> tuple[list, Iterator, threading.Lock]:
-    """The search's (half, top, mono, folded) per stratum of `_strata(box, dtype, 3)` as built so far, then
-    None once all are; the generator of the rest; and the lock under which a search takes the next one."""
-    return [], ((half, top, *_norm_halves(half)) for half, top in _strata(box, dtype, 3)), threading.Lock()
+@functools.lru_cache(maxsize=32)  # holds the 10 strata perfbench and witness_scan.py read; a whole Box(3, 2) is 0.86 MB
+def _witness_strata(box: Box, dtype, n: int) -> Optional[tuple]:
+    """The search's (half, top, mono, folded) for stratum n of `_strata(box, dtype, 3)`, or None after the last."""
+    for half, top in itertools.islice(_strata(box, dtype, 3), n, n + 1):
+        return half, top, *_norm_halves(half)
+    return None
 
 
 def norm_witness_search(target: KElem, box: Box) -> Optional[LElem]:
@@ -656,14 +656,11 @@ def norm_witness_search(target: KElem, box: Box) -> Optional[LElem]:
     bound = _NORM_MASS * (box.numerator_bound * q) ** 3
     if r0 or r1 or max(abs(g0), abs(g1)) > bound:
         return None
-    built, rest, lock = _witness_strata(box, np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object)
+    dtype = np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object
     for n in itertools.count():
-        with lock:
-            if n == len(built):
-                built.append(next(rest, None))
-        if built[n] is None:
+        if (stratum := _witness_strata(box, dtype, n)) is None:
             return None
-        half, top, mono, folded = built[n]
+        half, top, mono, folded = stratum
         rows = -(-_WITNESS_GRID // len(top))
         for y in range(0, len(top), rows):
             norm = mono[:, y:y + rows].T @ folded

@@ -200,6 +200,20 @@ def test_one_element_from_three_constructions():
         assert x == direct and hash(x) == hash(direct)
         assert x.integral() == direct.integral()
     assert len({parse_element(record), from_zeta9(coeffs), direct}) == 1
+    # short, padded and trailing-zero coordinates, over any denominator, store one element, as do LElems in other
+    # terms; the 18 coordinates come back padded
+    a, q = direct.integral()
+    assert len(a) == 18 and a[14:] == (0,) * 4 and a[13]
+    short, padded, trailing = (a[:14], q), (a, q), ([3 * v for v in a[:16]], 3 * q)
+    same = [AlgElem.from_integral(A, c, d) for c, d in (short, padded, trailing)]
+    same.append(AlgElem(A, LElem(KElem(Fraction(1, 2), 2)), LElem(KElem(Fraction(-6, 2))),
+                        LElem.from_six_tuple([Fraction(10, 14), Fraction(-2, 8), 0, 0, 0, 0])))
+    for x in same:
+        assert x == direct and hash(x) == hash(direct) and x.integral() == (a, q)
+    k = AlgElem.from_integral(A, [3, -1] + [0] * 16, 5)
+    assert k.is_in_k() and k.integral() == ((3, -1) + (0,) * 16, 5)
+    assert k == AlgElem(A, LElem(KElem(Fraction(3, 5), Fraction(-1, 5))), L_ZERO, L_ZERO)
+    assert not AlgElem.from_integral(A, [3, -1, 0, 0, 0, 0, 0, 1] + [0] * 10, 5).is_in_k()
 
 
 def test_conj_transpose_shadows_involution():

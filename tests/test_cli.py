@@ -1,3 +1,4 @@
+import argparse
 import json
 from decimal import Decimal
 from pathlib import Path
@@ -8,9 +9,12 @@ from hypothesis import strategies as st
 
 from oracles import golden_problem_oracle, parse_element_oracle
 from test_cli_fuzz import json_values
+import unidiv.cli
 from unidiv.algebra import worked_example
-from unidiv.cli import _GOLDEN_NUMERIC, _golden_problem, builtin_golden, main, parse_element
+from unidiv.cli import _GOLDEN_NUMERIC, _golden_problem, build_parser, builtin_golden, main, parse_element
 from unidiv.codebook import hilbert90_unit, numeric_embeddings
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -394,6 +398,50 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records the name of every attribute a command handler reads."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            vars(self).setdefault("_read", set()).add(name)
+        return super().__getattribute__(name)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["table1"], ["generate", "--size", "4"], ["diversity", str(DATA / "diversity" / "nu5_b2_24.json")],
+     ["embed", "--element", str(DATA / "cli" / "element.json")]],
+    ids=lambda argv: argv[0],
+)
+def test_each_subcommand_reads_every_option_it_declares(capsys, tmp_path, argv):
+    # over its text and JSON paths, a handler reads each option its parser declares: none is accepted and ignored
+    if argv[0] == "generate":
+        argv = [*argv, "--out", str(tmp_path / "cb.json")]
+    declared = set(vars(build_parser().parse_args(argv))) - {"command"}
+    read = set()
+    for fmt in (["--format", "text"], ["--format", "json"]) if "format" in declared else ([],):
+        args = ReadRecorder(**vars(build_parser().parse_args([*argv, *fmt])))
+        assert getattr(unidiv.cli, f"cmd_{argv[0]}")(args) == 0
+        read |= vars(args).pop("_read")
+    capsys.readouterr()
+    assert declared <= read, sorted(declared - read)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["generate", "--format", "json"], ["generate", "--ascii"],
+     ["diversity", str(DATA / "diversity" / "nu5_b2_24.json"), "--ascii"]],
+    ids=["generate-format", "generate-ascii", "diversity-ascii"],
+)
+def test_options_a_subcommand_does_not_read_are_usage_errors(capsys, tmp_path, argv):
+    out = tmp_path / "cb.json"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *(["--out", str(out)] if argv[0] == "generate" else [])])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # Inputs that every JSON-reading command must turn into one error line:

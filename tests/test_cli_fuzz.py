@@ -100,10 +100,13 @@ def test_verify_golden_overrides(tmp_path_factory, data, flags):
 @FUZZ
 @given(
     contents,
-    st.sampled_from([["diversity"], ["embed", "--element"], ["verify", "--golden"]]),
-    st.sampled_from([[], ["--format", "json"], ["--ascii"]]),
+    # each command with the flags it declares: diversity has no --ascii
+    st.sampled_from([(["diversity"], flags) for flags in ([], ["--format", "json"])]
+                    + [(command, flags) for command in (["embed", "--element"], ["verify", "--golden"])
+                       for flags in ([], ["--format", "json"], ["--ascii"])]),
 )
-def test_json_file_commands(tmp_path_factory, data, command, flags):
+def test_json_file_commands(tmp_path_factory, data, command_flags):
+    command, flags = command_flags
     path = tmp_path_factory.mktemp("fuzz") / "input.json"
     if isinstance(data, bytes):
         path.write_bytes(data)

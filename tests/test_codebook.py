@@ -5,7 +5,9 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice, product
@@ -1319,8 +1321,32 @@ def test_norm_witness_search_same_on_cold_warm_and_partly_built_strata(box):
         assert norm_witness_search(target, box) == want
         _witness_strata.cache_clear()
         assert norm_witness_search(KElem(1), box) == LElem(1)
-        assert len(_witness_strata(box, np.float64)[0]) == 1
+        assert _witness_strata.cache_info().currsize == 1
         assert norm_witness_search(target, box) == want
+
+
+def test_norm_witness_search_from_threads_on_cold_strata():
+    # four threads start together on an empty cache, each searching hits in strata 1 and 2 and misses in its own
+    # order: a race may build one stratum twice, but every entry is immutable, so every result is the oracle's
+    box = Box(2, 2)
+    targets = [KElem(1), ZETA3, KElem(8), ZETA3 * ZETA3]
+    want = [norm_witness_oracle(t, box) for t in targets]
+    assert want[0] == LElem(1) and want[2] == LElem(2) and want[1] is want[3] is None
+    start = threading.Barrier(4)
+
+    def search(k):
+        start.wait(timeout=60)
+        return [norm_witness_search(targets[(k + i) % 4], box) for i in range(4)]
+
+    _witness_strata.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(search, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [[want[(k + i) % 4] for i in range(4)] for k in range(4)]
 
 
 def test_norm_witness_stratum_1_hit_builds_one_stratum(monkeypatch):
