@@ -1327,7 +1327,7 @@ def test_norm_witness_search_same_on_cold_warm_and_partly_built_strata(box):
 
 def test_norm_witness_search_from_threads_on_cold_strata():
     # four threads start together on an empty cache, each searching hits in strata 1 and 2 and misses in its own
-    # order: a race may build one stratum twice, but every entry is immutable, so every result is the oracle's
+    # order: a race may build one stratum twice, but no entry changes once built, so every result is the oracle's
     box = Box(2, 2)
     targets = [KElem(1), ZETA3, KElem(8), ZETA3 * ZETA3]
     want = [norm_witness_oracle(t, box) for t in targets]
