@@ -11,8 +11,9 @@ involution, the embedding, chi (t, s and Nrd in one table, read by
 `reduced_char_poly`, `reduced_norm` and the quotient) and the quotient
 u * v^(-1) exist once, as closed forms on the 18 rational coordinates at
 the end of this module, each evaluated from a monomial table traced from
-it once per gamma; one more table joins x * involution(x) and the
-embedding, traced from those bodies.  Constants are built from their integer
+it once per gamma; two more tables are traced from those bodies, one
+joining x * involution(x) and the embedding, one giving involution(x) and
+its products with x on both sides.  Constants are built from their integer
 coordinates.  Everything is immutable and pure; an AlgebraSpec can be shared read-only.
 """
 
@@ -557,6 +558,15 @@ def a_unit_embed_coords(x, gamma) -> tuple:
     `matrix_embed(x)`: one table traced from the product, involution and embedding bodies."""
     mul, star, embed = (f.__wrapped__ for f in (a_mul_coords, a_involution_coords, a_embed_coords))
     return mul(x, star(x, gamma), gamma) + embed(x, gamma)
+
+
+@_tabulated
+def a_involution_products_coords(x, gamma) -> tuple:
+    """involution(x), x * involution(x) and involution(x) * x, 18 coordinates each: one table traced from the
+    involution and product bodies, which gives a commute check and a quotient's v and p = u*v in one call."""
+    mul, star = (f.__wrapped__ for f in (a_mul_coords, a_involution_coords))
+    v = star(x, gamma)
+    return v + mul(x, v, gamma) + mul(v, x, gamma)
 
 
 @_tabulated

@@ -12,9 +12,12 @@ Exact work runs on integer columns X_i/d_i (18 x m, int64 or object; X/d need
 not be in lowest terms), each closed form one (outputs, m) array of rows per
 call, on one of two exact tiers: float64 on int64 inputs within the table's
 float limit, Python integers otherwise; AlgElems enter by `_family` alone.
-Units are built in one place, `_hilbert90_batch`, in five calls per chunk and
+Units are built in one place, `_hilbert90_batch`, in four calls per chunk and
 no commute check (`SubfieldSpec` proved it once), on half the box
-(`subfield_candidates` skips -u).  One `a_unit_embed_coords` call
+(`subfield_candidates` skips -u), whose chunks (`_half_chunk`, per box, dtype
+and window) and each generator's basis (`_power_basis`) are built once, when
+first read, and kept; a request then forms only its units and keys them by
+their reduced integer columns.  One `a_unit_embed_coords` call
 (`_unit_rows`) checks units exactly, X * involution(X) = d^2, and gives the
 entries that `_embedded`, the one float evaluation of the embedding, divides by
 d: every numeric matrix is bit-identical to `LElem.to_complex` of the reduced
@@ -23,11 +26,12 @@ that made each unit, `family_report` (`unidiv diversity`) on the parsed file,
 `first_non_unitary` on given elements.  `algebra._expand3`, the one 3x3
 cofactor expansion, runs on the floats and the generator table's integers.
 
-Stability under the involution is one commute check, one product
-(`_commutes_with_involution`): in a division algebra of prime degree 3, any
-g outside the center K generates a maximal subfield K[g], its own
-centralizer by the double centralizer theorem, so involution(g) lies in
-K[g] exactly when it commutes with g.
+Stability under the involution is one commute check, one call
+(`a_involution_products_coords`, whose first 36 rows are the quotient's v
+and u*v): in a division algebra of prime degree 3, any g outside the
+center K generates a maximal subfield K[g], its own centralizer by the
+double centralizer theorem, so involution(g) lies in K[g] exactly when it
+commutes with g.
 
 The division property is certified by `division_certificate`: gamma is a
 unit of Z[zeta3] that is not a local norm at the prime 2 - zeta3 above 7,
@@ -35,12 +39,13 @@ where L/K is totally and tamely ramified, so it is not a norm from L;
 `SubfieldSpec` requires it.  `min_det_report` needs no certificate: the
 exact recheck of its screened pairs decides zero and nonzero for any gamma.
 The bounded exhaustive search `norm_witness_search` stays as a cross-check
-on the strata of `box_chunks`, the one box walk (`subfield_candidates` reads
-it too): with the L norm split over two coordinate halves, each block of a
-stratum is one matrix product, exact under a pinned bound (`_NORM_MASS`).  A
-stratum's halves and monomials are built when a search first reaches it and
-kept, never changed, as one entry per (box, dtype, stratum) for the 32 used
-last (a whole Box(3, 2) holds 0.86 MB); hits are confirmed on integers.
+on the strata of `box_chunks`, the one box walk (`_half_chunk` computes any
+window of it from its index): with the L norm split over two coordinate
+halves, each block of a stratum is one matrix product, exact under a pinned
+bound (`_NORM_MASS`).  A stratum's halves and monomials are built when a
+search first reaches it and kept, never changed, as one entry per (box,
+dtype, stratum) for the 32 used last (a whole Box(3, 2) holds 0.86 MB); hits
+are confirmed on integers.
 """
 
 from __future__ import annotations
@@ -62,8 +67,7 @@ from .algebra import (
     _table,
     a_char_coords,
     a_embed_coords,
-    a_involution_coords,
-    a_mul_coords,
+    a_involution_products_coords,
     a_quotient_coords,
     a_unit_embed_coords,
     char_poly_rational,
@@ -121,10 +125,14 @@ def _strata(box: Box, dtype, arity: int, chunk: Optional[int] = None) -> Iterato
     at coordinate i, as one (arity, k) array and whether each tuple has a coordinate at height H (`_box_arrays`)."""
     coords, strata = _box_arrays(box, np.dtype(dtype))
     for n, top in strata:
-        powers = n ** np.arange(arity)[:, None]
         for start in range(0, n**arity, chunk or n**arity):
-            digits = np.arange(start, min(start + (chunk or n**arity), n**arity)) // powers % n
-            yield coords.take(digits), top.take(digits).any(axis=0)
+            yield _window(coords, top, n, arity, start, min(start + (chunk or n**arity), n**arity))
+
+
+def _window(coords: np.ndarray, top: np.ndarray, n: int, arity: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
+    """Tuples number start to stop - 1 of the stratum of `_strata` over n values, and which have a top coordinate."""
+    digits = np.arange(start, stop) // n ** np.arange(arity)[:, None] % n
+    return coords.take(digits), top.take(digits).any(axis=0)
 
 
 def box_chunks(box: Box, chunk: int, dtype) -> Iterator[np.ndarray]:
@@ -151,12 +159,14 @@ class SubfieldSpec:
     `division_certificate`, without which K[g] need not be a field (for
     gamma = 1, (1 - E)(1 + E + E^2) = 0); g commutes with involution(g),
     which under the certificate (double centralizer) puts involution(g)
-    in K[g], so the involution maps K[g] onto itself (`_commutes_with_involution`).
+    in K[g], so the involution maps K[g] onto itself.  The commute check is one
+    `a_involution_products_coords` call: g * involution(g) = involution(g) * g.
 
     The rows of `matrix` are q times 1, zeta3, g, zeta3*g, g^2 and
     zeta3*g^2, q their least common denominator (so matrix[0][0] = q), and
-    a coordinate row c gives c @ matrix = q * element(c).  It is computed
-    when read (one product), so a spec holds no more than its generator.
+    a coordinate row c gives c @ matrix = q * element(c).  It is read when
+    asked for from `_power_basis`, built once per generator, so a spec holds
+    no more than its generator.
     """
 
     kind: str
@@ -171,17 +181,13 @@ class SubfieldSpec:
         if division_certificate(g.spec.gamma) is None:
             raise ValueError(f"subfield {self.label} needs a division certificate for gamma = {g.spec.gamma}")
         u, _, gamma = _family([g])  # g times its denominator: commutes alike
-        if not _commutes_with_involution(u, gamma):
+        r = a_involution_products_coords(u, gamma)
+        if not np.array_equal(r[18:36], r[36:]):
             raise ValueError(f"subfield {self.label} is not stable under the involution")
 
     @property
     def matrix(self) -> list[list[int]]:
-        g = self.generator
-        rows = [b.integral() for b in (g.spec.one(), g, g * g)]
-        q = math.lcm(*(d for _, d in rows))
-        rows = [[v * (q // d) for v in r] for r, d in rows]
-        # zeta3*(a0 + a1*zeta3) = -a1 + (a0 - a1)*zeta3 on each K coordinate pair, a unimodular integer map
-        return [row for r in rows for row in (r, [w for a0, a1 in zip(r[::2], r[1::2]) for w in (-a1, a0 - a1)])]
+        return _power_basis(self.generator)[0].tolist()
 
     def element(self, coords: Sequence[Fraction]) -> AlgElem:
         c, p = clear_denominators(as_rat(v) for v in coords)
@@ -190,6 +196,20 @@ class SubfieldSpec:
         m = self.matrix
         num = [sum(a * b for a, b in zip(c, col)) for col in zip(*m)]
         return AlgElem.from_integral(self.generator.spec, num, m[0][0] * p)
+
+
+@functools.lru_cache(maxsize=128)  # keyed by the generator, as division_certificate is by gamma: specs come and go
+def _power_basis(g: AlgElem) -> tuple[np.ndarray, int]:
+    """`SubfieldSpec.matrix` of the generator g as one read-only `_exact` (6, 18) array, and the largest sum of
+    |entries| over one of its columns."""
+    rows = [b.integral() for b in (g.spec.one(), g, g * g)]
+    q = math.lcm(*(d for _, d in rows))
+    rows = [[v * (q // d) for v in r] for r, d in rows]
+    # zeta3*(a0 + a1*zeta3) = -a1 + (a0 - a1)*zeta3 on each K coordinate pair, a unimodular integer map
+    rows = [row for r in rows for row in (r, [w for a0, a1 in zip(r[::2], r[1::2]) for w in (-a1, a0 - a1)])]
+    m = _exact(rows)
+    m.flags.writeable = False
+    return m, max(sum(map(abs, col)) for col in zip(*rows))
 
 
 def nu_generator(k: int) -> AlgElem:
@@ -214,11 +234,12 @@ def subfield(kind: str, k: Optional[int] = None) -> SubfieldSpec:
 _UNIT_CHUNK = 32
 
 
-def _hilbert90_batch(u: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarray]:
+def _hilbert90_batch(u: np.ndarray, gamma, r: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """X (18 x k) and d with u * v^(-1) = X/d, v = involution(u), for the columns u of an 18 x k integer array
-    (any candidate scaled to integers: its rational multiples give the same X/d)."""
-    v = a_involution_coords(u, gamma)
-    c = a_quotient_coords(u, v, a_mul_coords(u, v, gamma), gamma)
+    (any candidate scaled to integers: its rational multiples give the same X/d): v and p = u*v are the first 36
+    rows r of `a_involution_products_coords` (formed here unless given), then one `a_quotient_coords`."""
+    r = a_involution_products_coords(u, gamma) if r is None else r
+    c = a_quotient_coords(u, r[:18], r[18:36], gamma)
     return c[:18], c[18]
 
 
@@ -252,12 +273,6 @@ def _family(elements: Sequence[AlgElem]) -> tuple[np.ndarray, np.ndarray, tuple[
     return *_columns([x.integral() for x in elements]), spec.gamma_coords
 
 
-def _commutes_with_involution(u: np.ndarray, gamma) -> bool:
-    """Whether the 18 x 1 integer column u commutes with v = involution(u): one `a_mul_coords` call on (u, v; v, u)."""
-    v = a_involution_coords(u, gamma)
-    return not np.diff(a_mul_coords(np.hstack((u, v)), np.hstack((v, u)), gamma), axis=1).any()
-
-
 def first_non_unitary(elements: Sequence[AlgElem]) -> Optional[int]:
     """The least index i with x_i * involution(x_i) != 1, or None: `_unit_rows` on the `_family` columns."""
     if not elements:
@@ -289,16 +304,18 @@ def hilbert90_unit(u: AlgElem) -> AlgElem:
     """The unitary element u * involution(u)^(-1): `_hilbert90_batch` on the `_family` column of u.
 
     Requires u nonzero and u commuting with involution(u), which, as u need not come from a `SubfieldSpec`, is
-    checked here as there (`_commutes_with_involution`): a failure raises PreconditionError (a ValueError), after
-    the algebra's InvolutionUnavailable.  `_unit_matrices` checks x * involution(x) = 1 on X/d.
+    checked here as there, on the one `a_involution_products_coords` call that also gives the quotient its v and
+    u*v: a failure raises PreconditionError (a ValueError), after the algebra's InvolutionUnavailable.
+    `_unit_matrices` checks x * involution(x) = 1 on X/d.
     """
     if u.is_zero():
         raise ValueError("u must be nonzero")
     u.spec.require_involution()
     c, _, gamma = _family([u])
-    if not _commutes_with_involution(c, gamma):
+    r = a_involution_products_coords(c, gamma)
+    if not np.array_equal(r[18:36], r[36:]):
         raise PreconditionError("precondition failed: u does not commute with involution(u)")
-    x, d = _hilbert90_batch(c, gamma)
+    x, d = _hilbert90_batch(c, gamma, r)
     if d[0] == 0:
         raise InversionError("nonzero element with zero reduced norm; gamma does not give a division algebra")
     _unit_matrices(x, d, gamma)
@@ -353,25 +370,54 @@ class Codebook:
         return len(self.elements)
 
 
+@functools.lru_cache(maxsize=256)  # a Box(1, 1) walk has 23 windows, a Box(1, 2) walk 512; an entry is under 2 KB
+def _half_chunk(box: Box, dtype: np.dtype, n: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Window n of _UNIT_CHUNK tuples of the six-tuple walk (`_strata`): its tuples in `box_chunks` (those at the
+    stratum's height) whose last nonzero coordinate is positive, and their positions in that walk, as read-only
+    arrays; None after the last window.  Nothing before window n is walked: per stratum, the tuples of `box_chunks`
+    number size^6 - low^6 (low values lie below its height), and those before a window are counted digit by digit."""
+    coords, strata = _box_arrays(box, np.dtype(dtype))
+    walked, low = 0, 1  # the tuples of the strata before; the values below the stratum's height (value 0 at first)
+    for size, top in strata:
+        windows = -(-size**6 // _UNIT_CHUNK)
+        if n < windows:
+            start = n * _UNIT_CHUNK
+            cols, at_top = _window(coords, top, size, 6, start, min(start + _UNIT_CHUNK, size**6))
+            cols = cols[:, at_top]
+            kept = np.flatnonzero(cols[5 - np.argmax(cols[::-1] != 0, axis=0), np.arange(cols.shape[1])] > 0)
+            below = 0  # the tuples before the window with every digit below low
+            for i in reversed(range(6)):
+                digit = start // size**i % size
+                below += min(digit, low) * low**i
+                if digit >= low:
+                    break
+            chunk = cols[:, kept], walked + start - below + kept
+            for a in chunk:
+                a.flags.writeable = False
+            return chunk
+        n -= windows
+        walked, low = walked + size**6 - low**6, size
+    return None
+
+
 def subfield_candidates(sub: SubfieldSpec, box: Box) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per chunk of `box_chunks`, the candidates whose last nonzero coordinate is positive and their walk positions.
+    """Per chunk of `_half_chunk`, read in order and only as far as asked, its candidates and their walk positions.
 
     The tuple c becomes the column (Q*c) @ sub.matrix, a positive integer
-    multiple of the element c, Q = `box.scale`.  The dtype is int64 if
-    `size`, which bounds every partial sum of that product, stays below 2^63,
-    object otherwise.  -c gives the unit of c and is walked after it, since
-    `Box.values` puts each v just before -v and the last coordinate is the
-    walk's most significant digit.
+    multiple of the element c, Q = `box.scale`.  The dtype is int64 if the
+    bound on every partial sum of that product (`_power_basis`) stays below
+    2^63, object otherwise.  Only tuples whose last nonzero coordinate is
+    positive are candidates: -c gives the unit of c and is walked after it,
+    since `Box.values` puts each v just before -v and the last coordinate is
+    the walk's most significant digit.
     """
-    m = sub.matrix
-    size = box.numerator_bound * box.scale * max(sum(map(abs, col)) for col in zip(*m))
-    basis = np.array(m, dtype=np.int64 if size < 2**63 else object).T
-    walked = 0
-    for chunk in box_chunks(box, _UNIT_CHUNK, basis.dtype):
-        kept = np.flatnonzero(chunk[5 - np.argmax(chunk[::-1] != 0, axis=0), np.arange(chunk.shape[1])] > 0)
-        if len(kept):
-            yield basis @ chunk[:, kept], walked + kept
-        walked += chunk.shape[1]
+    rows, mass = _power_basis(sub.generator)
+    basis = (rows if box.numerator_bound * box.scale * mass < 2**63 else rows.astype(object)).T
+    for n in itertools.count():
+        if (chunk := _half_chunk(box, basis.dtype, n)) is None:
+            return
+        if chunk[1].size:
+            yield basis @ chunk[0], chunk[1]
 
 
 def generate_codebook(sub: SubfieldSpec, box: Box, size: int) -> Codebook:
@@ -381,10 +427,13 @@ def generate_codebook(sub: SubfieldSpec, box: Box, size: int) -> Codebook:
     (int64 or object dtype, as their size allows; each form then takes its
     float tier or Python integers, as its own inputs allow): half the box,
     as -c is skipped.  A walk over each chunk keeps the enumeration order:
-    each unit X/d becomes an AlgElem (in lowest terms, so equal units, as of
-    c and 2c, are equal keys) deduplicated on itself, and the walk stops at
+    each unit X/d is keyed by its column divided by the gcd of X and d (d > 0,
+    so equal units, as of c and 2c, have equal keys), and the walk stops at
     the candidate completing `size` units, its walk position + 1 being
-    `candidates_scanned`.  The units are checked exactly in one batch,
+    `candidates_scanned`; a kept key alone becomes an AlgElem.  The box's
+    chunks and the subfield's basis are built once and kept (`_half_chunk`,
+    `_power_basis`), so a request repeated on them does only its own forms.
+    The units are checked exactly in one batch,
     x * involution(x) = 1, and rendered from the chunk columns X/d that first
     gave them (`_unit_matrices`), which also catches a candidate not
     commuting with v = involution(u), as x * involution(x) =
@@ -393,16 +442,18 @@ def generate_codebook(sub: SubfieldSpec, box: Box, size: int) -> Codebook:
     if size < 1:
         raise ValueError("size must be at least 1")
     spec = sub.generator.spec
-    seen: dict[AlgElem, None] = {}
+    seen: dict[tuple, None] = {}  # each unit's 18 numerators and denominator in lowest terms
     xs, ds = [], []  # per chunk, the columns X and d that first gave a unit
     scanned = len(box.values()) ** 6 - 1  # every nonzero tuple, unless the walk stops early
     for u, walked in subfield_candidates(sub, box):
         x, d = _hilbert90_batch(u, spec.gamma_coords)
+        c = np.vstack((x, d))  # d = 0 comes with X = 0, a zero column: kept as zeros, refused when reached
         fresh = []
-        for i, (num, den) in enumerate(zip(x.T.tolist(), d.tolist())):
-            unit = AlgElem.from_integral(spec, num, den)
-            if unit not in seen:
-                seen[unit] = None
+        for i, key in enumerate(map(tuple, (c // np.maximum(np.gcd.reduce(c, axis=0), 1)).T.tolist())):
+            if not key[18]:
+                raise ZeroDivisionError("zero denominator")
+            if key not in seen:
+                seen[key] = None
                 fresh.append(i)
             if len(seen) == size:
                 scanned = int(walked[i]) + 1
@@ -415,7 +466,7 @@ def generate_codebook(sub: SubfieldSpec, box: Box, size: int) -> Codebook:
         subfield_spec=sub,
         box=box,
         requested=size,
-        elements=list(seen),
+        elements=[AlgElem.from_integral(spec, key[:18], key[18]) for key in seen],
         matrices=_unit_matrices(np.concatenate(xs, axis=1), np.concatenate(ds), spec.gamma_coords),
         complete=len(seen) == size,
         candidates_scanned=scanned,

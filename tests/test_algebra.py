@@ -581,6 +581,7 @@ TABULATED = {
     "a_involution_coords": (18,),
     "a_char_coords": (18,),
     "a_unit_embed_coords": (18,),
+    "a_involution_products_coords": (18,),
     "_a_quotient_from": (18, 18, 18, 2, 2, 2),
 }
 # The number of outputs of each, pinned: the rows of its one array of outputs.
@@ -590,6 +591,7 @@ OUTPUTS = {
     "a_involution_coords": 18,
     "a_char_coords": 6,
     "a_unit_embed_coords": 72,
+    "a_involution_products_coords": 54,
     "_a_quotient_from": 19,
     "a_nrd_coords": 2,
 }
@@ -733,8 +735,10 @@ def test_float_limit_bounds_the_float_tier_tightly(name, gamma):
     if any(type(c) is not int for c in coefs):
         assert limit == -1  # a non-integral coefficient: no float tier
         return
-    # each matrix stays small; the unit form's, 72 x 189, is the one past 50 KB (108,864 bytes)
-    assert dense.shape[0] == OUTPUTS[name] and dense.nbytes < (110_000 if name == "a_unit_embed_coords" else 50_000)
+    # each matrix stays small; two are past 50 KB: the unit form's, 72 x 189 (108,864 bytes), and the involution
+    # products', 54 x 189 (81,648 bytes)
+    size = {"a_unit_embed_coords": 110_000, "a_involution_products_coords": 82_000}.get(name, 50_000)
+    assert dense.shape[0] == OUTPUTS[name] and dense.nbytes < size
     # every monomial's partial products, coefficient products and sums in any order, on inputs |v| <= T
     formula, n = float_tier_formula(name, gamma), sum(sizes_of(name))
     assert magnitude_peak(formula, (limit,) * n, gamma) < 2**53 <= magnitude_peak(formula, (limit + 1,) * n, gamma)
@@ -855,6 +859,25 @@ def test_unit_embed_form_is_the_product_with_the_involution_then_the_embedding()
         got = unidiv.algebra.a_unit_embed_coords(x, g)
         want = np.concatenate([a_mul_coords(x, a_involution_coords(x, g), g), unidiv.algebra.a_embed_coords(x, g)])
         assert got.shape == (72, 7) and got.dtype == dtype and got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("gamma", [(0, 1), (1, 1)], ids=["zeta3", "-zeta3^2"])
+def test_involution_products_form_is_the_involution_then_both_products(gamma):
+    # its 54 rows are v = a_involution_coords(x), then a_mul_coords(x, v) and a_mul_coords(v, x), on random int64
+    # columns within the float limit (the float tier) and on random object columns at 2^70
+    limit = table("a_involution_products_coords", gamma)[-1]
+    assert 0 < limit < 2**26
+    rng = random.Random(71)
+    inputs = [
+        np.array([[rng.choice((-limit, limit, rng.randint(-limit, limit))) for _ in range(9)] for _ in range(18)],
+                 dtype=np.int64),
+        np.array([[rng.randint(-2**70, 2**70) for _ in range(9)] for _ in range(18)], dtype=object),
+    ]
+    for x, dtype in zip(inputs, (np.int64, object)):
+        got = unidiv.algebra.a_involution_products_coords(x, gamma)
+        v = a_involution_coords(x, gamma)
+        want = np.concatenate([v, a_mul_coords(x, v, gamma), a_mul_coords(v, x, gamma)])
+        assert got.shape == (54, 9) and got.dtype == dtype and got.tolist() == want.tolist()
 
 
 def test_nrd_and_char_closed_forms_match_elements():

@@ -57,12 +57,15 @@ from unidiv.codebook import (
     _box_arrays,
     _charpoly3,
     _columns,
+    _UNIT_CHUNK,
+    _half_chunk,
     _hilbert90_batch,
     _k_modulus,
     _norm_halves,
     _norm_split,
     _numeric_pair_dets,
     _pair_norms,
+    _power_basis,
     _unit_matrices,
     _unit_rows,
     _witness_strata,
@@ -391,8 +394,9 @@ def test_hilbert90_takes_the_family_column_and_makes_no_algelem_product(monkeypa
     u = worked_example().x
     cases = [u, u.scale(2**70)]
     want = [x * inverse(involution(x)) for x in cases]
-    sent, batch = [], unidiv.codebook._hilbert90_batch
-    monkeypatch.setattr(unidiv.codebook, "_hilbert90_batch", lambda c, gamma: sent.append(c.dtype) or batch(c, gamma))
+    sent, form = [], unidiv.codebook.a_involution_products_coords
+    monkeypatch.setattr(unidiv.codebook, "a_involution_products_coords",
+                        lambda c, gamma: sent.append(c.dtype) or form(c, gamma))
     monkeypatch.setattr(AlgElem, "__mul__", lambda x, y: pytest.fail("AlgElem product"))
     got = [hilbert90_unit(x) for x in cases]
     monkeypatch.undo()
@@ -542,18 +546,18 @@ def test_generate_codebook_object_dtype_matches_fraction_oracle():
 
 
 def test_hilbert90_batch_forms_each_product_on_the_chunk_columns(monkeypatch):
-    # one involution, u*v and p*v on the k candidates of a chunk: no v*u beside u*v, no commute mask
+    # one call for v = involution(u) with u*v, then p*v, on the k candidates of a chunk: no commute mask
     sub, widths = subfield("nu", 2), []
     chunks, gamma = [u for u, _ in islice(subfield_candidates(sub, Box(1, 1)), 3)], sub.generator.spec.gamma_coords
-    for module in (unidiv.codebook, unidiv.algebra):
-        form = module.a_mul_coords
-        counted = lambda x, y, gamma, form=form: widths.append((x.shape[1], y.shape[1])) or form(x, y, gamma)
+    for module, name in ((unidiv.codebook, "a_involution_products_coords"), (unidiv.algebra, "a_mul_coords")):
+        form = getattr(module, name)
+        counted = lambda *a, form=form: widths.append(tuple(x.shape[1] for x in a[:-1])) or form(*a)
         counted.__wrapped__ = form.__wrapped__
-        monkeypatch.setattr(module, "a_mul_coords", counted)
+        monkeypatch.setattr(module, name, counted)
     for u in chunks:
         widths.clear()
         x, d = _hilbert90_batch(u, gamma)
-        assert widths == [(u.shape[1], u.shape[1])] * 2
+        assert widths == [(u.shape[1],), (u.shape[1], u.shape[1])]
         assert x.shape == u.shape and d.shape == u.shape[1:]
 
 
@@ -594,19 +598,121 @@ def test_box_arrays_are_built_once_and_read_only():
             a[0] = 0
 
 
+def half_chunks(box: Box, dtype) -> list:
+    """Every `_half_chunk` of the box, read in order until None."""
+    out = []
+    while (chunk := _half_chunk(box, np.dtype(dtype), len(out))) is not None:
+        out.append(chunk)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+@pytest.mark.parametrize("box", [Box(1, 1), Box(2, 1), Box(1, 2)], ids=["B1D1", "B2D1", "B1D2"])
+def test_half_chunks_are_the_box_chunks_walk_with_positive_last_coordinates(box, dtype):
+    # one chunk per window of _UNIT_CHUNK tuples of each stratum's product; together, the tuples of the uncached
+    # walk whose last nonzero coordinate is positive, at their positions in it; each chunk read-only
+    _half_chunk.cache_clear()
+    chunks = half_chunks(box, dtype)
+    walk = np.concatenate(list(box_chunks(box, _UNIT_CHUNK, dtype)), axis=1)
+    positive = [next(v for v in reversed(c) if v) > 0 for c in walk.T.tolist()]
+    sizes = [n for n, _ in _box_arrays(box, np.dtype(dtype))[1]]
+    assert len(chunks) == sum(-(-n**6 // _UNIT_CHUNK) for n in sizes)
+    assert np.concatenate([t for t, _ in chunks], axis=1).tolist() == walk[:, positive].tolist()
+    assert np.concatenate([p for _, p in chunks]).tolist() == np.flatnonzero(positive).tolist()
+    for tuples, positions in chunks:
+        assert tuples.dtype == dtype and tuples.shape == (6, len(positions))
+        for a in (tuples, positions):
+            with pytest.raises(ValueError, match="read-only"):
+                a[..., :1] = 0
+    # a chunk is computed from its index alone: the last one, cold, builds one entry and is the same
+    last = len(chunks) - 1
+    _half_chunk.cache_clear()
+    assert [a.tolist() for a in _half_chunk(box, np.dtype(dtype), last)] == [a.tolist() for a in chunks[last]]
+    assert _half_chunk(box, np.dtype(dtype), last + 1) is None
+    assert _half_chunk.cache_info().currsize == 2
+
+
+def test_power_basis_is_built_once_per_generator_and_read_only():
+    _power_basis.cache_clear()
+    a, b = subfield("nu", 2), subfield("nu", 2)
+    assert a.matrix == b.matrix == subfield_matrix_oracle(a)
+    assert _power_basis.cache_info()[:2] == (1, 1)  # equal generators share the entry the first read built
+    rows, mass = _power_basis(a.generator)
+    assert rows.tolist() == a.matrix and mass == max(sum(abs(v) for v in col) for col in zip(*a.matrix))
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 2
+    a.matrix[0][0] = 2  # the lists are the reader's own
+    assert a.matrix[0][0] == 1
+
+
+def test_box_1_13_walk_builds_only_the_chunks_it_reads(monkeypatch):
+    # Box(1, 13) has 115^6 tuples; a codebook of 20 reads a few chunks, each built once
+    reads, cached = [], unidiv.codebook._half_chunk
+    monkeypatch.setattr(unidiv.codebook, "_half_chunk", lambda *key: reads.append(key[2]) or cached(*key))
+    cached.cache_clear()
+    cb = generate_codebook(subfield("zeta9"), Box(1, 13), 20)
+    assert cb.complete and len(cb) == 20
+    assert reads == list(range(len(reads))) and len(reads) < 40
+    assert cached.cache_info().currsize == cached.cache_info().misses == len(reads)
+
+
+def codebook_outputs(cb: Codebook) -> tuple:
+    return cb.elements, cb.matrices.tobytes(), cb.complete, cb.candidates_scanned, cb.requested
+
+
+@pytest.mark.parametrize("kind, k", CLI_SUBFIELDS, ids=CLI_IDS)
+def test_generate_codebook_same_cold_and_warm(kind, k):
+    # every cache a codebook reads, cleared, then kept: the same elements, matrices bit for bit, flags and counts
+    caches = (_half_chunk, _power_basis, _box_arrays)
+    for box, size in ((Box(1, 1), 6), (Box(1, 1), 1000), (Box(2, 1), 40), (Box(1, 2), 40)):
+        for cache in caches:
+            cache.cache_clear()
+        cold = codebook_outputs(generate_codebook(subfield(kind, k), box, size))
+        warm = [codebook_outputs(generate_codebook(subfield(kind, k), box, size)) for _ in range(2)]
+        assert _half_chunk.cache_info().hits and _power_basis.cache_info().hits  # the warm runs read the kept entries
+        assert warm == [cold, cold]
+        assert cold[2] == (size != 1000)  # Box(1, 1) runs out first
+
+
+def algelem_keyed_walk(sub: SubfieldSpec, box: Box, size: int) -> tuple[list, int]:
+    """The units and candidates scanned of generate_codebook, deduplicated on an AlgElem built for each candidate."""
+    spec, seen = sub.generator.spec, {}
+    for u, walked in subfield_candidates(sub, box):
+        x, d = _hilbert90_batch(u, spec.gamma_coords)
+        for i, (num, den) in enumerate(zip(x.T.tolist(), d.tolist())):
+            seen.setdefault(AlgElem.from_integral(spec, num, den), None)
+            if len(seen) == size:
+                return list(seen), int(walked[i]) + 1
+    return list(seen), len(box.values()) ** 6 - 1
+
+
+@pytest.mark.parametrize("kind, k", [("zeta9", None), ("nu", 2), ("L", None)], ids=["zeta9", "nu2", "L"])
+def test_dedupe_on_reduced_columns_matches_algelem_keys(kind, k):
+    # at Box(2, 1), c and 2c give one unit: keys on the reduced integer columns keep what AlgElem keys keep,
+    # in the same order, and stop at the same candidate
+    sub, box = subfield(kind, k), Box(2, 1)
+    units, scanned = algelem_keyed_walk(sub, box, 10**6)
+    assert scanned == 5**6 - 1 and len(units) < scanned // 2  # rational multiples and -c give no new unit
+    for size in (len(units) // 3, len(units) // 3 + 1, len(units), 10**6):
+        cb = generate_codebook(sub, box, size)
+        assert (cb.elements, cb.candidates_scanned) == algelem_keyed_walk(sub, box, size)
+        assert all(type(v) is int for x in cb.elements for v in x.integral()[0])
+
+
 def test_subfield_spec_checks_stability_in_one_product(monkeypatch):
-    # the commute test is one a_mul_coords call on the columns of g and involution(g) side by side, and no
-    # AlgElem product; a generator scaled by 2^70 has integers past int64, so its call runs on Python integers
-    calls, form = [], unidiv.codebook.a_mul_coords
-    counted = lambda x, y, gamma: calls.append((x.dtype, x.shape, y.shape)) or form(x, y, gamma)
+    # the commute test is one a_involution_products_coords call on the column of g, giving g*involution(g) and
+    # involution(g)*g, and no AlgElem product; a generator scaled by 2^70 has integers past int64, so its call
+    # runs on Python integers
+    calls, form = [], unidiv.codebook.a_involution_products_coords
+    counted = lambda x, gamma: calls.append((x.dtype, x.shape)) or form(x, gamma)
     big, bad = nu_generator(2).scale(2**70), (from_l(A, THETA) + A.gen()).scale(2**70)
-    monkeypatch.setattr(unidiv.codebook, "a_mul_coords", counted)
+    monkeypatch.setattr(unidiv.codebook, "a_involution_products_coords", counted)
     monkeypatch.setattr(AlgElem, "__mul__", lambda x, y: pytest.fail("AlgElem product"))
     SubfieldSpec("nu", 2, nu_generator(2), "K(nu_2)")
     sub = SubfieldSpec("nu", 2, big, "K(nu_2), 2^70 g")
     with pytest.raises(ValueError, match=r"^subfield K\[theta\+E\] is not stable under the involution$"):
         SubfieldSpec("theta+E", None, bad, "K[theta+E]")
-    assert calls == [(np.int64, (18, 2), (18, 2)), *[(object, (18, 2), (18, 2))] * 2]
+    assert calls == [(np.int64, (18, 1)), *[(object, (18, 1))] * 2]
     monkeypatch.undo()
     assert sub.matrix == subfield_matrix_oracle(sub)
     assert sub.matrix[2] == [v * 2**70 for v in subfield("nu", 2).matrix[2]]
@@ -652,7 +758,7 @@ def test_hilbert90_bound_holds_on_chunks(kind, k, box):
 
 def unit_norm_coords(x, gamma):
     """x * involution(x), 18 coordinates: the product that the unit check compares with d^2."""
-    return unidiv.codebook.a_mul_coords(x, unidiv.codebook.a_involution_coords(x, gamma), gamma)
+    return unidiv.algebra.a_mul_coords(x, unidiv.algebra.a_involution_coords(x, gamma), gamma)
 
 
 class Recorded(int):
@@ -784,13 +890,13 @@ from unidiv.fields import KElem
 if not sys.flags.optimize or __debug__:
     raise SystemExit("not running under python -O")
 A = algebra.STANDARD_ALGEBRA
-involution, quotient = codebook.a_involution_coords, algebra.a_quotient_coords
+products, quotient = codebook.a_involution_products_coords, algebra.a_quotient_coords
 wrong = codebook._norm_split(object).copy()
 wrong[0, -1, -1] += 1  # a constant 1 in the norm's first output: u = 1 reads norm 2
 doubled = lambda *a: tuple(2 * v for v in quotient(*a)[:18]) + quotient(*a)[18:]  # y = 2/x, so x*y = 2
 cases = [
-    # involution doubled: the quotient gives x/2 for u = E, whose product with its image is 1/2
-    (mock.patch.object(codebook, "a_involution_coords", lambda x, g: involution(x, g) * 2),
+    # involution doubled, with its products: the quotient gives x/2 for u = E, whose product with its image is 1/2
+    (mock.patch.object(codebook, "a_involution_products_coords", lambda x, g: products(x, g) * 2),
      lambda: codebook.hilbert90_unit(A.gen())),
     (mock.patch.object(codebook, "_norm_split", lambda dtype: wrong.astype(dtype)),
      lambda: codebook.norm_witness_search(KElem(2), codebook.Box(1, 1))),
