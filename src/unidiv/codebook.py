@@ -41,11 +41,14 @@ exact recheck of its screened pairs decides zero and nonzero for any gamma.
 The bounded exhaustive search `norm_witness_search` stays as a cross-check
 on the strata of `box_chunks`, the one box walk (`_half_chunk` computes any
 window of it from its index): with the L norm split over two coordinate
-halves, each block of a stratum is one matrix product, exact under a pinned
-bound (`_NORM_MASS`).  A stratum's halves and monomials are built when a
-search first reaches it and kept, never changed, as one entry per (box,
-dtype, stratum) for the 32 used last (a whole Box(3, 2) holds 0.86 MB); hits
-are confirmed on integers.
+halves and its two K-coordinates packed into one exact integer key
+N0 + S*N1, S = 2*bound + 1 (one row while m <= 76 in float64, always on
+Python integers), each block of a stratum is one matrix product and one
+comparison, exact under a pinned bound (`_NORM_MASS`), and only its matches
+are checked for a coordinate at the stratum's height.  A stratum's halves,
+monomials and packed side are built when a search first reaches it and kept,
+never changed, as one entry per (box, dtype, stratum) for the 32 used last
+(a whole Box(3, 2) holds 0.59 MB); hits are confirmed on integers.
 """
 
 from __future__ import annotations
@@ -370,7 +373,7 @@ class Codebook:
         return len(self.elements)
 
 
-@functools.lru_cache(maxsize=256)  # a Box(1, 1) walk has 23 windows, a Box(1, 2) walk 512; an entry is under 2 KB
+@functools.lru_cache(maxsize=1024)  # a Box(1, 1) walk reads 24 entries, a Box(1, 2) one 513; each under 2.4 KB
 def _half_chunk(box: Box, dtype: np.dtype, n: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Window n of _UNIT_CHUNK tuples of the six-tuple walk (`_strata`): its tuples in `box_chunks` (those at the
     stratum's height) whose last nonzero coordinate is positive, and their positions in that walk, as read-only
@@ -655,6 +658,8 @@ _NORM_MASS = 150
 _WITNESS_GRID = 1 << 13
 # The 20 monomials of degree <= 3 in three variables, as sorted indices into (v0, v1, v2, 1).
 _HALF = list(itertools.combinations_with_replacement(range(4), 3))
+# The integers float64 and int64 hold exactly: those below these magnitudes; Python integers hold all.
+_EXACT_BELOW = {np.dtype(np.float64): 2**53, np.dtype(np.int64): 2**63}
 # l_norm_coords in the signature that `algebra._table` traces.
 _l_norm_form = lambda a, gamma: l_norm_coords(a)
 
@@ -677,11 +682,23 @@ def _norm_halves(half: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return mono, _norm_split(mono.dtype) @ mono
 
 
-@functools.lru_cache(maxsize=32)  # holds the 10 strata perfbench and witness_scan.py read; a whole Box(3, 2) is 0.86 MB
+def _witness_key(rows: Sequence, bound: int, dtype) -> tuple:
+    """The witness search's key from the norm rows N0, N1 (arrays or integers; every partial sum within `bound`): one
+    row N0 + S*N1, S = 2*bound + 1, exact and telling (N0, N1) apart, where every value it forms, at most (S + 1)*bound,
+    is exact in dtype (float64 while m <= 76, Python integers always), else the two rows (the rest of float64, int64)."""
+    s = 2 * bound + 1
+    if (s + 1) * bound < _EXACT_BELOW.get(np.dtype(dtype), math.inf):
+        return (rows[0] + s * rows[1],)
+    return tuple(rows)
+
+
+@functools.lru_cache(maxsize=32)  # holds the 10 strata perfbench and witness_scan.py read; a whole Box(3, 2) is 0.59 MB
 def _witness_strata(box: Box, dtype, n: int) -> Optional[tuple]:
-    """The search's (half, top, mono, folded) for stratum n of `_strata(box, dtype, 3)`, or None after the last."""
+    """The search's (half, top, mono, key) for stratum n of `_strata(box, dtype, 3)`, or None after the last: key is
+    the folded side of `_norm_halves` as `_witness_key` makes it on the box's bound, so S is folded in once here."""
     for half, top in itertools.islice(_strata(box, dtype, 3), n, n + 1):
-        return half, top, *_norm_halves(half)
+        mono, folded = _norm_halves(half)
+        return half, top, mono, _witness_key(folded, _NORM_MASS * (box.numerator_bound * box.scale) ** 3, dtype)
     return None
 
 
@@ -695,33 +712,44 @@ def norm_witness_search(target: KElem, box: Box) -> Optional[LElem]:
     The search is exact integer arithmetic.  With Q = `box.scale`, a candidate
     u = a/Q has integer coordinates a, |a_i| <= m = B*Q, and N(u) = N(a)/Q^3,
     so only targets whose goal Q^3*target, formed from their integer numerators
-    and denominators, lies in Z[zeta3] within _NORM_MASS * m^3 can be hit.
-    N(a) on a block of rows (a3, a4, a5) of a stratum by all its (a0, a1, a2),
-    in the stratum's order row by row, is one product of `_norm_halves`, exact
-    in any summation order as every value it forms is at most _NORM_MASS * m^3:
-    in float64 below 2^53, int64 below 2^63, else on Python integers.  The
-    hit's integers a are confirmed with `l_norm_coords`, apart from the split.
+    and denominators, lies in Z[zeta3] within bound = _NORM_MASS * m^3 can be
+    hit; the dtype is float64 while bound < 2^53, int64 while bound < 2^63.
+    A block of rows (a3, a4, a5) of a stratum by all its (a0, a1, a2), in the
+    stratum's order row by row, is one (rows, 20) @ (20, k) product of
+    `_norm_halves`, giving one exact integer key per tuple, N0 + S*N1 with
+    S = 2*bound + 1, and one comparison with the goal's key (`_witness_key`;
+    two of each on int64 and past m = 76 in float64), exact in any summation
+    order.  Only matches are checked for a coordinate at the stratum's height:
+    a nonzero tuple below it would have been hit in an earlier stratum, so only
+    the zero tuple, for a zero goal, is refused.  The hit's integers a are
+    confirmed with `l_norm_coords`, apart from the split.
     """
     q = box.scale
     (g0, r0), (g1, r1) = (divmod(c.numerator * q**3, c.denominator) for c in (target.a0, target.a1))
     bound = _NORM_MASS * (box.numerator_bound * q) ** 3
     if r0 or r1 or max(abs(g0), abs(g1)) > bound:
         return None
-    dtype = np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object
+    dtype = next((t for t, below in _EXACT_BELOW.items() if bound < below), object)
+    goal = _witness_key((g0, g1), bound, dtype)
     for n in itertools.count():
         if (stratum := _witness_strata(box, dtype, n)) is None:
             return None
-        half, top, mono, folded = stratum
+        half, top, mono, key = stratum
         rows = -(-_WITNESS_GRID // len(top))
         for y in range(0, len(top), rows):
-            norm = mono[:, y:y + rows].T @ folded
-            hits = np.flatnonzero((norm[0] == g0) & (norm[1] == g1) & (top | top[y:y + rows, None]))
-            if len(hits):
-                dy, x = divmod(int(hits[0]), len(top))
-                a = [int(c[i]) for i in (x, y + dy) for c in half]
-                if l_norm_coords(a) != (g0, g1):
-                    raise AssertionError("integer norm disagrees with the split")
-                return LElem.from_six_tuple([Fraction(v, q) for v in a])
+            block = mono[:, y:y + rows].T
+            match = block @ key[0] == goal[0]
+            for row, g in zip(key[1:], goal[1:]):
+                match &= block @ row == g
+            match = match.ravel()
+            while match[hit := int(match.argmax())]:  # the matches in order, each cleared once refused
+                dy, x = divmod(hit, len(top))
+                if top[x] or top[y + dy]:
+                    a = [int(c[i]) for i in (x, y + dy) for c in half]
+                    if l_norm_coords(a) != (g0, g1):
+                        raise AssertionError("integer norm disagrees with the split")
+                    return LElem.from_six_tuple([Fraction(v, q) for v in a])
+                match[hit] = False
 
 
 # ---------------------------------------------------------------------------

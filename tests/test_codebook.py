@@ -68,6 +68,8 @@ from unidiv.codebook import (
     _power_basis,
     _unit_matrices,
     _unit_rows,
+    _WITNESS_GRID,
+    _witness_key,
     _witness_strata,
     Box,
     Codebook,
@@ -658,6 +660,18 @@ def test_box_1_13_walk_builds_only_the_chunks_it_reads(monkeypatch):
 
 def codebook_outputs(cb: Codebook) -> tuple:
     return cb.elements, cb.matrices.tobytes(), cb.complete, cb.candidates_scanned, cb.requested
+
+
+def test_half_chunk_cache_keeps_a_whole_box_1_2_walk():
+    # an exhausting Box(1, 2) walk reads its 512 windows and the end: the first request builds them, and the
+    # repeats read them all from the cache, adding no miss, with the same outputs
+    _half_chunk.cache_clear()
+    outputs, misses = [], []
+    for _ in range(3):
+        outputs.append(codebook_outputs(generate_codebook(subfield("L"), Box(1, 2), 10**6)))
+        misses.append(_half_chunk.cache_info().misses)
+    assert misses == [513, 513, 513] and _half_chunk.cache_info().currsize == 513
+    assert not outputs[0][2] and outputs[1] == outputs[2] == outputs[0]
 
 
 @pytest.mark.parametrize("kind, k", CLI_SUBFIELDS, ids=CLI_IDS)
@@ -1508,6 +1522,88 @@ def test_norm_split_is_exact_at_tier_limits(m, dtype):
     mono, folded = _norm_halves([np.vectorize(Recorded, otypes=[object])(c.astype(object)) for c in cols])
     assert as_ints(mono.T @ folded) == want
     assert 0.5 * _NORM_MASS * m**3 < Recorded.peak <= _NORM_MASS * m**3
+
+
+M_PACKED = 76  # the largest m whose packed witness key, within (S + 1) * _NORM_MASS * m^3, stays below 2^53
+
+
+def packed_limit(m: int) -> int:
+    """(S + 1) * bound with bound = _NORM_MASS * m^3 and S = 2 * bound + 1: the packed key's value bound."""
+    bound = _NORM_MASS * m**3
+    return (2 * bound + 2) * bound
+
+
+def test_packed_witness_key_is_exact_at_its_float64_limit():
+    # at m = 76 the key N0 + S*N1 is one float64 row, and each value its fold and product form, recorded on
+    # integers, is at most (S + 1) * bound < 2^53; one more and the bound passes 2^53
+    m = M_PACKED
+    assert packed_limit(m) < 2**53 <= packed_limit(m + 1)
+    bound = _NORM_MASS * m**3
+    halves = list(product((-m, 0, m, m - 1), repeat=3))
+    cols = [np.array(c, dtype=np.float64) for c in zip(*halves)]
+    mono, folded = _norm_halves(cols)
+    key = _witness_key(folded, bound, np.float64)
+    assert len(key) == 1 and key[0].dtype == np.float64
+    norms = [[l_norm_coords(list(x + y)) for x in halves] for y in halves]
+    want = [[n0 + (2 * bound + 1) * n1 for n0, n1 in row] for row in norms]
+    assert [[int(v) for v in row] for row in (mono.T @ key[0]).tolist()] == want
+    Recorded.peak = 0
+    mono, folded = _norm_halves([np.vectorize(Recorded, otypes=[object])(c.astype(object)) for c in cols])
+    key = _witness_key(folded, bound, object)
+    assert [[int(v) for v in row] for row in (mono.T @ key[0]).tolist()] == want
+    assert 0.5 * packed_limit(m) < Recorded.peak <= packed_limit(m)
+
+
+@pytest.mark.parametrize(
+    "box, dtype, rows",
+    [
+        (Box(M_PACKED, 1), np.float64, 1),
+        (Box(M_PACKED + 1, 1), np.float64, 2),
+        (Box(2, 5), np.float64, 2),
+        (Box(1, 13), np.int64, 2),
+        (Box(1, 16), object, 1),
+    ],
+    ids=["m76", "m77", "B2D5-m120", "B1D13-int64", "B1D16-object"],
+)
+def test_witness_key_rows_by_tier(monkeypatch, box, dtype, rows):
+    # the dtype is chosen on the unpacked bound; the key packs to one row up to m = 76 in float64 and always on
+    # Python integers, and keeps two rows past it and on int64; a hit is the oracle's either way
+    assert witness_search_dtypes(monkeypatch, KElem(1), box) == (LElem(1), [dtype])
+    assert norm_witness_oracle(KElem(1), box) == LElem(1)
+    key = _witness_strata(box, dtype, 0)[3]
+    assert len(key) == rows and all(k.dtype == dtype for k in key)
+    _witness_strata.cache_clear()
+
+
+@pytest.mark.parametrize("box", [Box(1, 1), Box(1, 2)], ids=["B1D1", "B1D2"])
+def test_norm_witness_zero_target_refuses_the_zero_tuple_in_every_stratum(monkeypatch, box):
+    # the zero tuple comes first in every stratum, at none's height, and its key matches the goal of N = 0: the
+    # mask refuses that match each time, and as no nonzero u has norm 0 the search reads every stratum and the end
+    strata = len(_box_arrays(box, np.dtype(np.float64))[1])
+    for n in range(strata):
+        _, top, mono, key = _witness_strata(box, np.dtype(np.float64), n)
+        assert not top[0] and mono[:, 0] @ key[0][:, 0] == 0
+    reads, cached = [], unidiv.codebook._witness_strata
+    monkeypatch.setattr(unidiv.codebook, "_witness_strata", lambda *key: reads.append(key[2]) or cached(*key))
+    confirms, confirm = [], unidiv.codebook.l_norm_coords
+    monkeypatch.setattr(unidiv.codebook, "l_norm_coords", lambda a: confirms.append(a) or confirm(a))
+    assert norm_witness_search(KElem(0), box) is None
+    assert norm_witness_oracle(KElem(0), box) is None
+    assert reads == list(range(strata + 1)) and confirms == []
+
+
+def test_norm_witness_scan_late_control_is_read_from_a_later_block():
+    # witness_scan.py's control norm(u) = 71 on Box(3, 2): its first witness, the oracle's, lies in the last
+    # stratum, at (a3, a4, a5) row 11, past the stratum's first block of rows, and at column 130, x = (a0, a1, a2) = (6, 0, 2)
+    box, want = Box(3, 2), LElem.from_six_tuple((3, 0, 1, 0, 1, 0))
+    assert norm_witness_oracle(KElem(71), box) == want
+    _witness_strata.cache_clear()
+    assert norm_witness_search(KElem(71), box) == want
+    assert _witness_strata.cache_info().currsize == 3
+    half, top, _, _ = _witness_strata(box, np.dtype(np.float64), 2)
+    tuples = list(zip(*(c.astype(int).tolist() for c in half)))
+    y, rows = tuples.index((0, 2, 0)), -(-_WITNESS_GRID // len(top))
+    assert y == 11 and rows == 7 and tuples.index((6, 0, 2)) == 130
 
 
 class RecordedPoly(_Poly):
