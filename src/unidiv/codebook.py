@@ -654,7 +654,8 @@ def _min_det(x: np.ndarray, d: np.ndarray, e: np.ndarray, gamma) -> DiversityRep
 # traced on polynomials, each intermediate has degree at most 3 and |coefficients| summing to at most 150.
 # Each output of `_norm_split` has a smaller mass, so it bounds the witness search's products too.
 _NORM_MASS = 150
-# Tuples per matrix product of the witness search, in whole rows of a stratum; larger ones gain little.
+# Tuples per matrix product of the witness search, in whole rows of a stratum; larger ones gain little on
+# misses and add to the work a hit wastes past its row.
 _WITNESS_GRID = 1 << 13
 # The 20 monomials of degree <= 3 in three variables, as sorted indices into (v0, v1, v2, 1).
 _HALF = list(itertools.combinations_with_replacement(range(4), 3))
@@ -684,8 +685,9 @@ def _norm_halves(half: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 def _witness_key(rows: Sequence, bound: int, dtype) -> tuple:
     """The witness search's key from the norm rows N0, N1 (arrays or integers; every partial sum within `bound`): one
-    row N0 + S*N1, S = 2*bound + 1, exact and telling (N0, N1) apart, where every value it forms, at most (S + 1)*bound,
-    is exact in dtype (float64 while m <= 76, Python integers always), else the two rows (the rest of float64, int64)."""
+    row N0 + S*N1, S = 2*bound + 1, exact and telling (N0, N1) apart, where every value it forms, at most
+    (S + 1)*bound, is exact in dtype (float64 while m <= 76, Python integers always), else the two rows (the rest
+    of float64, and int64)."""
     s = 2 * bound + 1
     if (s + 1) * bound < _EXACT_BELOW.get(np.dtype(dtype), math.inf):
         return (rows[0] + s * rows[1],)

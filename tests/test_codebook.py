@@ -1594,7 +1594,7 @@ def test_norm_witness_zero_target_refuses_the_zero_tuple_in_every_stratum(monkey
 
 def test_norm_witness_scan_late_control_is_read_from_a_later_block():
     # witness_scan.py's control norm(u) = 71 on Box(3, 2): its first witness, the oracle's, lies in the last
-    # stratum, at (a3, a4, a5) row 11, past the stratum's first block of rows, and at column 130, x = (a0, a1, a2) = (6, 0, 2)
+    # stratum, at (a3, a4, a5) row 11, past the stratum's first block of 7 rows, and at (a0, a1, a2) column 130
     box, want = Box(3, 2), LElem.from_six_tuple((3, 0, 1, 0, 1, 0))
     assert norm_witness_oracle(KElem(71), box) == want
     _witness_strata.cache_clear()
