@@ -11,7 +11,6 @@ import cmath
 import functools
 import json
 import math
-import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -82,10 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     symbols.add_argument("--ascii", action="store_true", help="plain ASCII symbol names in text output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser(
-        "verify", parents=[symbols], help="re-run the built-in worked example"
-    )
-    p_verify.add_argument("--golden", help="JSON file overriding the built-in golden values")
+    sub.add_parser("verify", parents=[symbols], help="re-run the built-in worked example")
 
     sub.add_parser(
         "table1", parents=[symbols], help="reduced minimal polynomials of the nu subfields"
@@ -195,6 +191,13 @@ def report_to_dict(report: DiversityReport) -> dict:
 # verify
 # ---------------------------------------------------------------------------
 
+# The worked example's matrix embedding, entry by entry.
+_GOLDEN_GRID = [
+    ["1+zeta3", "-1-zeta3", "zeta3"],
+    ["1", "1+zeta3", "-1-zeta3"],
+    ["zeta3", "1", "1+zeta3"],
+]
+
 # Reference decimals for the worked example's unitary matrix, stored as the
 # transpose of the actual matrix.  The reference digits are truncated and
 # mixed-precision, so entries are kept as strings and compared, exactly, at
@@ -212,67 +215,21 @@ def _display_units(value: float, text: str) -> Fraction:
     return abs(Fraction(value) - Fraction(d)) * 10 ** -d.as_tuple().exponent
 
 
-_DECIMAL = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
-
-
-def _same_shape(value, ref, decimal: bool) -> bool:
-    """value has ref's structure (lists of its lengths, objects with its keys) with string leaves,
-    decimal (`_DECIMAL`) ones if asked.  The walk follows ref, so its depth is ref's whatever value holds."""
-    if isinstance(ref, list):
-        same = isinstance(value, list) and len(value) == len(ref)
-        return same and all(_same_shape(v, r, decimal) for v, r in zip(value, ref))
-    if isinstance(ref, dict):
-        same = isinstance(value, dict) and value.keys() == ref.keys()
-        return same and all(_same_shape(value[k], r, decimal) for k, r in ref.items())
-    return isinstance(value, str) and (not decimal or _DECIMAL.fullmatch(value) is not None)
-
-
-def _golden_problem(loaded, builtin: dict) -> Optional[str]:
-    """Why a --golden override is malformed, or None if each known key has the shape of its built-in
-    value, with decimal leaves under numeric_transposed."""
-    if not isinstance(loaded, dict):
-        return "top level is not a JSON object"
-    for key, ref in builtin.items():
-        if key in loaded and not _same_shape(loaded[key], ref, key == "numeric_transposed"):
-            return f"{key!r} must have the shape of the built-in {json.dumps(ref)}"
-    return None
-
-
-def builtin_golden() -> dict:
-    w = worked_example()
-    return {
-        "matrix": [
-            ["1+zeta3", "-1-zeta3", "zeta3"],
-            ["1", "1+zeta3", "-1-zeta3"],
-            ["zeta3", "1", "1+zeta3"],
-        ],
-        "involution": serialize_element(w.involution_image),
-        "unit_zeta9": [str(c) for c in w.unit_coeffs],
-        "numeric_transposed": [[list(v) for v in row] for row in _GOLDEN_NUMERIC],
-    }
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    golden = builtin_golden()
-    if args.golden:
-        loaded = read_json(args.golden, "golden file")
-        problem = _golden_problem(loaded, golden)
-        if problem is not None:
-            raise InputError(f"malformed golden file: {problem}")
-        golden.update(loaded)
-
-    x = worked_example().x
-    ax = involution(x)
+    w = worked_example()
+    x, ax = w.x, involution(w.x)
     unit = hilbert90_unit(x)
     numeric = numeric_embeddings([unit])[0][0].tolist()
 
     actual_grid = matrix_embed(x).render()
     actual_inv = serialize_element(ax)
     unit_coeffs = [str(c) for c in to_zeta9(unit)]
+    golden_inv = serialize_element(w.involution_image)
+    golden_unit = [str(c) for c in w.unit_coeffs]
     checks: list[tuple[str, bool, str, str]] = [
-        ("matrix-embedding", actual_grid == golden["matrix"], str(golden["matrix"]), str(actual_grid)),
-        ("involution-image", actual_inv == golden["involution"], str(golden["involution"]), str(actual_inv)),
-        ("unit-expansion", unit_coeffs == golden["unit_zeta9"], str(golden["unit_zeta9"]), str(unit_coeffs)),
+        ("matrix-embedding", actual_grid == _GOLDEN_GRID, str(_GOLDEN_GRID), str(actual_grid)),
+        ("involution-image", actual_inv == golden_inv, str(golden_inv), str(actual_inv)),
+        ("unit-expansion", unit_coeffs == golden_unit, str(golden_unit), str(unit_coeffs)),
         ("unit-norm", first_non_unitary([unit]) is None, "1", "checked exactly"),
     ]
 
@@ -280,15 +237,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _display_units(value, text)
         for i in range(3)
         for j in range(3)
-        for text, value in zip(golden["numeric_transposed"][j][i], (numeric[i][j].real, numeric[i][j].imag))
+        for text, value in zip(_GOLDEN_NUMERIC[j][i], (numeric[i][j].real, numeric[i][j].imag))
     )
-    shown = float(worst) if worst < sys.float_info.max else math.inf  # float() would overflow past it
     checks.append(
         (
             "numeric-unitary-matrix",
             worst <= 1,
             "each entry within one unit of its displayed decimals",
-            f"worst deviation {shown:.3f} display units",
+            f"worst deviation {float(worst):.3f} display units",
         )
     )
 

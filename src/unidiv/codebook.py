@@ -21,10 +21,11 @@ their reduced integer columns.  One `a_unit_embed_coords` call
 (`_unit_rows`) checks units exactly, X * involution(X) = d^2, and gives the
 entries that `_embedded`, the one float evaluation of the embedding, divides by
 d: every numeric matrix is bit-identical to `LElem.to_complex` of the reduced
-element.  `generate_codebook` and `hilbert90_unit` run it on the chunk columns
-that made each unit, `family_report` (`unidiv diversity`) on the parsed file,
-`first_non_unitary` on given elements.  `algebra._expand3`, the one 3x3
-cofactor expansion, runs on the floats and the generator table's integers.
+element.  `generate_codebook` runs it on the reduced keys of its units,
+`hilbert90_unit` on the column that made its unit, `family_report`
+(`unidiv diversity`) on the parsed file, `first_non_unitary` on given
+elements.  `algebra._expand3`, the one 3x3 cofactor expansion, runs on the
+floats and the generator table's integers.
 
 Stability under the involution is one commute check, one call
 (`a_involution_products_coords`, whose first 36 rows are the quotient's v
@@ -437,40 +438,36 @@ def generate_codebook(sub: SubfieldSpec, box: Box, size: int) -> Codebook:
     chunks and the subfield's basis are built once and kept (`_half_chunk`,
     `_power_basis`), so a request repeated on them does only its own forms.
     The units are checked exactly in one batch,
-    x * involution(x) = 1, and rendered from the chunk columns X/d that first
-    gave them (`_unit_matrices`), which also catches a candidate not
-    commuting with v = involution(u), as x * involution(x) =
-    u*v^(-1)*u^(-1)*v.  If the box runs out first, complete=False.
+    x * involution(x) = 1, and rendered from their kept keys
+    (`_unit_matrices`), which also catches a candidate not commuting with
+    v = involution(u), as x * involution(x) = u*v^(-1)*u^(-1)*v.  A zero
+    reduced norm raises InversionError.  If the box runs out first,
+    complete=False.
     """
     if size < 1:
         raise ValueError("size must be at least 1")
     spec = sub.generator.spec
     seen: dict[tuple, None] = {}  # each unit's 18 numerators and denominator in lowest terms
-    xs, ds = [], []  # per chunk, the columns X and d that first gave a unit
     scanned = len(box.values()) ** 6 - 1  # every nonzero tuple, unless the walk stops early
     for u, walked in subfield_candidates(sub, box):
         x, d = _hilbert90_batch(u, spec.gamma_coords)
         c = np.vstack((x, d))  # d = 0 comes with X = 0, a zero column: kept as zeros, refused when reached
-        fresh = []
         for i, key in enumerate(map(tuple, (c // np.maximum(np.gcd.reduce(c, axis=0), 1)).T.tolist())):
             if not key[18]:
-                raise ZeroDivisionError("zero denominator")
-            if key not in seen:
-                seen[key] = None
-                fresh.append(i)
+                raise InversionError("nonzero element with zero reduced norm; gamma does not give a division algebra")
+            seen[key] = None
             if len(seen) == size:
                 scanned = int(walked[i]) + 1
                 break
-        xs.append(x[:, fresh])
-        ds.append(d[fresh])
         if len(seen) == size:
             break
+    units = _exact(list(seen)).T
     return Codebook(
         subfield_spec=sub,
         box=box,
         requested=size,
         elements=[AlgElem.from_integral(spec, key[:18], key[18]) for key in seen],
-        matrices=_unit_matrices(np.concatenate(xs, axis=1), np.concatenate(ds), spec.gamma_coords),
+        matrices=_unit_matrices(units[:18], units[18], spec.gamma_coords),
         complete=len(seen) == size,
         candidates_scanned=scanned,
     )

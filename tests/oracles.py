@@ -20,14 +20,11 @@ each row's K coordinate pairs to the zeta3 row on integers.
 elements (`LElem.from_six_tuple` per part, then `AlgElem`), the path that
 reading each coordinate as an integer pair replaced.
 
-`golden_problem_oracle` is the `verify --golden` shape check as a
-hand-written table of grid shapes (`_is_grid`), which `cli._golden_problem`
-replaced by a walk over the built-in golden value; the tests show both
-accept the same overrides.  `matmul3` and `charpoly3_oracle` are the 3x3
-tuple arithmetic that `reduce_generator_poly` replaced by object arrays and
-`algebra._expand3`.  `fixed_point_conditions` (on `real_imag_parts`) is the
-coefficientwise form of involution(x) = x, the criterion-7 oracle that the
-tests compare with the definition.
+`matmul3` and `charpoly3_oracle` are the 3x3 tuple arithmetic that
+`reduce_generator_poly` replaced by object arrays and `algebra._expand3`.
+`fixed_point_conditions` (on `real_imag_parts`) is the coefficientwise form
+of involution(x) = x, the criterion-7 oracle that the tests compare with the
+definition.
 
 `Magnitude` is bound arithmetic: one object per value, carried through a
 formula with |coefficients|; `magnitude_peak` is its bound on every value
@@ -50,7 +47,6 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from unidiv.algebra import STANDARD_ALGEBRA, AlgebraSpec, AlgElem, involution, reduced_char_poly, reduced_norm
-from unidiv.cli import _DECIMAL
 from unidiv.codebook import _NORM_MASS, box_chunks
 from unidiv.fields import K_ONE, K_ZERO, KElem, L_ONE, L_ZERO, LElem, ZETA3, l_norm_coords
 from unidiv.rationals import clear_denominators
@@ -103,43 +99,6 @@ def parse_element_oracle(data) -> AlgElem:
             raise TypeError(f"{key!r} is not a list of coordinates")
         parts.append(LElem.from_six_tuple(data[key]))
     return AlgElem(STANDARD_ALGEBRA, *parts)
-
-
-def _is_grid(value, shape: tuple[int, ...], leaf) -> bool:
-    """True if value is nested lists of the given shape whose leaves satisfy leaf."""
-    if not shape:
-        return leaf(value)
-    return (
-        isinstance(value, list)
-        and len(value) == shape[0]
-        and all(_is_grid(v, shape[1:], leaf) for v in value)
-    )
-
-
-def golden_problem_oracle(loaded) -> Optional[str]:
-    """Why a --golden override is malformed, or None if every known key has its shape."""
-    if not isinstance(loaded, dict):
-        return "top level is not a JSON object"
-    text = lambda v: isinstance(v, str)
-    decimal = lambda v: isinstance(v, str) and _DECIMAL.fullmatch(v) is not None
-    shapes = {
-        "matrix": ("a 3x3 grid of strings", lambda v: _is_grid(v, (3, 3), text)),
-        "involution": (
-            "an object holding x0, x1 and x2 as six strings each",
-            lambda v: isinstance(v, dict)
-            and sorted(v) == ["x0", "x1", "x2"]
-            and all(_is_grid(part, (6,), text) for part in v.values()),
-        ),
-        "unit_zeta9": ("a list of six strings", lambda v: _is_grid(v, (6,), text)),
-        "numeric_transposed": (
-            "a 3x3 grid of [re, im] decimal strings",
-            lambda v: _is_grid(v, (3, 3, 2), decimal),
-        ),
-    }
-    for key, (shape, ok) in shapes.items():
-        if key in loaded and not ok(loaded[key]):
-            return f"{key!r} must be {shape}"
-    return None
 
 
 def matmul3(x, y):

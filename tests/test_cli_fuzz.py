@@ -35,30 +35,9 @@ record = st.one_of(
 codebook = st.fixed_dictionaries(
     {"gamma": st.sampled_from(["zeta3", "zeta3^2", 1]), "elements": st.lists(record, max_size=4)}
 )
-# decimal strings with 0-400 places, in well-shaped 3x3 grids of [re, im]
-decimal_text = st.integers(0, 400).flatmap(
-    lambda places: st.builds(
-        lambda sign, whole, digits: sign + whole + (f".{digits:0{places}d}" if places else ""),
-        st.sampled_from(["", "+", "-"]),
-        st.sampled_from(["0", "1", "00"]),
-        st.integers(0, 10**places - 1),
-    )
-)
-numeric_grid = st.lists(
-    st.lists(st.lists(decimal_text, min_size=2, max_size=2), min_size=3, max_size=3), min_size=3, max_size=3
-)
-golden = st.one_of(
-    st.dictionaries(
-        st.sampled_from(["matrix", "involution", "unit_zeta9", "numeric_transposed", "other"]),
-        json_values,
-        max_size=4,
-    ),
-    st.fixed_dictionaries({"numeric_transposed": numeric_grid}),
-)
 contents = st.one_of(
     json_values.map(json.dumps),
     codebook.map(json.dumps),
-    golden.map(json.dumps),
     record.map(json.dumps),
     st.text(max_size=40),
     st.binary(max_size=40),
@@ -90,20 +69,11 @@ def assert_contract(code, out):
 
 
 @FUZZ
-@given(golden.map(json.dumps), st.sampled_from([[], ["--format", "json"], ["--ascii"]]))
-def test_verify_golden_overrides(tmp_path_factory, data, flags):
-    path = tmp_path_factory.mktemp("fuzz") / "golden.json"
-    path.write_text(data)
-    assert_contract(*run_main(["verify", "--golden", str(path), *flags]))
-
-
-@FUZZ
 @given(
     contents,
     # each command with the flags it declares: diversity has no --ascii
     st.sampled_from([(["diversity"], flags) for flags in ([], ["--format", "json"])]
-                    + [(command, flags) for command in (["embed", "--element"], ["verify", "--golden"])
-                       for flags in ([], ["--format", "json"], ["--ascii"])]),
+                    + [(["embed", "--element"], flags) for flags in ([], ["--format", "json"], ["--ascii"])]),
 )
 def test_json_file_commands(tmp_path_factory, data, command_flags):
     command, flags = command_flags

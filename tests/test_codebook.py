@@ -390,6 +390,14 @@ def test_hilbert90_names_zero_divisor():
         hilbert90_unit(u)
 
 
+def test_generate_codebook_names_zero_divisor(monkeypatch):
+    # with the certificate patched to pass gamma = 1, the walk reaches u = -1 + E, whose Nrd is 0
+    monkeypatch.setattr(unidiv.codebook, "division_certificate", lambda gamma: True)
+    sub = SubfieldSpec("split", None, AlgebraSpec(KElem(1)).gen(), "K[E], gamma = 1")
+    with pytest.raises(InversionError, match="zero reduced norm"):
+        generate_codebook(sub, Box(1, 1), 100)
+
+
 def test_hilbert90_takes_the_family_column_and_makes_no_algelem_product(monkeypatch):
     # the commute check is SubfieldSpec's one product: no AlgElem product runs; the worked example goes in as an
     # int64 column, the same u times 2^70 as an object column, and each unit is u * involution(u)^(-1)
@@ -856,7 +864,7 @@ def test_first_non_unitary_compares_q_squared_exactly():
 
 
 def unit_columns(units, m: int) -> tuple:
-    """The units' integers and denominators both times m, unreduced columns as generate_codebook passes them."""
+    """The units' integers and denominators both times m, unreduced columns as hilbert90_unit and family_report pass them."""
     x, d = _columns([x.integral() for x in units])
     x = x.astype(object) * m
     return x.astype(np.int64 if np.abs(x).max() < 2**63 else object), d * m
