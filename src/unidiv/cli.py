@@ -125,7 +125,9 @@ def _complex_str(z: complex) -> str:
 
 
 def serialize_element(x: AlgElem) -> dict:
-    return {key: [str(f) for f in part.six_tuple()] for key, part in zip(("x0", "x1", "x2"), x.coords())}
+    """x's record: each coordinate v/q of `x.integral()` as str(Fraction(v, q)), with no field element built."""
+    num, q = x.integral()
+    return {key: [str(Fraction(v, q)) for v in num[i:i + 6]] for i, key in zip((0, 6, 12), ("x0", "x1", "x2"))}
 
 
 def parse_element(data) -> AlgElem:

@@ -40,16 +40,16 @@ where L/K is totally and tamely ramified, so it is not a norm from L;
 `SubfieldSpec` requires it.  `min_det_report` needs no certificate: the
 exact recheck of its screened pairs decides zero and nonzero for any gamma.
 The bounded exhaustive search `norm_witness_search` stays as a cross-check
-on the strata of `box_chunks`, the one box walk (`_half_chunk` computes any
-window of it from its index): with the L norm split over two coordinate
-halves and its two K-coordinates packed into one exact integer key
-N0 + S*N1, S = 2*bound + 1 (one row while m <= 76 in float64, always on
-Python integers), each block of a stratum is one matrix product and one
-comparison, exact under a pinned bound (`_NORM_MASS`), and only its matches
-are checked for a coordinate at the stratum's height.  A stratum's halves,
-monomials and packed side are built when a search first reaches it and kept,
-never changed, as one entry per (box, dtype, stratum) for the 32 used last
-(a whole Box(3, 2) holds 0.59 MB); hits are confirmed on integers.
+on the strata of `box_chunks`, the one box walk (`_window` computes any window
+of it from its index): with the L norm split over two coordinate halves and
+its two K-coordinates packed into one exact integer key N0 + S*N1,
+S = 2*bound + 1 (float64 while m <= 76, else Python integers), each block of
+a stratum is one matrix product and one comparison, exact under a pinned
+bound (`_NORM_MASS`), and a nonzero goal's first match is its witness.  A
+stratum's halves, monomials and packed side are built when a search first
+reaches it and kept, never changed, as one entry per (box, stratum) for the
+32 used last (a whole Box(3, 2) holds 0.59 MB); hits are confirmed on
+integers.
 """
 
 from __future__ import annotations
@@ -123,18 +123,9 @@ def _box_arrays(box: Box, dtype: np.dtype) -> tuple[np.ndarray, list[tuple[int, 
     return coords, [(int(np.count_nonzero(heights <= h)), top) for h, top in zip(levels, tops)]
 
 
-def _strata(box: Box, dtype, arity: int, chunk: Optional[int] = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per height H, lowest first, the `arity`-tuples of the box's coordinates of height <= H (times `box.scale`,
-    in `Box.values` order) in chunks (default: whole strata), tuple number k holding value number k // n**i % n
-    at coordinate i, as one (arity, k) array and whether each tuple has a coordinate at height H (`_box_arrays`)."""
-    coords, strata = _box_arrays(box, np.dtype(dtype))
-    for n, top in strata:
-        for start in range(0, n**arity, chunk or n**arity):
-            yield _window(coords, top, n, arity, start, min(start + (chunk or n**arity), n**arity))
-
-
 def _window(coords: np.ndarray, top: np.ndarray, n: int, arity: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
-    """Tuples number start to stop - 1 of the stratum of `_strata` over n values, and which have a top coordinate."""
+    """Tuples number start to stop - 1 of the `arity`-tuples over the first n values of `_box_arrays` (a stratum),
+    tuple k holding value k // n**i % n at coordinate i, as one (arity, k) array, and which reach its height (`top`)."""
     digits = np.arange(start, stop) // n ** np.arange(arity)[:, None] % n
     return coords.take(digits), top.take(digits).any(axis=0)
 
@@ -145,11 +136,14 @@ def box_chunks(box: Box, chunk: int, dtype) -> Iterator[np.ndarray]:
     Tuples of height H come out before any of height H+1; within a stratum
     the order is lexicographic with the first coordinate varying fastest.
     A chunk holds the height-H tuples among up to `chunk` consecutive ones
-    of the stratum's product; it is never empty.
+    of the stratum's product (`_window`); it is never empty.
     """
-    for cols, keep in _strata(box, dtype, 6, chunk):
-        if keep.any():
-            yield cols[:, keep]
+    coords, strata = _box_arrays(box, np.dtype(dtype))
+    for n, top in strata:
+        for start in range(0, n**6, chunk):
+            cols, keep = _window(coords, top, n, 6, start, min(start + chunk, n**6))
+            if keep.any():
+                yield cols[:, keep]
 
 
 @dataclass(frozen=True, slots=True)
@@ -376,7 +370,7 @@ class Codebook:
 
 @functools.lru_cache(maxsize=1024)  # a Box(1, 1) walk reads 24 entries, a Box(1, 2) one 513; each under 2.4 KB
 def _half_chunk(box: Box, dtype: np.dtype, n: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Window n of _UNIT_CHUNK tuples of the six-tuple walk (`_strata`): its tuples in `box_chunks` (those at the
+    """Window n of _UNIT_CHUNK tuples of the six-tuple walk (`_window`): its tuples in `box_chunks` (those at the
     stratum's height) whose last nonzero coordinate is positive, and their positions in that walk, as read-only
     arrays; None after the last window.  Nothing before window n is walked: per stratum, the tuples of `box_chunks`
     number size^6 - low^6 (low values lie below its height), and those before a window are counted digit by digit."""
@@ -656,8 +650,6 @@ _NORM_MASS = 150
 _WITNESS_GRID = 1 << 13
 # The 20 monomials of degree <= 3 in three variables, as sorted indices into (v0, v1, v2, 1).
 _HALF = list(itertools.combinations_with_replacement(range(4), 3))
-# The integers float64 and int64 hold exactly: those below these magnitudes; Python integers hold all.
-_EXACT_BELOW = {np.dtype(np.float64): 2**53, np.dtype(np.int64): 2**63}
 # l_norm_coords in the signature that `algebra._table` traces.
 _l_norm_form = lambda a, gamma: l_norm_coords(a)
 
@@ -680,25 +672,19 @@ def _norm_halves(half: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return mono, _norm_split(mono.dtype) @ mono
 
 
-def _witness_key(rows: Sequence, bound: int, dtype) -> tuple:
-    """The witness search's key from the norm rows N0, N1 (arrays or integers; every partial sum within `bound`): one
-    row N0 + S*N1, S = 2*bound + 1, exact and telling (N0, N1) apart, where every value it forms, at most
-    (S + 1)*bound, is exact in dtype (float64 while m <= 76, Python integers always), else the two rows (the rest
-    of float64, and int64)."""
-    s = 2 * bound + 1
-    if (s + 1) * bound < _EXACT_BELOW.get(np.dtype(dtype), math.inf):
-        return (rows[0] + s * rows[1],)
-    return tuple(rows)
-
-
 @functools.lru_cache(maxsize=32)  # holds the 10 strata perfbench and witness_scan.py read; a whole Box(3, 2) is 0.59 MB
-def _witness_strata(box: Box, dtype, n: int) -> Optional[tuple]:
-    """The search's (half, top, mono, key) for stratum n of `_strata(box, dtype, 3)`, or None after the last: key is
-    the folded side of `_norm_halves` as `_witness_key` makes it on the box's bound, so S is folded in once here."""
-    for half, top in itertools.islice(_strata(box, dtype, 3), n, n + 1):
-        mono, folded = _norm_halves(half)
-        return half, top, mono, _witness_key(folded, _NORM_MASS * (box.numerator_bound * box.scale) ** 3, dtype)
-    return None
+def _witness_strata(box: Box, n: int) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The search's (half, mono, key) for stratum n of the box's triples (`_window`), or None after the last: key is
+    the folded side of `_norm_halves` packed as N0 + S*N1, S = 2*bound + 1, in float64 while every value it forms,
+    at most (S + 1)*bound, is below 2^53 (m <= 76), else on Python integers, so S is folded in once here."""
+    bound = _NORM_MASS * (box.numerator_bound * box.scale) ** 3
+    coords, strata = _box_arrays(box, np.dtype(float if (2 * bound + 2) * bound < 2**53 else object))
+    if n >= len(strata):
+        return None
+    size, top = strata[n]
+    half = _window(coords, top, size, 3, 0, size**3)[0]
+    mono, folded = _norm_halves(half)
+    return half, mono, folded[0] + (2 * bound + 1) * folded[1]
 
 
 def norm_witness_search(target: KElem, box: Box) -> Optional[LElem]:
@@ -712,43 +698,37 @@ def norm_witness_search(target: KElem, box: Box) -> Optional[LElem]:
     u = a/Q has integer coordinates a, |a_i| <= m = B*Q, and N(u) = N(a)/Q^3,
     so only targets whose goal Q^3*target, formed from their integer numerators
     and denominators, lies in Z[zeta3] within bound = _NORM_MASS * m^3 can be
-    hit; the dtype is float64 while bound < 2^53, int64 while bound < 2^63.
-    A block of rows (a3, a4, a5) of a stratum by all its (a0, a1, a2), in the
-    stratum's order row by row, is one (rows, 20) @ (20, k) product of
-    `_norm_halves`, giving one exact integer key per tuple, N0 + S*N1 with
-    S = 2*bound + 1, and one comparison with the goal's key (`_witness_key`;
-    two of each on int64 and past m = 76 in float64), exact in any summation
-    order.  Only matches are checked for a coordinate at the stratum's height:
-    a nonzero tuple below it would have been hit in an earlier stratum, so only
-    the zero tuple, for a zero goal, is refused.  The hit's integers a are
-    confirmed with `l_norm_coords`, apart from the split.
+    hit; as L is a field, N(u) = 0 only for u = 0, so a zero goal is no hit
+    either, and none of these reads a stratum.  A block of rows (a3, a4, a5)
+    of a stratum by all its (a0, a1, a2), in the stratum's order row by row, is
+    one (rows, 20) @ (20, k) product of `_norm_halves`, giving one exact
+    integer key per tuple, N0 + S*N1 with S = 2*bound + 1, and one comparison
+    with the goal's key, in the dtype of `_witness_strata` and exact in any
+    summation order.  A nonzero tuple with no coordinate at the stratum's
+    height lies in an earlier stratum, read first, so for a nonzero goal the
+    first match is the first witness.  The hit's integers a are confirmed with
+    `l_norm_coords`, apart from the split.
     """
     q = box.scale
     (g0, r0), (g1, r1) = (divmod(c.numerator * q**3, c.denominator) for c in (target.a0, target.a1))
     bound = _NORM_MASS * (box.numerator_bound * q) ** 3
-    if r0 or r1 or max(abs(g0), abs(g1)) > bound:
+    if r0 or r1 or not 0 < max(abs(g0), abs(g1)) <= bound:
         return None
-    dtype = next((t for t, below in _EXACT_BELOW.items() if bound < below), object)
-    goal = _witness_key((g0, g1), bound, dtype)
+    goal = g0 + (2 * bound + 1) * g1
     for n in itertools.count():
-        if (stratum := _witness_strata(box, dtype, n)) is None:
+        if (stratum := _witness_strata(box, n)) is None:
             return None
-        half, top, mono, key = stratum
-        rows = -(-_WITNESS_GRID // len(top))
-        for y in range(0, len(top), rows):
-            block = mono[:, y:y + rows].T
-            match = block @ key[0] == goal[0]
-            for row, g in zip(key[1:], goal[1:]):
-                match &= block @ row == g
-            match = match.ravel()
-            while match[hit := int(match.argmax())]:  # the matches in order, each cleared once refused
-                dy, x = divmod(hit, len(top))
-                if top[x] or top[y + dy]:
-                    a = [int(c[i]) for i in (x, y + dy) for c in half]
-                    if l_norm_coords(a) != (g0, g1):
-                        raise AssertionError("integer norm disagrees with the split")
-                    return LElem.from_six_tuple([Fraction(v, q) for v in a])
-                match[hit] = False
+        half, mono, key = stratum
+        width = half.shape[1]
+        rows = -(-_WITNESS_GRID // width)
+        for y in range(0, width, rows):
+            match = (mono[:, y:y + rows].T @ key == goal).ravel()
+            if match[hit := int(match.argmax())]:
+                dy, x = divmod(hit, width)
+                a = [int(c[i]) for i in (x, y + dy) for c in half]
+                if l_norm_coords(a) != (g0, g1):
+                    raise AssertionError("integer norm disagrees with the split")
+                return LElem.from_six_tuple([Fraction(v, q) for v in a])
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,6 @@ from unidiv.codebook import (
     _unit_matrices,
     _unit_rows,
     _WITNESS_GRID,
-    _witness_key,
     _witness_strata,
     Box,
     Codebook,
@@ -1342,10 +1341,10 @@ def test_norm_witness_methods_agree():
     "box", [Box(1, 1), Box(2, 1), Box(1, 2)], ids=lambda b: f"B{b.numerator_bound}D{b.denominator_bound}"
 )
 def test_norm_witness_matches_exact_walk(box):
+    # every norm of the box, whose first witness may lie in any stratum: the search returns the first match of
+    # a stratum unmasked, which is the oracle's first witness only if no earlier stratum holds one
     first = oracle_first_witnesses(box)
-    rng = random.Random(box.numerator_bound * 10 + box.denominator_bound)
-    norms = rng.sample(list(first), 12)
-    for n in norms:
+    for n in first:
         for target in (n, ZETA3 * n, ZETA3 * ZETA3 * n):
             assert norm_witness_search(target, box) == first.get(target)
         # n is a norm from the box; its zeta3 and zeta3^2 multiples are misses
@@ -1391,30 +1390,11 @@ def test_norm_witness_hit_is_confirmed_once_on_python_ints(monkeypatch):
 
 
 def witness_search_dtypes(monkeypatch, target: KElem, box: Box) -> tuple:
-    """norm_witness_search(target, box) and the dtypes it walks the box in, from an empty strata cache."""
-    dtypes, walk = [], unidiv.codebook._strata
-    spy = lambda b, dtype, *rest: dtypes.append(dtype) or walk(b, dtype, *rest)
-    monkeypatch.setattr(unidiv.codebook, "_strata", spy)
+    """norm_witness_search(target, box) and the dtypes it reads the box's values in, from an empty strata cache."""
+    dtypes, arrays = [], unidiv.codebook._box_arrays
+    monkeypatch.setattr(unidiv.codebook, "_box_arrays", lambda b, dtype: dtypes.append(dtype) or arrays(b, dtype))
     _witness_strata.cache_clear()
     return norm_witness_search(target, box), dtypes
-
-
-def test_norm_witness_object_dtype_path(monkeypatch):
-    # Q = lcm(1..16) = 720720 puts the norm bound beyond int64
-    assert _NORM_MASS * 720720**3 > 2**63 - 1
-    assert witness_search_dtypes(monkeypatch, KElem(1), Box(1, 16)) == (LElem(1), [object])
-
-
-def test_norm_witness_int64_at_box_1_13(monkeypatch):
-    # Q = lcm(1..13) = 360360 keeps the norm bound within int64
-    assert _NORM_MASS * 360360**3 <= 2**63 - 1
-    assert witness_search_dtypes(monkeypatch, KElem(1), Box(1, 13)) == (LElem(1), [np.int64])
-
-
-def test_norm_witness_float64_at_box_2_2(monkeypatch):
-    # m = 4 keeps the norm bound below 2^53
-    assert _NORM_MASS * 4**3 < 2**53
-    assert witness_search_dtypes(monkeypatch, KElem(1), Box(2, 2)) == (LElem(1), [np.float64])
 
 
 @pytest.mark.parametrize("box, count", [(Box(2, 2), 8), (Box(3, 2), 2)], ids=["B2D2", "B3D2"])
@@ -1541,63 +1521,65 @@ def packed_limit(m: int) -> int:
     return (2 * bound + 2) * bound
 
 
-def test_packed_witness_key_is_exact_at_its_float64_limit():
-    # at m = 76 the key N0 + S*N1 is one float64 row, and each value its fold and product form, recorded on
-    # integers, is at most (S + 1) * bound < 2^53; one more and the bound passes 2^53
-    m = M_PACKED
+def test_packed_witness_key_is_exact_at_its_float64_limit(monkeypatch):
+    # at m = 76 `_witness_strata` packs the key N0 + S*N1 into one float64 row, and each value its fold, packing
+    # and product form, recorded on integers, is at most (S + 1) * bound < 2^53; one more and the bound passes 2^53.
+    # The box's values are replaced by one stratum of the extremes, so the triples are those of the split's test
+    m, box = M_PACKED, Box(M_PACKED, 1)
     assert packed_limit(m) < 2**53 <= packed_limit(m + 1)
     bound = _NORM_MASS * m**3
-    halves = list(product((-m, 0, m, m - 1), repeat=3))
-    cols = [np.array(c, dtype=np.float64) for c in zip(*halves)]
-    mono, folded = _norm_halves(cols)
-    key = _witness_key(folded, bound, np.float64)
-    assert len(key) == 1 and key[0].dtype == np.float64
-    norms = [[l_norm_coords(list(x + y)) for x in halves] for y in halves]
-    want = [[n0 + (2 * bound + 1) * n1 for n0, n1 in row] for row in norms]
-    assert [[int(v) for v in row] for row in (mono.T @ key[0]).tolist()] == want
-    Recorded.peak = 0
-    mono, folded = _norm_halves([np.vectorize(Recorded, otypes=[object])(c.astype(object)) for c in cols])
-    key = _witness_key(folded, bound, object)
-    assert [[int(v) for v in row] for row in (mono.T @ key[0]).tolist()] == want
-    assert 0.5 * packed_limit(m) < Recorded.peak <= packed_limit(m)
+    extremes = lambda make, dtype: (np.array([make(v) for v in (-m, 0, m, m - 1)], dtype), [(4, np.ones(4, bool))])
+    try:
+        monkeypatch.setattr(unidiv.codebook, "_box_arrays", lambda b, dtype: extremes(int, dtype))
+        _witness_strata.cache_clear()
+        half, mono, key = _witness_strata(box, 0)
+        assert key.dtype == np.float64 and key.shape == (20, 64)
+        halves = list(zip(*half.astype(int).tolist()))
+        norms = [[l_norm_coords(list(x + y)) for x in halves] for y in halves]
+        want = [[n0 + (2 * bound + 1) * n1 for n0, n1 in row] for row in norms]
+        assert [[int(v) for v in row] for row in (mono.T @ key).tolist()] == want
+        Recorded.peak = 0
+        monkeypatch.setattr(unidiv.codebook, "_box_arrays", lambda b, dtype: extremes(Recorded, object))
+        _witness_strata.cache_clear()
+        _, mono, key = _witness_strata(box, 0)
+        assert [[int(v) for v in row] for row in (mono.T @ key).tolist()] == want
+        assert 0.5 * packed_limit(m) < Recorded.peak <= packed_limit(m)
+    finally:
+        _witness_strata.cache_clear()
 
 
 @pytest.mark.parametrize(
-    "box, dtype, rows",
+    "box, dtype",
     [
-        (Box(M_PACKED, 1), np.float64, 1),
-        (Box(M_PACKED + 1, 1), np.float64, 2),
-        (Box(2, 5), np.float64, 2),
-        (Box(1, 13), np.int64, 2),
-        (Box(1, 16), object, 1),
+        (Box(2, 2), np.float64),
+        (Box(M_PACKED, 1), np.float64),
+        (Box(M_PACKED + 1, 1), object),
+        (Box(2, 5), object),
+        (Box(1, 13), object),
+        (Box(1, 16), object),
     ],
-    ids=["m76", "m77", "B2D5-m120", "B1D13-int64", "B1D16-object"],
+    ids=["B2D2-float64", "m76", "m77", "B2D5-m120", "B1D13-object", "B1D16-object"],
 )
-def test_witness_key_rows_by_tier(monkeypatch, box, dtype, rows):
-    # the dtype is chosen on the unpacked bound; the key packs to one row up to m = 76 in float64 and always on
-    # Python integers, and keeps two rows past it and on int64; a hit is the oracle's either way
+def test_witness_key_rows_by_tier(monkeypatch, box, dtype):
+    # the key is one row in both tiers: float64 while (S + 1) * bound < 2^53 (m <= 76), else Python integers, so
+    # a zeta3 miss on Box(2, 5) (m = 120) runs on objects; a hit is the oracle's either way
     assert witness_search_dtypes(monkeypatch, KElem(1), box) == (LElem(1), [dtype])
     assert norm_witness_oracle(KElem(1), box) == LElem(1)
-    key = _witness_strata(box, dtype, 0)[3]
-    assert len(key) == rows and all(k.dtype == dtype for k in key)
+    key = _witness_strata(box, 0)[2]
+    assert key.ndim == 2 and key.dtype == dtype
     _witness_strata.cache_clear()
 
 
 @pytest.mark.parametrize("box", [Box(1, 1), Box(1, 2)], ids=["B1D1", "B1D2"])
-def test_norm_witness_zero_target_refuses_the_zero_tuple_in_every_stratum(monkeypatch, box):
-    # the zero tuple comes first in every stratum, at none's height, and its key matches the goal of N = 0: the
-    # mask refuses that match each time, and as no nonzero u has norm 0 the search reads every stratum and the end
-    strata = len(_box_arrays(box, np.dtype(np.float64))[1])
-    for n in range(strata):
-        _, top, mono, key = _witness_strata(box, np.dtype(np.float64), n)
-        assert not top[0] and mono[:, 0] @ key[0][:, 0] == 0
-    reads, cached = [], unidiv.codebook._witness_strata
-    monkeypatch.setattr(unidiv.codebook, "_witness_strata", lambda *key: reads.append(key[2]) or cached(*key))
+def test_norm_witness_zero_target_reads_no_stratum(monkeypatch, box):
+    # N(u) = 0 only for u = 0, as L is a field, and the zero tuple is no witness: a zero goal returns None before
+    # any stratum is read, so the zero tuple, which matches it first in every stratum, is never confirmed
+    monkeypatch.setattr(unidiv.codebook, "_witness_strata", lambda *key: pytest.fail("read a stratum"))
     confirms, confirm = [], unidiv.codebook.l_norm_coords
     monkeypatch.setattr(unidiv.codebook, "l_norm_coords", lambda a: confirms.append(a) or confirm(a))
     assert norm_witness_search(KElem(0), box) is None
+    assert confirms == []
     assert norm_witness_oracle(KElem(0), box) is None
-    assert reads == list(range(strata + 1)) and confirms == []
 
 
 def test_norm_witness_scan_late_control_is_read_from_a_later_block():
@@ -1608,9 +1590,9 @@ def test_norm_witness_scan_late_control_is_read_from_a_later_block():
     _witness_strata.cache_clear()
     assert norm_witness_search(KElem(71), box) == want
     assert _witness_strata.cache_info().currsize == 3
-    half, top, _, _ = _witness_strata(box, np.dtype(np.float64), 2)
+    half, _, _ = _witness_strata(box, 2)
     tuples = list(zip(*(c.astype(int).tolist() for c in half)))
-    y, rows = tuples.index((0, 2, 0)), -(-_WITNESS_GRID // len(top))
+    y, rows = tuples.index((0, 2, 0)), -(-_WITNESS_GRID // half.shape[1])
     assert y == 11 and rows == 7 and tuples.index((6, 0, 2)) == 130
 
 
