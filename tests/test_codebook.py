@@ -1397,6 +1397,13 @@ def witness_search_dtypes(monkeypatch, target: KElem, box: Box) -> tuple:
     return norm_witness_search(target, box), dtypes
 
 
+def test_norm_witness_object_dtype_path(monkeypatch):
+    # Q = lcm(1..16) = 720720 puts the norm bound beyond int64, let alone float64, so only Python integers hold it
+    assert _NORM_MASS * 720720**3 > 2**63 - 1
+    assert witness_search_dtypes(monkeypatch, KElem(1), Box(1, 16)) == (LElem(1), [object])
+    _witness_strata.cache_clear()
+
+
 @pytest.mark.parametrize("box, count", [(Box(2, 2), 8), (Box(3, 2), 2)], ids=["B2D2", "B3D2"])
 def test_norm_witness_search_matches_chunked_oracle(box, count):
     # norms of tuples drawn from the box, their zeta3 and zeta3^2 multiples, and the controls;
