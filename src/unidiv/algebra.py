@@ -5,15 +5,16 @@ generator E satisfies E^3 = gamma and lambda*E = E*sigma(lambda) for
 lambda in L.  The module provides the 3x3 matrix embedding over L, the
 involution whose matrix shadow is the conjugate transpose (available
 exactly when z = gamma*conj(gamma) = 1), reduced norms and characteristic
-polynomials, inversion through Cayley-Hamilton, and `_expand3`, the one 3x3
-cofactor expansion, on exact or float arrays.  The product, the
-involution, the embedding, chi (t, s and Nrd in one table, read by
-`reduced_char_poly`, `reduced_norm` and the quotient) and the quotient
-u * v^(-1) exist once, as closed forms on the 18 rational coordinates at
-the end of this module, each evaluated from a monomial table traced from
-it once per gamma; two more tables are traced from those bodies, one
-joining x * involution(x) and the embedding, one giving involution(x) and
-its products with x on both sides.  Constants are built from their integer
+polynomials, inversion through the reduced adjugate, and `_expand3`, the one
+3x3 cofactor expansion, on exact or float arrays.  The product, the
+involution, the embedding, chi (t, s and Nrd in one table) and the reduced
+adjugate x^# = x^2 - t*x + s (x * x^# = Nrd(x)) exist once, as closed forms
+on the 18 rational coordinates at the end of this module, each evaluated
+from a monomial table traced from it once per gamma.  Three more tables
+are traced from those bodies: x * involution(x) joined with the embedding,
+x * involution(x) - involution(x) * x, and u * involution(w) with the K
+part of u * w, which for w = u^# give the unit u * involution(u)^(-1)
+after one scaling in K.  Constants are built from their integer
 coordinates.  Everything is immutable and pure; an AlgebraSpec can be shared read-only.
 """
 
@@ -184,7 +185,7 @@ class AlgElem:
         kk = _as_k(k)
         num, m = clear_denominators((kk.a0, kk.a1))
         a, q = self.integral()
-        return AlgElem.from_integral(self.spec, sum((_l_scale(num, p) for p in _parts(a)), ()), q * m)
+        return AlgElem.from_integral(self.spec, _k_scale(num, a), q * m)
 
     def __eq__(self, other):
         if not isinstance(other, AlgElem):
@@ -302,8 +303,8 @@ def reduced_norm(x: AlgElem) -> KElem:
 
 
 def inverse(x: AlgElem) -> AlgElem:
-    """x^(-1) = q * X/d for x = a/q, a integral, from `a_quotient_coords` with
-    u = 1 and p = v = a (Cayley-Hamilton in chi_a).
+    """x^(-1) = q * a^# * conj(n)/N(n) for x = a/q, a integral, n = Nrd(a): the reduced adjugate
+    (`a_adjugate_coords`, a * a^# = n) scaled by conj(n) in `a_k_scale_coords`, as N(n) = n * conj(n).
 
     The exact postcondition x*y = 1 raises AssertionError, under `python -O`
     too.  It is one-sided on purpose: in a finite-dimensional algebra a right
@@ -313,11 +314,11 @@ def inverse(x: AlgElem) -> AlgElem:
     if x.is_zero():
         raise ZeroDivisionError("zero element of the algebra")
     a, q = x.integral()
-    *num, d = a_quotient_coords((1,) + (0,) * 17, a, a, x.spec.gamma_coords)
+    gamma = x.spec.gamma_coords
+    n0, n1 = a_char_coords(a, gamma)[4:]
+    *num, d = a_k_scale_coords(a_adjugate_coords(a, gamma), (n0 - n1, -n1), gamma)
     if d == 0:
-        raise InversionError(
-            "nonzero element with zero reduced norm; gamma does not give a division algebra"
-        )
+        raise InversionError("nonzero element with zero reduced norm; gamma does not give a division algebra")
     y = AlgElem.from_integral(x.spec, [q * v for v in num], d)
     if x * y != x.spec.one():
         raise AssertionError("inverse postcondition failed")
@@ -416,10 +417,13 @@ class _Poly(dict):
     def __add__(self, other, sign=1):
         out = _Poly(self)
         for m, c in _lift(other).items():
-            out[m] = out.get(m, 0) + sign * c
-        return _Poly({m: c for m, c in out.items() if c})
+            if c := out.pop(m, 0) + sign * c:
+                out[m] = c
+        return out
 
     def __mul__(self, other):
+        if not isinstance(other, _Poly):  # a constant scales the coefficients
+            return _Poly({m: c * other for m, c in self.items()} if other else {})
         out: dict = {}
         for (m, c), (n, d) in itertools.product(self.items(), _lift(other).items()):
             mn = tuple(sorted(m + n))
@@ -511,9 +515,9 @@ def _l_add(*terms):
     return tuple(map(sum, zip(*terms)))
 
 
-def _l_scale(k, a):
-    """k*a for k in K (two coordinates) and a in L."""
-    return sum((_k_mul_coords(k[0], k[1], a[i], a[i + 1]) for i in (0, 2, 4)), ())
+def _k_scale(k, a):
+    """k*a for k in K (two coordinates) and a in L (six) or the algebra (18; k is central): pair by pair."""
+    return sum((_k_mul_coords(k[0], k[1], a[i], a[i + 1]) for i in range(0, len(a), 2)), ())
 
 
 @_tabulated
@@ -528,7 +532,7 @@ def a_mul_coords(x, y, gamma) -> tuple:
         terms = [l_mul_coords(sigma[j][(k - j) % 3], y[j]) for j in range(3)]
         part = _l_add(*terms[:k + 1])
         if k < 2:
-            part = _l_add(part, _l_scale(gamma, _l_add(*terms[k + 1:])))
+            part = _l_add(part, _k_scale(gamma, _l_add(*terms[k + 1:])))
         out += part
     return out
 
@@ -540,7 +544,7 @@ def a_embed_coords(x, gamma) -> tuple:
     sig = [_parts(x)]
     for _ in range(2):
         sig.append([l_sigma_coords(v) for v in sig[-1]])
-    entry = lambda r, c: _l_scale(gamma, sig[c][(r - c) % 3]) if r < c else sig[c][(r - c) % 3]
+    entry = lambda r, c: _k_scale(gamma, sig[c][(r - c) % 3]) if r < c else sig[c][(r - c) % 3]
     return tuple(v for r in range(3) for c in range(3) for v in entry(r, c))
 
 
@@ -549,7 +553,7 @@ def a_involution_coords(x, gamma) -> tuple:
     """The involution, with 1/gamma written as conj(gamma) (valid when z = 1)."""
     g = (gamma[0] - gamma[1], -gamma[1])
     c0, c1, c2 = (l_conj_coords(v) for v in _parts(x))
-    return c0 + _l_scale(g, l_sigma_coords(c2)) + _l_scale(g, l_sigma_coords(l_sigma_coords(c1)))
+    return c0 + _k_scale(g, l_sigma_coords(c2)) + _k_scale(g, l_sigma_coords(l_sigma_coords(c1)))
 
 
 @_tabulated
@@ -561,12 +565,19 @@ def a_unit_embed_coords(x, gamma) -> tuple:
 
 
 @_tabulated
-def a_involution_products_coords(x, gamma) -> tuple:
-    """involution(x), x * involution(x) and involution(x) * x, 18 coordinates each: one table traced from the
-    involution and product bodies, which gives a commute check and a quotient's v and p = u*v in one call."""
+def a_commutator_coords(x, gamma) -> tuple:
+    """x * involution(x) - involution(x) * x: one table traced from the involution and product bodies, zero
+    exactly when x commutes with its involution."""
     mul, star = (f.__wrapped__ for f in (a_mul_coords, a_involution_coords))
     v = star(x, gamma)
-    return v + mul(x, v, gamma) + mul(v, x, gamma)
+    return tuple(p - q for p, q in zip(mul(x, v, gamma), mul(v, x, gamma)))
+
+
+def _char_ts(a, b, c, gamma) -> tuple:
+    """t = Tr(a) and s = Tr(a*sigma(a)) - gamma*Tr(b*sigma(c)) of chi for x = a + E*b + E^2*c: four coordinates."""
+    s0 = l_trace_coords(l_mul_coords(a, l_sigma_coords(a)))
+    s1 = _k_mul_coords(*gamma, *l_trace_coords(l_mul_coords(b, l_sigma_coords(c))))
+    return l_trace_coords(a) + (s0[0] - s1[0], s0[1] - s1[1])
 
 
 @_tabulated
@@ -581,33 +592,30 @@ def a_char_coords(x, gamma) -> tuple:
                  - gamma*Tr(x0*sigma(x1)*sigma^2(x2)).
     """
     a, b, c = _parts(x)
-    s0 = l_trace_coords(l_mul_coords(a, l_sigma_coords(a)))
-    s1 = _k_mul_coords(*gamma, *l_trace_coords(l_mul_coords(b, l_sigma_coords(c))))
     cross = l_mul_coords(l_mul_coords(a, l_sigma_coords(b)), l_sigma_coords(l_sigma_coords(c)))
     n0, n1, n2 = (l_norm_coords(v) for v in (a, b, c))
     tr = l_trace_coords(cross)
     g_n2 = _k_mul_coords(*gamma, *n2)
     inner = _k_mul_coords(*gamma, n1[0] + g_n2[0] - tr[0], n1[1] + g_n2[1] - tr[1])
-    return l_trace_coords(a) + (s0[0] - s1[0], s0[1] - s1[1], n0[0] + inner[0], n0[1] + inner[1])
-
-
-def a_quotient_coords(u, v, p, gamma) -> tuple:
-    """X (18 coordinates) + (d,), d in K's first coordinate, with u * v^(-1) = X/d, given p = u*v.
-
-    Cayley-Hamilton gives v*(v^2 - t*v + s) = n for chi_v = X^3 - t*X^2 +
-    s*X - n, so u * v^(-1) = (p*v - t*p + s*u) * conj(n) / N(n); d = N(n)
-    is 0 exactly when Nrd(v) = 0.  (Its table whole would hold about half a
-    million terms, so it combines those of its parts.)
-    """
-    chi = a_char_coords(v, gamma)
-    return _a_quotient_from(u, p, a_mul_coords(p, v, gamma), chi[:2], chi[2:4], chi[4:], gamma)
+    return _char_ts(a, b, c, gamma) + (n0[0] + inner[0], n0[1] + inner[1])
 
 
 @_tabulated
-def _a_quotient_from(u, p, pv, t, s, n, gamma) -> tuple:
-    """`a_quotient_coords` from u, p, p*v and the t, s and n of chi_v; gamma is unused."""
-    nbar = (n[0] - n[1], -n[1])
-    x = ()
-    for pv_k, p_k, u_k in zip(*map(_parts, (pv, p, u))):
-        x += _l_scale(nbar, _l_add(pv_k, _l_scale((-t[0], -t[1]), p_k), _l_scale(s, u_k)))
-    return x + (n[0] * nbar[0] - n[1] * nbar[1],)
+def a_adjugate_coords(x, gamma) -> tuple:
+    """The reduced adjugate x^# = x^2 - t*x + s, with t and s those of chi (traced without its norm terms): by
+    Cayley-Hamilton x * x^# = x^# * x = Nrd(x), so x^(-1) = x^#/Nrd(x) whenever Nrd(x) != 0."""
+    t0, t1, s0, s1 = _char_ts(*_parts(x), gamma)
+    return _l_add(a_mul_coords.__wrapped__(x, x, gamma), _k_scale((-t0, -t1), x), (s0, s1) + (0,) * 16)
+
+
+@_tabulated
+def a_unit_parts_coords(u, w, gamma) -> tuple:
+    """u * involution(w) (18 coordinates), then the K part of u * w (two): for w = u^#, that is Nrd(u)."""
+    mul, star = (f.__wrapped__ for f in (a_mul_coords, a_involution_coords))
+    return mul(u, star(w, gamma), gamma) + mul(u, w, gamma)[:2]
+
+
+@_tabulated
+def a_k_scale_coords(p, n, gamma) -> tuple:
+    """n * p for p in the algebra and n in K (18 coordinates), then N(n) = n * conj(n), in Q; gamma is unused."""
+    return _k_scale(n, p) + (n[0] * n[0] - n[0] * n[1] + n[1] * n[1],)

@@ -12,15 +12,16 @@ Exact work runs on integer columns X_i/d_i (18 x m, int64 or object; X/d need
 not be in lowest terms), each closed form one (outputs, m) array of rows per
 call, on one of two exact tiers: float64 on int64 inputs within the table's
 float limit, Python integers otherwise; AlgElems enter by `_family` alone.
-Units are built in one place, `_hilbert90_batch`, in four calls per chunk and
-no commute check (`SubfieldSpec` proved it once), on half the box
-(`subfield_candidates` skips -u), whose chunks (`_half_chunk`, per box, dtype
-and window) and each generator's basis (`_power_basis`) are built once, when
-first read, and kept; a request then forms only its units and keys them by
-their reduced integer columns.  One `a_unit_embed_coords` call
-(`_unit_rows`) checks units exactly, X * involution(X) = d^2, and gives the
-entries that `_embedded`, the one float evaluation of the embedding, divides by
-d: every numeric matrix is bit-identical to `LElem.to_complex` of the reduced
+Units are built in one place, `_hilbert90_batch`, from the reduced adjugate
+u^# (u * u^# = Nrd(u)) in three calls per chunk and no commute check
+(`SubfieldSpec` proved it once), on half the box (`subfield_candidates`
+skips -u), whose chunks (`_half_chunk`, per box, dtype and window) and each
+generator's basis (`_power_basis`) are built once, when first read, and
+kept; a request then forms only its units and keys them by their reduced
+integer columns.  One `a_unit_embed_coords` call (`_unit_rows`) checks
+units exactly, X * involution(X) = d^2, and gives the entries that
+`_embedded`, the one float evaluation of the embedding, divides by d:
+every numeric matrix is bit-identical to `LElem.to_complex` of the reduced
 element.  `generate_codebook` runs it on the reduced keys of its units,
 `hilbert90_unit` on the column that made its unit, `family_report`
 (`unidiv diversity`) on the parsed file, `first_non_unitary` on given
@@ -28,11 +29,10 @@ elements.  `algebra._expand3`, the one 3x3 cofactor expansion, runs on the
 floats and the generator table's integers.
 
 Stability under the involution is one commute check, one call
-(`a_involution_products_coords`, whose first 36 rows are the quotient's v
-and u*v): in a division algebra of prime degree 3, any g outside the
-center K generates a maximal subfield K[g], its own centralizer by the
-double centralizer theorem, so involution(g) lies in K[g] exactly when it
-commutes with g.
+(`a_commutator_coords`, g * involution(g) - involution(g) * g): in a
+division algebra of prime degree 3, any g outside the center K generates
+a maximal subfield K[g], its own centralizer by the double centralizer
+theorem, so involution(g) lies in K[g] exactly when it commutes with g.
 
 The division property is certified by `division_certificate`: gamma is a
 unit of Z[zeta3] that is not a local norm at the prime 2 - zeta3 above 7,
@@ -69,11 +69,13 @@ from .algebra import (
     STANDARD_ALGEBRA,
     _expand3,
     _table,
+    a_adjugate_coords,
     a_char_coords,
+    a_commutator_coords,
     a_embed_coords,
-    a_involution_products_coords,
-    a_quotient_coords,
+    a_k_scale_coords,
     a_unit_embed_coords,
+    a_unit_parts_coords,
     char_poly_rational,
 )
 from .fields import (
@@ -158,7 +160,7 @@ class SubfieldSpec:
     gamma = 1, (1 - E)(1 + E + E^2) = 0); g commutes with involution(g),
     which under the certificate (double centralizer) puts involution(g)
     in K[g], so the involution maps K[g] onto itself.  The commute check is one
-    `a_involution_products_coords` call: g * involution(g) = involution(g) * g.
+    `a_commutator_coords` call: g * involution(g) - involution(g) * g = 0.
 
     The rows of `matrix` are q times 1, zeta3, g, zeta3*g, g^2 and
     zeta3*g^2, q their least common denominator (so matrix[0][0] = q), and
@@ -179,8 +181,7 @@ class SubfieldSpec:
         if division_certificate(g.spec.gamma) is None:
             raise ValueError(f"subfield {self.label} needs a division certificate for gamma = {g.spec.gamma}")
         u, _, gamma = _family([g])  # g times its denominator: commutes alike
-        r = a_involution_products_coords(u, gamma)
-        if not np.array_equal(r[18:36], r[36:]):
+        if a_commutator_coords(u, gamma).any():
             raise ValueError(f"subfield {self.label} is not stable under the involution")
 
     @property
@@ -232,12 +233,13 @@ def subfield(kind: str, k: Optional[int] = None) -> SubfieldSpec:
 _UNIT_CHUNK = 32
 
 
-def _hilbert90_batch(u: np.ndarray, gamma, r: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
-    """X (18 x k) and d with u * v^(-1) = X/d, v = involution(u), for the columns u of an 18 x k integer array
-    (any candidate scaled to integers: its rational multiples give the same X/d): v and p = u*v are the first 36
-    rows r of `a_involution_products_coords` (formed here unless given), then one `a_quotient_coords`."""
-    r = a_involution_products_coords(u, gamma) if r is None else r
-    c = a_quotient_coords(u, r[:18], r[18:36], gamma)
+def _hilbert90_batch(u: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """X (18 x k) and d with u * involution(u)^(-1) = X/d, for the columns u of an 18 x k integer array (any
+    candidate scaled to integers: its rational multiples give the same X/d), through the reduced adjugate:
+    involution(u)^(-1) = involution(u^#)/conj(n), n = Nrd(u), so X = u * involution(u^#) * n and d = N(n), in
+    three calls (`a_adjugate_coords`, `a_unit_parts_coords`, which also gives n, and `a_k_scale_coords`)."""
+    r = a_unit_parts_coords(u, a_adjugate_coords(u, gamma), gamma)
+    c = a_k_scale_coords(r[:18], r[18:], gamma)
     return c[:18], c[18]
 
 
@@ -302,18 +304,16 @@ def hilbert90_unit(u: AlgElem) -> AlgElem:
     """The unitary element u * involution(u)^(-1): `_hilbert90_batch` on the `_family` column of u.
 
     Requires u nonzero and u commuting with involution(u), which, as u need not come from a `SubfieldSpec`, is
-    checked here as there, on the one `a_involution_products_coords` call that also gives the quotient its v and
-    u*v: a failure raises PreconditionError (a ValueError), after the algebra's InvolutionUnavailable.
-    `_unit_matrices` checks x * involution(x) = 1 on X/d.
+    checked here as there, by one `a_commutator_coords` call: a failure raises PreconditionError (a ValueError),
+    after the algebra's InvolutionUnavailable.  `_unit_matrices` checks x * involution(x) = 1 on X/d.
     """
     if u.is_zero():
         raise ValueError("u must be nonzero")
     u.spec.require_involution()
     c, _, gamma = _family([u])
-    r = a_involution_products_coords(c, gamma)
-    if not np.array_equal(r[18:36], r[36:]):
+    if a_commutator_coords(c, gamma).any():
         raise PreconditionError("precondition failed: u does not commute with involution(u)")
-    x, d = _hilbert90_batch(c, gamma, r)
+    x, d = _hilbert90_batch(c, gamma)
     if d[0] == 0:
         raise InversionError("nonzero element with zero reduced norm; gamma does not give a division algebra")
     _unit_matrices(x, d, gamma)

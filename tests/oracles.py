@@ -5,7 +5,9 @@
 LElem arithmetic, `matl_to_complex` its float rendering entry by entry
 (`LElem.to_complex`, which `numeric_embeddings` matches bit for bit),
 `inverse_oracle` the inverse from the characteristic polynomial's
-coefficients, and `codebook_oracle` over `enumerate_subfield`
+coefficients, `hilbert90_chain_oracle` the unit u * involution(u)^(-1) by
+the quotient chain (v = involution(u), u*v, chi_v, Cayley-Hamilton) that the
+reduced adjugate replaced, and `codebook_oracle` over `enumerate_subfield`
 the per-candidate Fraction path that `generate_codebook`'s integer arrays
 replaced.  `iter_box_tuples` is the reference box order that
 `box_chunks` walks on integer arrays, `norm_witness_oracle` the witness
@@ -46,9 +48,19 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from unidiv.algebra import STANDARD_ALGEBRA, AlgebraSpec, AlgElem, involution, reduced_char_poly, reduced_norm
+from unidiv.algebra import (
+    STANDARD_ALGEBRA,
+    AlgebraSpec,
+    AlgElem,
+    a_char_coords,
+    a_involution_coords,
+    a_mul_coords,
+    involution,
+    reduced_char_poly,
+    reduced_norm,
+)
 from unidiv.codebook import _NORM_MASS, box_chunks
-from unidiv.fields import K_ONE, K_ZERO, KElem, L_ONE, L_ZERO, LElem, ZETA3, l_norm_coords
+from unidiv.fields import K_ONE, K_ZERO, KElem, L_ONE, L_ZERO, LElem, ZETA3, _k_mul_coords, l_norm_coords
 from unidiv.rationals import clear_denominators
 
 
@@ -169,6 +181,24 @@ def inverse_oracle(x: AlgElem) -> AlgElem:
     """-(x^2 + a*x + b)/c, X^3 + a*X^2 + b*X + c = reduced_char_poly(x) (Cayley-Hamilton)."""
     c, b, a = reduced_char_poly(x).coeffs[:3]
     return (x * x + x.scale(a) + x.spec.one().scale(b)).scale(-c.inv())
+
+
+def hilbert90_chain_oracle(u: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """X and d with u * involution(u)^(-1) = X/d for the columns of u, by the chain that the reduced adjugate
+    replaced: v = involution(u), p = u*v, chi_v = X^3 - t*X^2 + s*X - n, and Cayley-Hamilton, v*(v^2 - t*v + s)
+    = n, so X = (p*v - t*p + s*u) * conj(n) and d = N(n), as object arrays.  Only the public closed forms run,
+    each exact on either tier; the K arithmetic that joins them runs on Python integers."""
+    exact = lambda a: np.asarray(a, dtype=object)
+    v = a_involution_coords(u, gamma)
+    p = a_mul_coords(u, v, gamma)
+    pv, p, u = exact(a_mul_coords(p, v, gamma)), exact(p), exact(u)
+    t0, t1, s0, s1, n0, n1 = exact(a_char_coords(v, gamma))
+    nbar = (n0 - n1, -n1)
+    x = []
+    for i in range(0, 18, 2):  # the nine K coordinate pairs
+        tp, su = _k_mul_coords(t0, t1, p[i], p[i + 1]), _k_mul_coords(s0, s1, u[i], u[i + 1])
+        x += _k_mul_coords(*nbar, pv[i] - tp[0] + su[0], pv[i + 1] - tp[1] + su[1])
+    return np.array(x, dtype=object), n0 * nbar[0] - n1 * nbar[1]
 
 
 def pairwise_determinants(elements: Sequence[AlgElem]) -> Iterator[tuple[int, int, KElem]]:

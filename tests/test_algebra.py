@@ -581,8 +581,10 @@ TABULATED = {
     "a_involution_coords": (18,),
     "a_char_coords": (18,),
     "a_unit_embed_coords": (18,),
-    "a_involution_products_coords": (18,),
-    "_a_quotient_from": (18, 18, 18, 2, 2, 2),
+    "a_commutator_coords": (18,),
+    "a_adjugate_coords": (18,),
+    "a_unit_parts_coords": (18, 18),
+    "a_k_scale_coords": (18, 2),
 }
 # The number of outputs of each, pinned: the rows of its one array of outputs.
 OUTPUTS = {
@@ -591,8 +593,10 @@ OUTPUTS = {
     "a_involution_coords": 18,
     "a_char_coords": 6,
     "a_unit_embed_coords": 72,
-    "a_involution_products_coords": 54,
-    "_a_quotient_from": 19,
+    "a_commutator_coords": 18,
+    "a_adjugate_coords": 18,
+    "a_unit_parts_coords": 20,
+    "a_k_scale_coords": 19,
     "a_nrd_coords": 2,
 }
 # Outputs tested on their own as rows of a tabulated form: Nrd is the last two outputs of the chi table.
@@ -686,7 +690,7 @@ def test_tables_match_closed_form_bodies(name, gamma):
         assert_same_output(got, want)
     if any(isinstance(c, Fraction) for c in gamma):
         # a non-integral gamma puts Fractions into the table, so it runs on objects
-        if name != "_a_quotient_from":  # the one form that does not read gamma
+        if name != "a_k_scale_coords":  # the one form that does not read gamma
             _, _, (_, _, coefs, _, _), limit = table(name, gamma)
             assert limit == -1 and any(type(c) is not int for c in coefs)
         return
@@ -735,9 +739,9 @@ def test_float_limit_bounds_the_float_tier_tightly(name, gamma):
     if any(type(c) is not int for c in coefs):
         assert limit == -1  # a non-integral coefficient: no float tier
         return
-    # each matrix stays small; two are past 50 KB: the unit form's, 72 x 189 (108,864 bytes), and the involution
-    # products', 54 x 189 (81,648 bytes)
-    size = {"a_unit_embed_coords": 110_000, "a_involution_products_coords": 82_000}.get(name, 50_000)
+    # each matrix stays small; two are past 50 KB: the unit form's, 72 x 189 (108,864 bytes), and the unit parts',
+    # 20 x 324 (51,840 bytes)
+    size = {"a_unit_embed_coords": 110_000, "a_unit_parts_coords": 52_000}.get(name, 50_000)
     assert dense.shape[0] == OUTPUTS[name] and dense.nbytes < size
     # every monomial's partial products, coefficient products and sums in any order, on inputs |v| <= T
     formula, n = float_tier_formula(name, gamma), sum(sizes_of(name))
@@ -862,10 +866,10 @@ def test_unit_embed_form_is_the_product_with_the_involution_then_the_embedding()
 
 
 @pytest.mark.parametrize("gamma", [(0, 1), (1, 1)], ids=["zeta3", "-zeta3^2"])
-def test_involution_products_form_is_the_involution_then_both_products(gamma):
-    # its 54 rows are v = a_involution_coords(x), then a_mul_coords(x, v) and a_mul_coords(v, x), on random int64
+def test_commutator_form_is_the_difference_of_both_products(gamma):
+    # its 18 rows are a_mul_coords(x, v) - a_mul_coords(v, x), v = a_involution_coords(x), on random int64
     # columns within the float limit (the float tier) and on random object columns at 2^70
-    limit = table("a_involution_products_coords", gamma)[-1]
+    limit = table("a_commutator_coords", gamma)[-1]
     assert 0 < limit < 2**26
     rng = random.Random(71)
     inputs = [
@@ -874,10 +878,28 @@ def test_involution_products_form_is_the_involution_then_both_products(gamma):
         np.array([[rng.randint(-2**70, 2**70) for _ in range(9)] for _ in range(18)], dtype=object),
     ]
     for x, dtype in zip(inputs, (np.int64, object)):
-        got = unidiv.algebra.a_involution_products_coords(x, gamma)
+        got = unidiv.algebra.a_commutator_coords(x, gamma)
         v = a_involution_coords(x, gamma)
-        want = np.concatenate([v, a_mul_coords(x, v, gamma), a_mul_coords(v, x, gamma)])
-        assert got.shape == (54, 9) and got.dtype == dtype and got.tolist() == want.tolist()
+        want = a_mul_coords(x, v, gamma) - a_mul_coords(v, x, gamma)
+        assert got.shape == (18, 9) and got.dtype == dtype and got.tolist() == want.tolist()
+        assert got.any(axis=0).all()  # random columns do not commute with their involution
+
+
+@pytest.mark.parametrize("gamma", [(0, 1), (1, 1), (2, -1)], ids=["zeta3", "-zeta3^2", "2-zeta3"])
+def test_adjugate_times_x_is_the_reduced_norm_on_both_sides(gamma):
+    # x * x^# = x^# * x = Nrd(x) (Cayley-Hamilton), on int64 columns within the float limit and on objects at
+    # 2^70; inverse reads the same adjugate
+    limit = table("a_adjugate_coords", gamma)[-1]
+    rng = random.Random(73)
+    inputs = [
+        np.array([[rng.choice((-limit, limit, rng.randint(-limit, limit))) for _ in range(9)] for _ in range(18)],
+                 dtype=np.int64),
+        np.array([[rng.randint(-2**70, 2**70) for _ in range(9)] for _ in range(18)], dtype=object),
+    ]
+    for x in inputs:
+        adj, n = unidiv.algebra.a_adjugate_coords(x, gamma), a_char_coords(x, gamma)[4:]
+        want = np.concatenate([n, np.zeros((16, 9), dtype=object)])
+        assert a_mul_coords(x, adj, gamma).tolist() == a_mul_coords(adj, x, gamma).tolist() == want.tolist()
 
 
 def test_nrd_and_char_closed_forms_match_elements():

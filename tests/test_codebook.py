@@ -26,6 +26,7 @@ from oracles import (
     enumerate_subfield,
     express_in_power_basis,
     from_l,
+    hilbert90_chain_oracle,
     iter_box_tuples,
     matl_to_complex,
     matmul3,
@@ -403,8 +404,8 @@ def test_hilbert90_takes_the_family_column_and_makes_no_algelem_product(monkeypa
     u = worked_example().x
     cases = [u, u.scale(2**70)]
     want = [x * inverse(involution(x)) for x in cases]
-    sent, form = [], unidiv.codebook.a_involution_products_coords
-    monkeypatch.setattr(unidiv.codebook, "a_involution_products_coords",
+    sent, form = [], unidiv.codebook.a_commutator_coords
+    monkeypatch.setattr(unidiv.codebook, "a_commutator_coords",
                         lambda c, gamma: sent.append(c.dtype) or form(c, gamma))
     monkeypatch.setattr(AlgElem, "__mul__", lambda x, y: pytest.fail("AlgElem product"))
     got = [hilbert90_unit(x) for x in cases]
@@ -554,19 +555,44 @@ def test_generate_codebook_object_dtype_matches_fraction_oracle():
     assert_matches_fraction_oracle(subfield("nu", 5), Box(1, 1), 20)
 
 
+def test_hilbert90_batch_matches_the_quotient_chain_oracle():
+    # X = u * involution(u^#) * n and d = N(n), n = Nrd(u), are the integers of the chain through v =
+    # involution(u), u*v, chi_v and Cayley-Hamilton, as v^# = involution(u^#) and Nrd(v) = conj(n): on every chunk
+    # of the CLI subfields over three boxes, on object columns past 2^63 that do not commute with their
+    # involution, and on columns of zero reduced norm, where X = 0 and d = 0
+    for (kind, k), box in product(CLI_SUBFIELDS, (Box(1, 1), Box(2, 1), Box(1, 2))):
+        sub = subfield(kind, k)
+        gamma = sub.generator.spec.gamma_coords
+        chunks = [u for u, _ in subfield_candidates(sub, box)]
+        got = [np.concatenate(a, axis=-1).tolist() for a in zip(*(_hilbert90_batch(u, gamma) for u in chunks))]
+        assert got == [a.tolist() for a in hilbert90_chain_oracle(np.concatenate(chunks, axis=1), gamma)]
+    rng = random.Random(83)
+    u = np.array([[rng.randint(-2**70, 2**70) for _ in range(24)] for _ in range(18)], dtype=object)
+    assert unidiv.codebook.a_commutator_coords(u, A.gamma_coords).any(axis=0).all()
+    got, want = _hilbert90_batch(u, A.gamma_coords), hilbert90_chain_oracle(u, A.gamma_coords)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want] and max(map(abs, got[1])) > 2**63
+    # 1 - E at gamma = 1 (Nrd = 1 - gamma = 0), and u = 0 at gamma = zeta3
+    split = AlgebraSpec(KElem(1))
+    for u, gamma in [((split.one() - split.gen()).integral()[0], split.gamma_coords), ((0,) * 18, A.gamma_coords)]:
+        u = np.array(u, dtype=np.int64)[:, None]
+        got, want = _hilbert90_batch(u, gamma), hilbert90_chain_oracle(u, gamma)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want] == [[[0]] * 18, [0]]
+
+
 def test_hilbert90_batch_forms_each_product_on_the_chunk_columns(monkeypatch):
-    # one call for v = involution(u) with u*v, then p*v, on the k candidates of a chunk: no commute mask
+    # three calls on the k candidates of a chunk, in order: the adjugate u^#, then u * involution(u^#) with Nrd(u),
+    # then its scaling by Nrd(u) with N(Nrd(u)); no commute mask
     sub, widths = subfield("nu", 2), []
     chunks, gamma = [u for u, _ in islice(subfield_candidates(sub, Box(1, 1)), 3)], sub.generator.spec.gamma_coords
-    for module, name in ((unidiv.codebook, "a_involution_products_coords"), (unidiv.algebra, "a_mul_coords")):
-        form = getattr(module, name)
-        counted = lambda *a, form=form: widths.append(tuple(x.shape[1] for x in a[:-1])) or form(*a)
-        counted.__wrapped__ = form.__wrapped__
-        monkeypatch.setattr(module, name, counted)
+    for name in ("a_adjugate_coords", "a_unit_parts_coords", "a_k_scale_coords"):
+        form = getattr(unidiv.codebook, name)
+        counted = lambda *a, name=name, form=form: widths.append((name, *(x.shape[1] for x in a[:-1]))) or form(*a)
+        monkeypatch.setattr(unidiv.codebook, name, counted)
     for u in chunks:
         widths.clear()
         x, d = _hilbert90_batch(u, gamma)
-        assert widths == [(u.shape[1],), (u.shape[1], u.shape[1])]
+        k = u.shape[1]
+        assert widths == [("a_adjugate_coords", k), ("a_unit_parts_coords", k, k), ("a_k_scale_coords", k, k)]
         assert x.shape == u.shape and d.shape == u.shape[1:]
 
 
@@ -721,13 +747,13 @@ def test_dedupe_on_reduced_columns_matches_algelem_keys(kind, k):
 
 
 def test_subfield_spec_checks_stability_in_one_product(monkeypatch):
-    # the commute test is one a_involution_products_coords call on the column of g, giving g*involution(g) and
+    # the commute test is one a_commutator_coords call on the column of g, giving g*involution(g) -
     # involution(g)*g, and no AlgElem product; a generator scaled by 2^70 has integers past int64, so its call
     # runs on Python integers
-    calls, form = [], unidiv.codebook.a_involution_products_coords
+    calls, form = [], unidiv.codebook.a_commutator_coords
     counted = lambda x, gamma: calls.append((x.dtype, x.shape)) or form(x, gamma)
     big, bad = nu_generator(2).scale(2**70), (from_l(A, THETA) + A.gen()).scale(2**70)
-    monkeypatch.setattr(unidiv.codebook, "a_involution_products_coords", counted)
+    monkeypatch.setattr(unidiv.codebook, "a_commutator_coords", counted)
     monkeypatch.setattr(AlgElem, "__mul__", lambda x, y: pytest.fail("AlgElem product"))
     SubfieldSpec("nu", 2, nu_generator(2), "K(nu_2)")
     sub = SubfieldSpec("nu", 2, big, "K(nu_2), 2^70 g")
@@ -911,17 +937,17 @@ from unidiv.fields import KElem
 if not sys.flags.optimize or __debug__:
     raise SystemExit("not running under python -O")
 A = algebra.STANDARD_ALGEBRA
-products, quotient = codebook.a_involution_products_coords, algebra.a_quotient_coords
+scale = algebra.a_k_scale_coords
 wrong = codebook._norm_split(object).copy()
 wrong[0, -1, -1] += 1  # a constant 1 in the norm's first output: u = 1 reads norm 2
-doubled = lambda *a: tuple(2 * v for v in quotient(*a)[:18]) + quotient(*a)[18:]  # y = 2/x, so x*y = 2
+doubled = lambda p, n, g: scale(tuple(2 * v for v in p), n, g)  # X doubled over the same d
 cases = [
-    # involution doubled, with its products: the quotient gives x/2 for u = E, whose product with its image is 1/2
-    (mock.patch.object(codebook, "a_involution_products_coords", lambda x, g: products(x, g) * 2),
-     lambda: codebook.hilbert90_unit(A.gen())),
+    # the unit's X doubled: u = E gives 2x, whose product with its image is 4
+    (mock.patch.object(codebook, "a_k_scale_coords", doubled), lambda: codebook.hilbert90_unit(A.gen())),
     (mock.patch.object(codebook, "_norm_split", lambda dtype: wrong.astype(dtype)),
      lambda: codebook.norm_witness_search(KElem(2), codebook.Box(1, 1))),
-    (mock.patch.object(algebra, "a_quotient_coords", doubled), lambda: algebra.inverse(A.gen())),
+    # y = 2/x, so x*y = 2
+    (mock.patch.object(algebra, "a_k_scale_coords", doubled), lambda: algebra.inverse(A.gen())),
     (mock.patch.object(codebook, "has_rational_root", lambda poly: Fraction(1)),
      lambda: codebook.subfield_table_row(1)),
     (mock.patch.object(codebook, "discriminant_cubic", lambda poly: Fraction(-1)),
