@@ -885,6 +885,25 @@ def test_commutator_form_is_the_difference_of_both_products(gamma):
         assert got.any(axis=0).all()  # random columns do not commute with their involution
 
 
+@pytest.mark.parametrize("gamma", [(0, 1), (1, 1)], ids=["zeta3", "-zeta3^2"])
+def test_involution_products_form_is_the_involution_then_both_products(gamma):
+    # the unit parts' 20 rows are a_mul_coords(u, a_involution_coords(w)), then the K part of a_mul_coords(u, w),
+    # on random int64 columns within the float limit (the float tier) and on random object columns at 2^70
+    limit = table("a_unit_parts_coords", gamma)[-1]
+    assert 0 < limit < 2**26
+    rng = random.Random(79)
+    inputs = [
+        [np.array([[rng.choice((-limit, limit, rng.randint(-limit, limit))) for _ in range(9)] for _ in range(18)],
+                  dtype=np.int64) for _ in range(2)],
+        [np.array([[rng.randint(-2**70, 2**70) for _ in range(9)] for _ in range(18)], dtype=object)
+         for _ in range(2)],
+    ]
+    for (u, w), dtype in zip(inputs, (np.int64, object)):
+        got = unidiv.algebra.a_unit_parts_coords(u, w, gamma)
+        want = np.concatenate([a_mul_coords(u, a_involution_coords(w, gamma), gamma), a_mul_coords(u, w, gamma)[:2]])
+        assert got.shape == (20, 9) and got.dtype == dtype and got.tolist() == want.tolist()
+
+
 @pytest.mark.parametrize("gamma", [(0, 1), (1, 1), (2, -1)], ids=["zeta3", "-zeta3^2", "2-zeta3"])
 def test_adjugate_times_x_is_the_reduced_norm_on_both_sides(gamma):
     # x * x^# = x^# * x = Nrd(x) (Cayley-Hamilton), on int64 columns within the float limit and on objects at
